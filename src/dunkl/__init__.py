@@ -3,9 +3,11 @@ rational Cherednik system, with verification suites and a CLI front end.
 
 Layers, bottom up:
 
-- scalars: the coefficient field Q(i, sqrt2)(s, c_1..c_m) with t = s^2/2.
-- groups: real reflection groups (types A, B, D and A1 products) as
-  signed permutation matrices, with roots, orbits and conjugacy classes.
+- scalars: the coefficient field Q(i, sqrt2)(s, c_1..c_m) with t = s^2/2;
+  elements of Q(i, sqrt2) are four int numerators over one denominator.
+- groups: real reflection groups (types A, B, D and A1 products), each
+  element stored as a signed permutation (perm, sign) of the orthonormal
+  basis, with roots, orbits and conjugacy classes.
 - clifford: the Clifford algebra on orthonormal generators e_j^2 = 1.
 - pin: the double cover of the reflection group inside the Clifford
   algebra, its cocycle and class-splitting data.
@@ -35,7 +37,8 @@ from .tama import Tama
 from .admissible import CoverAlgebra, sn_partition_predictions
 from .polyspinor import SpinorRep, HermitianForm, cohomology_dims, \
     spinor_matrices
-from .cli import RunConfig, run_config, main
+
+_CLI_NAMES = ("RunConfig", "run_config", "main")
 
 __all__ = [
     "Coeff", "Scalar", "ScalarField",
@@ -52,3 +55,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The CLI is imported on first use, not with the package, so that
+    # `python -m dunkl.cli` runs a module not already in sys.modules.
+    if name in _CLI_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

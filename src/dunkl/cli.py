@@ -21,9 +21,10 @@ import random
 import sys
 import time
 from fractions import Fraction
+from math import comb
 
-from .groups import (RootDatum, parse_family, UnsupportedFamilyError,
-                     GroupBoundExceededError)
+from .groups import (RootDatum, parse_family, group_order,
+                     UnsupportedFamilyError, GroupBoundExceededError)
 from .cherednik import filtration_check
 from .hc import HCAlgebra
 from .osp import OspRealisation
@@ -45,8 +46,21 @@ RELATION_ORDER = (
 )
 
 
+# Limits checked before anything is allocated.  The multiplication table
+# is a dense |W| x |W| list (and the pin cocycle cache grows to the same
+# number of pairs); the cohomology suite builds dense matrices of the
+# spinor dimension C(d+k-1, k) * 2^(d//2) at the top degree k.
+MUL_TABLE_CAP = 1_000_000
+SPINOR_DIM_CAP = 512
+
+
 class ConfigError(ValueError):
     pass
+
+
+def spinor_dim(d, degree):
+    """Dimension of the degree-`degree` polynomial spinors on C^d."""
+    return comb(d + degree - 1, degree) * 2 ** (d // 2)
 
 
 class RunConfig:
@@ -72,6 +86,18 @@ class RunConfig:
         for s in suites:
             if s not in SUITES:
                 raise ConfigError(f"unknown suite {s!r}")
+        order = group_order(fam, rank)
+        if order * order > MUL_TABLE_CAP:
+            raise ConfigError(
+                f"|W| = {order} needs a {order}x{order} multiplication "
+                f"table, over the limit of {MUL_TABLE_CAP} entries")
+        if "cohomology" in suites:
+            dim = spinor_dim(ambient, max_degree)
+            if dim > SPINOR_DIM_CAP:
+                raise ConfigError(
+                    f"--max-degree {max_degree} on dimension {ambient} gives "
+                    f"spinor matrices of size {dim}, over the limit of "
+                    f"{SPINOR_DIM_CAP}")
         self.family = fam
         self.rank = rank
         self.ambient = ambient

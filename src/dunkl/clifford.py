@@ -6,8 +6,6 @@ a popcount-style sign computation plus xor.
 
 from __future__ import annotations
 
-from .scalars import Scalar, ScalarField
-
 
 def basis_sign(a, b):
     """Sign of e_A * e_B relative to e_{A xor B}, with e_j^2 = +1."""
@@ -61,15 +59,6 @@ class CliffordElement:
         if not 1 <= j <= dim:
             raise IndexError(f"generator index {j} out of range")
         return CliffordElement(dim, {1 << (j - 1): field.one})
-
-    @staticmethod
-    def from_vector(dim, coords, field):
-        """gamma(v) = sum_j v_j e_j for a coordinate vector v."""
-        terms = {}
-        for j, x in enumerate(coords):
-            if x:
-                terms[1 << j] = field.rational(x) if not isinstance(x, Scalar) else x
-        return CliffordElement(dim, terms)
 
     def _chk(self, o):
         if self.dim != o.dim:

@@ -1,15 +1,18 @@
 """Root data and finite reflection groups in orthonormal coordinates.
 
 Supported families: A (S_{rank+1} permuting coordinates of C^ambient),
-B_n, D_n and products A1^d of sign flips.  All reflection matrices are
-signed permutation matrices with integer entries, which keeps the whole
-group action monomial-to-monomial.
+B_n, D_n and products A1^d of sign flips.  Every group element is a
+signed permutation of the orthonormal basis, which keeps the whole group
+action monomial-to-monomial; it is stored as int tuples (perm, sign), so
+products and inverses compose permutations instead of multiplying
+matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 DEFAULT_GROUP_BOUND = 100_000
 
@@ -26,33 +29,18 @@ def mat_identity(d):
     return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
 
 
-def mat_mul(a, b):
-    d = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(d)) for j in range(d))
-        for i in range(d)
-    )
-
-
-def mat_transpose(a):
-    return tuple(zip(*a))
-
-
-def mat_neg(a):
-    return tuple(tuple(-x for x in row) for row in a)
-
-
 class GroupElement:
-    """Orthogonal d x d matrix (signed permutation for supported families).
+    """Signed permutation w with w(y_j) = sign_j * y_{perm_j}.
 
-    Column j encodes w(y_j) = sign_j * y_{perm_j}; the same data acts on
-    the x-coordinates since the matrices are orthogonal and the bases dual.
+    Stored as the int tuples (perm, sign); the same data acts on the
+    x-coordinates since the matrices are orthogonal and the bases dual.
+    `GroupElement(mat)` reads a signed permutation matrix, and `.mat`
+    builds it back.
     """
 
-    __slots__ = ("mat", "perm", "sign", "det")
+    __slots__ = ("perm", "sign", "det", "_hash")
 
     def __init__(self, mat):
-        self.mat = mat
         d = len(mat)
         perm = []
         sign = []
@@ -62,9 +50,7 @@ class GroupElement:
             if len(nz) != 1 or col[nz[0]] not in (1, -1):
                 raise ValueError("not a signed permutation matrix")
             perm.append(nz[0])
-            sign.append(col[nz[0]])
-        self.perm = tuple(perm)
-        self.sign = tuple(sign)
+            sign.append(int(col[nz[0]]))
         det = 1
         for s in sign:
             det *= s
@@ -77,23 +63,55 @@ class GroupElement:
             k = j
             while not seen[k]:
                 seen[k] = True
-                k = self.perm[k]
+                k = perm[k]
                 ln += 1
             if ln % 2 == 0:
                 det = -det
+        self._set(tuple(perm), tuple(sign), det)
+
+    def _set(self, perm, sign, det):
+        self.perm = perm
+        self.sign = sign
         self.det = det
+        self._hash = hash((perm, sign))
+
+    @classmethod
+    def signed_permutation(cls, perm, sign, det):
+        """The element with these perm and sign sequences and determinant."""
+        g = object.__new__(cls)
+        g._set(tuple(perm), tuple(sign), det)
+        return g
+
+    @property
+    def mat(self):
+        """The signed permutation matrix, with int entries."""
+        d = len(self.perm)
+        return tuple(
+            tuple(s if p == i else 0 for p, s in zip(self.perm, self.sign))
+            for i in range(d)
+        )
 
     def __eq__(self, o):
-        return self.mat == o.mat
+        return self.perm == o.perm and self.sign == o.sign
 
     def __hash__(self):
-        return hash(self.mat)
+        return self._hash
 
     def __mul__(self, o):
-        return GroupElement(mat_mul(self.mat, o.mat))
+        gp, gs = self.perm, self.sign
+        return GroupElement.signed_permutation(
+            [gp[k] for k in o.perm],
+            [s * gs[k] for k, s in zip(o.perm, o.sign)],
+            self.det * o.det)
 
     def inverse(self):
-        return GroupElement(mat_transpose(self.mat))
+        d = len(self.perm)
+        perm = [0] * d
+        sign = [0] * d
+        for j, (p, s) in enumerate(zip(self.perm, self.sign)):
+            perm[p] = j
+            sign[p] = s
+        return GroupElement.signed_permutation(perm, sign, self.det)
 
     def apply_exp(self, exps):
         """Image of the monomial with exponent vector `exps`: (new_exps, sign).
@@ -109,15 +127,6 @@ class GroupElement:
                 if self.sign[j] < 0 and k % 2:
                     sgn = -sgn
         return tuple(out), sgn
-
-    def apply_vector(self, v):
-        """Matrix-vector action on a coordinate vector."""
-        d = len(self.perm)
-        out = [0] * d
-        for j, x in enumerate(v):
-            if x:
-                out[self.perm[j]] += self.sign[j] * x
-        return tuple(out)
 
     def is_identity(self):
         return all(s == 1 for s in self.sign) and self.perm == tuple(range(len(self.perm)))
@@ -155,7 +164,6 @@ class RootDatum:
                 raise UnsupportedFamilyError("type A needs ambient_dim >= rank+1")
             pos = [self._e(i, d, 1, j, -1) for i, j in combinations(range(rank + 1), 2)]
             labels = [0] * len(pos)
-            order = _factorial(rank + 1)
         elif family == "B":
             if d < rank:
                 raise UnsupportedFamilyError("type B needs ambient_dim >= rank")
@@ -164,20 +172,17 @@ class RootDatum:
             short_roots = [self._e(i, d, 1) for i in range(rank)]
             pos = long_roots + short_roots
             labels = [0] * len(long_roots) + [1] * len(short_roots)
-            order = 2 ** rank * _factorial(rank)
         elif family == "D":
             if d < rank:
                 raise UnsupportedFamilyError("type D needs ambient_dim >= rank")
             pos = [self._e(i, d, 1, j, -1) for i, j in combinations(range(rank), 2)]
             pos += [self._e(i, d, 1, j, 1) for i, j in combinations(range(rank), 2)]
             labels = [0] * len(pos)
-            order = 2 ** (rank - 1) * _factorial(rank)
         else:  # A1^rank
             if d < rank:
                 raise UnsupportedFamilyError("A1 product needs ambient_dim >= rank")
             pos = [self._e(i, d, 1) for i in range(rank)]
             labels = list(range(rank))
-            order = 2 ** rank
         self.family = family
         self.rank = rank
         self.dim = d
@@ -196,7 +201,7 @@ class RootDatum:
             GroupElement(reflection_matrix(a, cr))
             for a, cr in zip(self.positive_roots, self.coroots)
         ]
-        self.expected_order = order
+        self.expected_order = group_order(family, rank)
         self.group_bound = group_bound
         self._elements = None
         self._index = None
@@ -222,7 +227,7 @@ class RootDatum:
 
     def _enumerate(self):
         gens = self.reflections
-        ident = GroupElement(mat_identity(self.dim))
+        ident = self._identity()
         seen = {ident: 0}
         order = [ident]
         frontier = [ident]
@@ -269,7 +274,11 @@ class RootDatum:
 
     @property
     def identity_index(self):
-        return self.index_of(GroupElement(mat_identity(self.dim)))
+        return self.index_of(self._identity())
+
+    def _identity(self):
+        d = self.dim
+        return GroupElement.signed_permutation(range(d), (1,) * d, 1)
 
     def reflection_index(self, root_idx):
         return self.index_of(self.reflections[root_idx])
@@ -295,7 +304,9 @@ class RootDatum:
 
     def contains_minus_identity(self):
         """(found, element) with element = -I when present."""
-        minus = GroupElement(mat_neg(mat_identity(self.dim)))
+        d = self.dim
+        minus = GroupElement.signed_permutation(range(d), (-1,) * d,
+                                                (-1) ** d)
         if self._index is None:
             self._enumerate()
         if minus in self._index:
@@ -321,11 +332,17 @@ class RootDatum:
         return ",".join(f"{ln}{'-' if sgn < 0 else ''}" for ln, sgn in cycles)
 
 
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
+def group_order(family, rank):
+    """|W| for a family ("A", "B", "D" or "A1") of the given rank."""
+    if family == "A":
+        return factorial(rank + 1)
+    if family == "B":
+        return 2 ** rank * factorial(rank)
+    if family == "D":
+        return 2 ** (rank - 1) * factorial(rank)
+    if family == "A1":
+        return 2 ** rank
+    raise UnsupportedFamilyError(f"unsupported family {family!r}")
 
 
 def parse_family(spec):

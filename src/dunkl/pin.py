@@ -43,10 +43,6 @@ def cunit_mul(u, v):
     return out
 
 
-def cunit_neg(u):
-    return {m: -v for m, v in u.items()}
-
-
 def unit_ratio_sign(u, v):
     """Sign eps with u = eps * v for units known to be proportional."""
     if set(u) != set(v):

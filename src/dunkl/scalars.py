@@ -1,6 +1,9 @@
 """Exact arithmetic in the coefficient field Q(i, sqrt2)(s, c_1..c_m).
 
 The ground ring is Q[i, r] / (i^2 + 1, r^2 - 2), a degree-4 field over Q.
+An element a + b*i + c*r + d*i*r is stored as four int numerators over
+one positive int denominator, with the gcd of the five ints equal to 1
+and zero stored as 0/1; its arithmetic uses int operations only.
 On top of it we build sparse multivariate polynomials in the deformation
 variables (s first, then the orbit parameters c_1..c_m) and reduced
 fractions thereof.  The conventions t = s^2/2 and sqrt(2t) = s make every
@@ -13,59 +16,119 @@ Scalars are immutable; equal field elements are structurally identical
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from math import gcd, lcm
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-class Coeff:
-    """Element a + b*i + c*r + d*i*r of Q(i, sqrt2), with r = sqrt2."""
+def _of(v):
+    """The Coeff with the canonical tuple `v` (see Coeff)."""
+    z = object.__new__(Coeff)
+    z._v = v
+    return z
 
-    __slots__ = ("a", "b", "c", "d")
+
+def _canon(a, b, c, d, q):
+    """The Coeff (a + b*i + c*r + d*i*r) / q for ints with q > 0."""
+    g = gcd(a, b, c, d, q)
+    if g != 1:
+        a //= g
+        b //= g
+        c //= g
+        d //= g
+        q //= g
+    return _of((a, b, c, d, q))
+
+
+class Coeff:
+    """Element a + b*i + c*r + d*i*r of Q(i, sqrt2), with r = sqrt2.
+
+    `_v` is (A, B, C, D, q) with a = A/q, ..., d = D/q, q > 0 and
+    gcd(A, B, C, D, q) = 1, so equal elements have equal `_v`.
+    """
+
+    __slots__ = ("_v",)
 
     def __init__(self, a=0, b=0, c=0, d=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.c = Fraction(c)
-        self.d = Fraction(d)
+        if type(a) is int and type(b) is int and type(c) is int \
+                and type(d) is int:
+            self._v = (a, b, c, d, 1)
+            return
+        fs = [Fraction(x) for x in (a, b, c, d)]
+        q = lcm(*(f.denominator for f in fs))
+        self._v = _canon(*(f.numerator * (q // f.denominator) for f in fs),
+                         q)._v
+
+    @property
+    def a(self):
+        return Fraction(self._v[0], self._v[4])
+
+    @property
+    def b(self):
+        return Fraction(self._v[1], self._v[4])
+
+    @property
+    def c(self):
+        return Fraction(self._v[2], self._v[4])
+
+    @property
+    def d(self):
+        return Fraction(self._v[3], self._v[4])
 
     def __eq__(self, other):
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+        if not isinstance(other, Coeff):
+            return NotImplemented
+        return self._v == other._v
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+        return hash(self._v)
 
     def is_zero(self):
-        return not (self.a or self.b or self.c or self.d)
+        a, b, c, d, _ = self._v
+        return not (a or b or c or d)
 
     def is_rational(self):
-        return not (self.b or self.c or self.d)
+        _, b, c, d, _ = self._v
+        return not (b or c or d)
 
     def __add__(self, o):
-        return Coeff(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        a, b, c, d, q = self._v
+        e, f, g, h, p = o._v
+        if q == p:
+            return _canon(a + e, b + f, c + g, d + h, q)
+        return _canon(a * p + e * q, b * p + f * q, c * p + g * q,
+                      d * p + h * q, q * p)
 
     def __sub__(self, o):
-        return Coeff(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
+        a, b, c, d, q = self._v
+        e, f, g, h, p = o._v
+        if q == p:
+            return _canon(a - e, b - f, c - g, d - h, q)
+        return _canon(a * p - e * q, b * p - f * q, c * p - g * q,
+                      d * p - h * q, q * p)
 
     def __neg__(self):
-        return Coeff(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d, q = self._v
+        return _of((-a, -b, -c, -d, q))
 
     def __mul__(self, o):
-        a, b, c, d = self.a, self.b, self.c, self.d
-        e, f, g, h = o.a, o.b, o.c, o.d
-        return Coeff(
+        a, b, c, d, q = self._v
+        e, f, g, h, p = o._v
+        return _canon(
             a * e - b * f + 2 * (c * g - d * h),
             a * f + b * e + 2 * (c * h + d * g),
             a * g + c * e - b * h - d * f,
             a * h + d * e + b * g + c * f,
+            q * p,
         )
 
     def conj_i(self):
-        return Coeff(self.a, -self.b, self.c, -self.d)
+        a, b, c, d, q = self._v
+        return _of((a, -b, c, -d, q))
 
     def conj_r(self):
-        return Coeff(self.a, self.b, -self.c, -self.d)
+        a, b, c, d, q = self._v
+        return _of((a, b, -c, -d, q))
 
     def inv(self):
         if self.is_zero():
@@ -75,9 +138,12 @@ class Coeff:
         z3 = z1.conj_r()
         num = z1 * z2 * z3
         norm = self * num  # rational by Galois theory
-        assert norm.is_rational() and norm.a != 0
-        inv_n = 1 / norm.a
-        return Coeff(num.a * inv_n, num.b * inv_n, num.c * inv_n, num.d * inv_n)
+        assert norm.is_rational() and not norm.is_zero()
+        n, _, _, _, m = norm._v
+        if n < 0:
+            n, m = -n, -m
+        a, b, c, d, q = num._v
+        return _canon(a * m, b * m, c * m, d * m, q * n)
 
     def __str__(self):
         parts = []
@@ -192,13 +258,6 @@ def poly_divexact(p, q):
         quo[de] = f
         rem = poly_sub(rem, poly_mul({de: f}, q))
     return quo
-
-
-def _poly_try_div(p, q):
-    try:
-        return poly_divexact(p, q)
-    except ValueError:
-        return None
 
 
 def poly_is_unit(p):
@@ -371,10 +430,6 @@ class Scalar:
     # -- predicates ---------------------------------------------------------
     def is_zero(self):
         return not self.num
-
-    def is_one(self):
-        z = (0,) * self.nvars
-        return self.den == {z: C_ONE} and self.num == {z: C_ONE}
 
     def is_constant(self):
         z = (0,) * self.nvars

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 
 from .scalars import Scalar
 from .clifford import pseudo_scalar
@@ -196,7 +197,7 @@ class Tama:
             term = f(*(idxs[q] for q in p))
             sgn = perm_sign(p)
             acc = acc + (term if sgn > 0 else -term)
-        return acc.scale(self.alg.field.rational(Fraction(1, _fact(n))))
+        return acc.scale(self.alg.field.rational(Fraction(1, factorial(n))))
 
     # -- distinguished elements ---------------------------------------------
     def gamma_element(self):
@@ -452,10 +453,3 @@ class Tama:
             if not res.is_zero():
                 fails.append(g)
         return fails
-
-
-def _fact(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out

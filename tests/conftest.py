@@ -1,3 +1,6 @@
+from contextlib import contextmanager
+from fractions import Fraction
+
 import pytest
 
 from dunkl.groups import RootDatum
@@ -67,3 +70,26 @@ def s4():
 @pytest.fixture(scope="session")
 def b3():
     return stack("B", 3, 3)
+
+
+@pytest.fixture
+def fractions_made():
+    """Context manager yielding a list of every Fraction built inside it."""
+    @contextmanager
+    def counting():
+        made = []
+        original = Fraction.__dict__["__new__"]
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return original.__func__(cls, *args, **kwargs)
+
+        Fraction.__new__ = staticmethod(counting_new)
+        try:
+            Fraction(1)
+            assert made, "Fraction construction is not being counted"
+            made.clear()
+            yield made
+        finally:
+            Fraction.__new__ = original
+    return counting

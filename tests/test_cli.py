@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dunkl
 from dunkl.cli import (main, RunConfig, run_config, parse_specialize,
-                       canonical_report_bytes, ConfigError, SUITES)
+                       canonical_report_bytes, ConfigError, SUITES,
+                       MUL_TABLE_CAP, SPINOR_DIM_CAP, spinor_dim)
 
 
 def test_malformed_family_exits_2(capsys):
@@ -117,3 +123,54 @@ def test_single_c_flag():
     rep, code = run_config(cfg)
     assert code == 0
     assert rep["config"]["single_c"] is True
+
+
+def test_spinor_dim_formula():
+    # C(d+k-1, k) * 2^(d//2): B2 at degree 10, A1^4 at 9, S5 on C^5 at 4
+    assert spinor_dim(2, 10) == 11 * 2
+    assert spinor_dim(4, 9) == 220 * 4
+    assert spinor_dim(5, 4) == 70 * 4
+
+
+def test_resource_guard_rejects_large_groups(capsys):
+    # B6 has |W| = 46,080: its table would have about 2.1e9 entries
+    with pytest.raises(ConfigError, match=f"limit of {MUL_TABLE_CAP}"):
+        RunConfig("B", 6, None, ["osp"])
+    assert main(["--family", "B", "--rank", "6", "--suite", "osp"]) == 2
+    assert str(MUL_TABLE_CAP) in capsys.readouterr().err
+
+
+def test_resource_guard_rejects_large_spinor_matrices(capsys):
+    assert spinor_dim(4, 9) > SPINOR_DIM_CAP
+    with pytest.raises(ConfigError, match=f"limit of {SPINOR_DIM_CAP}"):
+        RunConfig("A1^4", None, None, ["cohomology"], max_degree=9)
+    assert main(["--family", "A1^4", "--suite", "cohomology",
+                 "--max-degree", "9"]) == 2
+    assert str(SPINOR_DIM_CAP) in capsys.readouterr().err
+    # the spinor matrices are built only by the cohomology suite
+    RunConfig("A1^4", None, None, ["osp"], max_degree=9)
+
+
+@pytest.mark.parametrize("args", [
+    ("A1^4", None, None, ["osp", "relations", "vogan", "filtration"], 4),
+    ("B", 2, None, list(SUITES), 10),
+    ("A", 4, None, ["admissible"], 4),
+    ("A", 3, None, list(SUITES), 4),
+    ("D", 4, None, list(SUITES), 3),
+    ("A1^5", None, None, list(SUITES), 4),
+])
+def test_resource_guard_admits_working_configs(args):
+    family, rank, ambient, suites, degree = args
+    RunConfig(family, rank, ambient, suites, max_degree=degree)
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = str(Path(dunkl.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "dunkl.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: verify" in proc.stdout

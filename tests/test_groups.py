@@ -1,7 +1,10 @@
+from fractions import Fraction
+from itertools import permutations
+
 import pytest
 
 from dunkl.groups import (RootDatum, GroupElement, parse_family,
-                          UnsupportedFamilyError, mat_identity)
+                          UnsupportedFamilyError, mat_identity, group_order)
 
 
 def test_group_orders():
@@ -77,3 +80,68 @@ def test_mul_and_inv_tables():
     n = len(rd.elements)
     for g in range(n):
         assert rd.mul_table[g][rd.inv_table[g]] == rd.identity_index
+
+
+def int_mat_mul(a, b):
+    d = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(d))
+                       for j in range(d)) for i in range(d))
+
+
+def leibniz_det(m):
+    d = len(m)
+    total = 0
+    for p in permutations(range(d)):
+        inversions = sum(p[i] > p[j] for i in range(d) for j in range(i + 1, d))
+        term = -1 if inversions % 2 else 1
+        for i in range(d):
+            term *= m[i][p[i]]
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("cfg", [("B", 3, 3), ("D", 4, 4), ("A", 3, 4)])
+def test_signed_permutations_agree_with_int_matrices(cfg):
+    rd = RootDatum(*cfg)
+    els = rd.elements
+    mats = [g.mat for g in els]
+    for g, m in zip(els, mats):
+        assert all(type(x) is int for row in m for x in row)
+        assert GroupElement(m) == g and hash(GroupElement(m)) == hash(g)
+        assert GroupElement(m).det == g.det == leibniz_det(m)
+        assert g.inverse().mat == tuple(zip(*m))
+        assert g.inverse().det == g.det
+    for g, mg in zip(els, mats):
+        for h, mh in zip(els, mats):
+            gh = g * h
+            assert gh.mat == int_mat_mul(mg, mh)
+            assert gh.det == g.det * h.det
+
+
+def test_reflections_read_fraction_matrices():
+    # coroots are Fractions, so reflection matrices arrive with Fraction
+    # entries; the stored signs are ints
+    rd = RootDatum("B", 2, 2)
+    assert any(isinstance(x, Fraction) for cr in rd.coroots for x in cr)
+    for s in rd.reflections:
+        assert all(type(x) is int for x in s.sign)
+    with pytest.raises(ValueError):
+        GroupElement(((1, 1), (0, 1)))
+
+
+def test_group_order_formula():
+    assert group_order("B", 6) == 46_080
+    for cfg in [("A", 3, 4), ("B", 3, 3), ("D", 4, 4), ("A1", 3, 3)]:
+        assert group_order(*cfg[:2]) == len(RootDatum(*cfg).elements)
+    with pytest.raises(UnsupportedFamilyError):
+        group_order("E", 8)
+
+
+def test_group_arithmetic_makes_no_fraction(fractions_made):
+    els = RootDatum("B", 3, 3).elements
+    with fractions_made() as made:
+        for g in els:
+            for h in els:
+                g * h
+            g.inverse()
+    assert made == []

@@ -8,6 +8,88 @@ from dunkl.scalars import (Coeff, Scalar, ScalarField, C_ZERO, C_ONE, C_I,
 
 rats = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 7))
 coeffs = st.builds(Coeff, rats, rats, rats, rats)
+quads = st.tuples(rats, rats, rats, rats)
+
+
+# Reference model: a + b i + c r + d i r as four Fractions, with the
+# Fraction-based formulas and string format the int storage must match.
+
+def ref_mul(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e - b * f + 2 * (c * g - d * h),
+            a * f + b * e + 2 * (c * h + d * g),
+            a * g + c * e - b * h - d * f,
+            a * h + d * e + b * g + c * f)
+
+
+def ref_inv(x):
+    a, b, c, d = x
+    z1, z2, z3 = (a, -b, c, -d), (a, b, -c, -d), (a, -b, -c, d)
+    num = ref_mul(ref_mul(z1, z2), z3)
+    n = ref_mul(x, num)[0]
+    return tuple(v / n for v in num)
+
+
+def ref_str(x):
+    parts = [f"{v}*{tag}" if tag else f"{v}"
+             for v, tag in zip(x, ("", "i", "r", "i*r")) if v]
+    return "+".join(parts).replace("+-", "-") if parts else "0"
+
+
+def as_ref(z):
+    return (z.a, z.b, z.c, z.d)
+
+
+@given(quads, quads)
+@settings(max_examples=100, deadline=None)
+def test_coeff_matches_fraction_model(x, y):
+    cx, cy = Coeff(*x), Coeff(*y)
+    assert as_ref(cx) == x
+    assert as_ref(cx + cy) == tuple(u + v for u, v in zip(x, y))
+    assert as_ref(cx - cy) == tuple(u - v for u, v in zip(x, y))
+    assert as_ref(-cx) == tuple(-u for u in x)
+    assert as_ref(cx * cy) == ref_mul(x, y)
+    assert as_ref(cx.conj_i()) == (x[0], -x[1], x[2], -x[3])
+    assert as_ref(cx.conj_r()) == (x[0], x[1], -x[2], -x[3])
+    if any(x):
+        assert as_ref(cx.inv()) == ref_inv(x)
+    assert str(cx) == ref_str(x)
+
+
+@given(quads, quads, st.integers(1, 12))
+@settings(max_examples=100, deadline=None)
+def test_coeff_equal_values_are_equal_objects(x, y, k):
+    # the same value reached two ways: built directly, and as (x + y) - y
+    # after scaling every numerator and denominator by k
+    cx = Coeff(*x)
+    scaled = Coeff(*(Fraction(v.numerator * k, v.denominator * k)
+                     for v in x))
+    for other in (scaled, (cx + Coeff(*y)) - Coeff(*y)):
+        assert other == cx
+        assert hash(other) == hash(cx)
+        assert other._v == cx._v
+    assert (cx - cx)._v == (0, 0, 0, 0, 1)
+    assert (cx - cx) == C_ZERO and hash(cx - cx) == hash(C_ZERO)
+
+
+def test_coeff_accepts_what_fraction_accepts():
+    assert Coeff("1/2", 0.25, Fraction(-3, 6), 2) == \
+        Coeff(Fraction(1, 2), Fraction(1, 4), Fraction(-1, 2), 2)
+    assert str(Coeff("-3/9", 0, "4/2")) == "-1/3+2*r"
+    with pytest.raises(ValueError):
+        Coeff("one")
+
+
+def test_coeff_arithmetic_makes_no_fraction(fractions_made):
+    x = Coeff(Fraction(1, 3), -2, Fraction(5, 7), 1)
+    y = Coeff(3, Fraction(-1, 2), 0, Fraction(2, 9))
+    with fractions_made() as made:
+        for z in (x + y, x - y, x * y, -x, x.inv(), x.conj_i(), x.conj_r()):
+            hash(z)
+            z == x
+            z.is_zero()
+    assert made == []
 
 
 @given(coeffs, coeffs, coeffs)
