@@ -504,8 +504,18 @@ def _mat_eq(a, b):
 
 
 def _mat_mul_scalar(a, b, zero):
-    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), zero)
-             for j in range(len(b[0]))] for i in range(len(a))]
+    """Dense product of Scalar matrices; zero factors are skipped."""
+    out = []
+    for row in a:
+        acc = [zero] * len(b[0])
+        for k, v in enumerate(row):
+            if v.is_zero():
+                continue
+            for j, u in enumerate(b[k]):
+                if not u.is_zero():
+                    acc[j] = acc[j] + v * u
+        out.append(acc)
+    return out
 
 
 def suite_cohomology(ctx: Context, run: Runner):

@@ -6,17 +6,24 @@ size 2^{floor(d/2)} built from the standard tensor-product construction
 (two anticommuting real involutions and their i-scaled product; odd d adds
 the i^k-scaled product of all even-dimension generators).
 
-Matrices are stored dense as lists of lists of Scalar (symbolic runs) or
-Coeff (rational specialisations), row-major, acting on column vectors
-indexed by (monomial, spinor) pairs with monomials in graded-lex order.
+Matrices are returned dense as lists of lists, row-major, acting on
+column vectors indexed by (monomial, spinor) pairs with monomials in
+graded-lex order.  One sparse assembly builds them: the spinor matrix of
+each Clifford mask is monomial (one unit i^k per row), so only its
+nonzero entries are visited, and entries accumulate in a
+{(row, col): value} map that is densified once.  `matrix_of` assembles
+over Scalar; `matrix_of_coeff` runs the same assembly over Coeff for
+rational specialisations, converting each scalar of the algebra with
+`constant_value()`, and never builds a Scalar matrix.  One exact row
+reduction, `_rref`, serves `rank_coeff`, `kernel_basis_coeff` and
+`image_basis_coeff`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
-from .scalars import Scalar, Coeff, C_ONE, C_ZERO, C_I, _i_power
+from .scalars import Scalar, C_ONE, C_ZERO, C_I, _i_power
 from .hc import HCAlgebra, HCElement
 
 _X = ((C_ZERO, C_ONE), (C_ONE, C_ZERO))
@@ -108,55 +115,42 @@ class SpinorRep:
     def dim(self, degree):
         return len(self.basis(degree)) * self.spin_dim
 
-    def _spin_matrix_of_mask(self, mask):
+    def _spin_entries(self, mask):
+        """Nonzero entries (row, col, i^k) of the spinor matrix of e_mask.
+
+        A product of the e_j matrices is monomial: one unit i^k per row.
+        """
         m = None
         for j in range(self.d):
             if mask & (1 << j):
                 m = self.spin[j] if m is None else _mat_mul_coeff(m, self.spin[j])
         if m is None:
-            n = self.spin_dim
-            return tuple(tuple(C_ONE if i == j else C_ZERO for j in range(n))
-                         for i in range(n))
-        return m
+            return [(i, i, C_ONE) for i in range(self.spin_dim)]
+        return [(si, sj, v) for si, row in enumerate(m)
+                for sj, v in enumerate(row) if not v.is_zero()]
 
-    def _apply_poly_part(self, xexp, yexp, g_idx, mono):
+    def _apply_poly_part(self, xexp, yexp, g_idx, mono, one, value):
         """Action of x^a y^b w on the monomial x^mono.
 
-        Returns {result_monomial: Scalar}; w substitutes, y^b applies Dunkl
-        operators right-to-left, x^a multiplies.
+        Returns {result_monomial: entry}, entries in the ring of `one`
+        (see `_assemble`); w substitutes, y^b applies Dunkl operators, x^a
+        multiplies.
         """
-        alg = self.alg
-        h = alg.h
-        ge = h._elems[g_idx]
-        img, sgn = ge.apply_exp(mono)
-        F = alg.field
-        polys = {img: F.rational(sgn)}
-        # Dunkl operators: y_i acts as T_i; y^b applies each variable's power
-        for i in range(self.d):
-            for _ in range(yexp[i]):
-                nxt = {}
-                for e, v in polys.items():
-                    for (e2, _g), u in h.ycomm(i, e).items():
-                        # T_i(x^e) = sum over group terms applied to 1
-                        w = nxt.get(e2)
-                        w = v * u if w is None else w + v * u
-                        if w.is_zero():
-                            nxt.pop(e2, None)
-                        else:
-                            nxt[e2] = w
-                polys = nxt
-                if not polys:
-                    return {}
+        img, sgn = self.alg.h._elems[g_idx].apply_exp(mono)
+        polys = _dunkl_word(self.alg.h, yexp,
+                           {img: one if sgn > 0 else -one}, value)
         if any(xexp):
             polys = {tuple(a + b for a, b in zip(e, xexp)): v
                      for e, v in polys.items()}
         return polys
 
-    def matrix_of(self, elem: HCElement, degree):
-        """Matrix of `elem` from C[V]_degree (x) S to the shifted degree.
+    def _assemble(self, elem, degree, lift, value):
+        """Matrix of `elem` with entries in one ring: Scalar or Coeff.
 
-        All terms must shift the polynomial degree by the same amount;
-        raises ValueError otherwise.  Returns (matrix, out_degree).
+        `lift` embeds a Coeff (a spinor entry) into that ring and `value`
+        maps a Scalar of the algebra into it.  Entries are accumulated
+        sparsely, visiting only the nonzero spinor entries, and the
+        matrix is densified once.
         """
         shifts = {sum(a) - sum(b) for (a, b, _g, _m) in elem.terms}
         if len(shifts) > 1:
@@ -168,45 +162,91 @@ class SpinorRep:
         src = self.basis(degree)
         dst = self.basis(out_degree)
         dst_index = {m: i for i, m in enumerate(dst)}
-        F = self.alg.field
-        nrows = len(dst) * self.spin_dim
-        ncols = len(src) * self.spin_dim
-        mat = [[F.zero] * ncols for _ in range(nrows)]
+        sd = self.spin_dim
+        one = lift(C_ONE)
+        acc = {}
         for (a, b, g, mask), coeff in elem.terms.items():
-            spin_m = self._spin_matrix_of_mask(mask)
+            coeff = value(coeff)
+            spin = [(si, sj, lift(v)) for si, sj, v in self._spin_entries(mask)]
             for ci, mono in enumerate(src):
-                polys = self._apply_poly_part(a, b, g, mono)
-                for e, v in polys.items():
+                for e, v in self._apply_poly_part(a, b, g, mono, one,
+                                                  value).items():
                     ri = dst_index.get(e)
                     if ri is None:
                         raise AssertionError("degree bookkeeping failure")
                     cv = coeff * v
-                    for si in range(self.spin_dim):
-                        for sj in range(self.spin_dim):
-                            sc = spin_m[si][sj]
-                            if sc.is_zero():
-                                continue
-                            mat[ri * self.spin_dim + si][ci * self.spin_dim + sj] = (
-                                mat[ri * self.spin_dim + si][ci * self.spin_dim + sj]
-                                + cv * Scalar.from_coeff(sc, F.nvars))
+                    for si, sj, u in spin:
+                        key = (ri * sd + si, ci * sd + sj)
+                        w = acc.get(key)
+                        w = cv * u if w is None else w + cv * u
+                        if w.is_zero():
+                            acc.pop(key, None)
+                        else:
+                            acc[key] = w
+        zero = lift(C_ZERO)
+        mat = [[zero] * (len(src) * sd) for _ in range(len(dst) * sd)]
+        for (r, c), v in acc.items():
+            mat[r][c] = v
         return mat, out_degree
 
+    def matrix_of(self, elem: HCElement, degree):
+        """Matrix of `elem` from C[V]_degree (x) S to the shifted degree.
+
+        All terms must shift the polynomial degree by the same amount;
+        raises ValueError otherwise.  Returns (matrix, out_degree) with
+        Scalar entries.
+        """
+        nvars = self.alg.field.nvars
+        return self._assemble(elem, degree,
+                              lambda cf: Scalar.from_coeff(cf, nvars), _same)
+
     def matrix_of_coeff(self, elem, degree):
-        """matrix_of with all entries constant, converted to Coeff."""
-        mat, out_degree = self.matrix_of(elem, degree)
-        return ([[v.constant_value() for v in row] for row in mat], out_degree)
+        """matrix_of with Coeff entries; every scalar must be constant."""
+        return self._assemble(elem, degree, _same, Scalar.constant_value)
+
+
+def _same(v):
+    return v
+
+
+def _dunkl_word(h, yexp, polys, value=_same):
+    """Apply the Dunkl operators y^yexp to the polynomial {xexp: entry}.
+
+    Each y_i acts through the memoised commutator [y_i, x^e] of `h`;
+    `value` maps its Scalar coefficients into the ring of the entries.
+    """
+    for i in range(h.dim):
+        for _ in range(yexp[i]):
+            nxt = {}
+            for e, v in polys.items():
+                for (e2, _g), u in h.ycomm(i, e).items():
+                    u = v * value(u)
+                    w = nxt.get(e2)
+                    w = u if w is None else w + u
+                    if w.is_zero():
+                        nxt.pop(e2, None)
+                    else:
+                        nxt[e2] = w
+            polys = nxt
+            if not polys:
+                return polys
+    return polys
 
 
 # -- exact linear algebra over Coeff ----------------------------------------
 
-def rank_coeff(rows):
-    """Rank of a list-of-lists Coeff matrix (destructive on a copy)."""
-    if not rows:
-        return 0
+def _rref(rows):
+    """Reduced row echelon form of a Coeff matrix, on a copy.
+
+    Returns (rows, pivots): pivot row r has a 1 in column pivots[r] and
+    zeros in the other pivot columns; the rows after len(pivots) are zero.
+    """
     m = [list(r) for r in rows]
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
+    if not m:
+        return m, []
+    pivots = []
+    for col in range(len(m[0])):
+        rank = len(pivots)
         piv = None
         for r in range(rank, len(m)):
             if not m[r][col].is_zero():
@@ -221,42 +261,25 @@ def rank_coeff(rows):
             if r != rank and not m[r][col].is_zero():
                 f = m[r][col]
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
+        pivots.append(col)
+        if len(pivots) == len(m):
             break
-    return rank
+    return m, pivots
+
+
+def rank_coeff(rows):
+    """Rank of a list-of-lists Coeff matrix."""
+    return len(_rref(rows)[1])
 
 
 def kernel_basis_coeff(mat):
     """Basis of the right kernel of a Coeff matrix (rows x cols)."""
     if not mat:
         return []
-    nrows, ncols = len(mat), len(mat[0])
-    m = [list(r) for r in mat]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if not m[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][col].inv()
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(nrows):
-            if r != rank and not m[r][col].is_zero():
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    m, pivots = _rref(mat)
+    ncols = len(mat[0])
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [C_ZERO] * ncols
         vec[fc] = C_ONE
         for r, pc in enumerate(pivots):
@@ -269,37 +292,9 @@ def image_basis_coeff(mat):
     """Basis of the column space (as vectors)."""
     if not mat:
         return []
-    cols = list(map(list, zip(*mat)))
-    # row-reduce the transpose and keep nonzero rows
-    r = _rref(cols)
-    return [row for row in r if any(not v.is_zero() for v in row)]
-
-
-def _rref(rows):
-    m = [list(r) for r in rows]
-    if not m:
-        return m
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(m)):
-            if not m[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][col].inv()
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and not m[r][col].is_zero():
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return m
+    # the nonzero rows of the row-reduced transpose
+    m, pivots = _rref(list(map(list, zip(*mat))))
+    return m[:len(pivots)]
 
 
 def intersection_dim(basis_a, basis_b):
@@ -398,25 +393,9 @@ class HermitianForm:
 
     def _pair(self, aexp, bexp):
         """Constant term of the Dunkl word y^a applied to x^b."""
-        rep = self.rep
-        h = rep.alg.h
-        F = rep.alg.field
-        polys = {tuple(bexp): F.one}
-        for i in range(rep.d):
-            for _ in range(aexp[i]):
-                nxt = {}
-                for e, v in polys.items():
-                    for (e2, _g), u in h.ycomm(i, e).items():
-                        w = nxt.get(e2)
-                        w = v * u if w is None else w + v * u
-                        if w.is_zero():
-                            nxt.pop(e2, None)
-                        else:
-                            nxt[e2] = w
-                polys = nxt
-                if not polys:
-                    return F.zero
-        return polys.get((0,) * rep.d, F.zero)
+        F = self.rep.alg.field
+        polys = _dunkl_word(self.rep.alg.h, aexp, {tuple(bexp): F.one})
+        return polys.get((0,) * self.rep.d, F.zero)
 
     def adjointness_check(self, degree):
         """Per-generator report of G pi(eta) = pi(eta_bullet)^{conj T} G.

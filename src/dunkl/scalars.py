@@ -10,7 +10,12 @@ fractions thereof.  The conventions t = s^2/2 and sqrt(2t) = s make every
 square root needed downstream exact.
 
 Scalars are immutable; equal field elements are structurally identical
-(reduced fraction, denominator monic w.r.t. graded-lex order).
+(reduced fraction, denominator monic w.r.t. graded-lex order).  A sum or
+product of two scalars whose denominators are both 1 (every scalar of a
+fully specialised run, and every polynomial) is built directly from
+`poly_add` / `poly_mul`: p/1 with zero terms dropped is already in that
+canonical form, so only fractions with a nontrivial denominator go
+through `_reduce` and its gcd.
 """
 
 from __future__ import annotations
@@ -440,7 +445,8 @@ class Scalar:
         if not self.is_constant():
             raise ValueError("not a constant scalar")
         n = self.num.get(z, C_ZERO)
-        return n * self.den[z].inv()
+        d = self.den[z]
+        return n if d == C_ONE else n * d.inv()
 
     # -- arithmetic ---------------------------------------------------------
     def _chk(self, o):
@@ -454,7 +460,8 @@ class Scalar:
         if not o.num:
             return self
         if self.den == o.den:
-            return Scalar(poly_add(self.num, o.num), self.den, self.nvars)
+            return Scalar(poly_add(self.num, o.num), self.den, self.nvars,
+                          _normalized=poly_is_unit(self.den))
         num = poly_add(poly_mul(self.num, o.den), poly_mul(o.num, self.den))
         return Scalar(num, poly_mul(self.den, o.den), self.nvars)
 
@@ -468,6 +475,10 @@ class Scalar:
         self._chk(o)
         if not self.num or not o.num:
             return Scalar({}, {(0,) * self.nvars: C_ONE}, self.nvars, _normalized=True)
+        if poly_is_unit(self.den) and poly_is_unit(o.den):
+            # a canonical denominator is monic, so a constant one is 1
+            return Scalar(poly_mul(self.num, o.num), self.den, self.nvars,
+                          _normalized=True)
         return Scalar(poly_mul(self.num, o.num), poly_mul(self.den, o.den), self.nvars)
 
     def __truediv__(self, o):

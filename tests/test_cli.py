@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ import pytest
 import dunkl
 from dunkl.cli import (main, RunConfig, run_config, parse_specialize,
                        canonical_report_bytes, ConfigError, SUITES,
-                       MUL_TABLE_CAP, SPINOR_DIM_CAP, spinor_dim)
+                       MUL_TABLE_CAP, SPINOR_DIM_CAP, spinor_dim,
+                       build_parser, config_from_args)
 
 
 def test_malformed_family_exits_2(capsys):
@@ -72,6 +74,23 @@ def test_report_determinism():
     b1 = canonical_report_bytes(rep1, include_timing=False)
     b2 = canonical_report_bytes(rep2, include_timing=False)
     assert b1 == b2
+
+
+# sha256 of canonical_report_bytes(..., include_timing=False) for the run
+# below.  Changes of representation or of the matrix assembly must leave
+# every status, detail and check order, and so this digest, as it is.
+B2_COHOMOLOGY_SHA256 = (
+    "0b95d55886b3de4cf40916cf4135c282760ec70070958389ea09332a75457f79")
+
+
+def test_specialised_cohomology_report_bytes_are_pinned():
+    args = build_parser().parse_args(
+        ["--family", "B", "--rank", "2", "--suite", "cohomology",
+         "--specialize", "s=2,c1=1/3,c2=1/5", "--max-degree", "3"])
+    rep, code = run_config(config_from_args(args))
+    assert code == 0
+    payload = canonical_report_bytes(rep, include_timing=False)
+    assert hashlib.sha256(payload).hexdigest() == B2_COHOMOLOGY_SHA256
 
 
 def test_all_suite_expansion():

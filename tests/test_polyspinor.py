@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dunkl.groups import RootDatum
 from dunkl.hc import HCAlgebra
@@ -105,6 +106,58 @@ def test_dirac_square_matrix_identity_low_degree(rep_a13):
         MD, _ = rep_a13.matrix_of(D, k)
         MO, _ = rep_a13.matrix_of(Om, k)
         assert matmul(MD, MD) == MO
+
+
+SPECIALISED = {
+    "B2": (("B", 2, 2), {"s": Fraction(2), "c1": Fraction(1, 3),
+                         "c2": Fraction(1, 5)}),
+    "A1^3": (("A1", 3, 3), {"s": Fraction(2), "c1": Fraction(1, 3),
+                            "c2": Fraction(1, 5), "c3": Fraction(1, 7)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECIALISED))
+def test_matrix_of_coeff_matches_matrix_of(name):
+    # the Coeff assembly must give the constant values of the Scalar one
+    rd_args, spec = SPECIALISED[name]
+    alg = HCAlgebra(RootDatum(*rd_args), specialize=spec)
+    rep = SpinorRep(alg)
+    osp = OspRealisation(alg)
+    d = alg.dim
+    elems = [Tama(alg, osp).dirac(), osp.Omega_osp, alg.rho_reflection(0)]
+    elems += [alg.x(i) for i in range(1, d + 1)]
+    elems += [alg.y(i) for i in range(1, d + 1)]
+    elems += [alg.e(j) for j in range(1, d + 1)]
+    for elem in elems:
+        for k in range(4):
+            mat, out = rep.matrix_of(elem, k)
+            cmat, cout = rep.matrix_of_coeff(elem, k)
+            assert cout == out
+            assert cmat == [[v.constant_value() for v in row] for row in mat]
+
+
+_small_coeffs = st.builds(Coeff, st.integers(-2, 2), st.integers(-1, 1))
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(_small_coeffs, min_size=n, max_size=n), min_size=1,
+    max_size=4)))
+@settings(max_examples=60, deadline=None)
+def test_elimination_helpers_agree(mat):
+    # rank-nullity, kernel vectors annihilated, image of the right size
+    ncols = len(mat[0])
+    rank = rank_coeff(mat)
+    ker = kernel_basis_coeff(mat)
+    assert rank + len(ker) == ncols
+    for vec in ker:
+        for row in mat:
+            acc = C_ZERO
+            for a, b in zip(row, vec):
+                acc = acc + a * b
+            assert acc.is_zero()
+    im = image_basis_coeff(mat)
+    assert len(im) == rank == rank_coeff(list(map(list, zip(*mat))))
+    assert intersection_dim(im, list(map(list, zip(*mat)))) == rank
 
 
 def test_exact_linear_algebra_helpers():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dunkl import scalars
 from dunkl.scalars import (Coeff, Scalar, ScalarField, C_ZERO, C_ONE, C_I,
                            C_R, _i_power)
 
@@ -187,3 +188,58 @@ def test_scalar_str_is_deterministic(F):
     e1 = (F.s + F.cs[0]) / F.t
     e2 = (F.cs[0] + F.s) / (F.s * F.s / F.rational(2))
     assert str(e1) == str(e2)
+
+
+# -- unit-denominator fast path ------------------------------------------------
+
+def _poly(nvars):
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    return st.dictionaries(exps, coeffs, max_size=4).map(
+        lambda p: {e: v for e, v in p.items() if not v.is_zero()})
+
+
+@given(_poly(3), _poly(3))
+@settings(max_examples=80, deadline=None)
+def test_unit_denominator_ops_are_canonical(p, q):
+    # p/1 and q/1 combined without _reduce must equal the _reduce form of
+    # the same value, structurally and by hash
+    unit = {(0, 0, 0): C_ONE}
+    x = Scalar(p, unit, 3, _normalized=True)
+    y = Scalar(q, unit, 3, _normalized=True)
+    for z in (x + y, x - y, x * y):
+        num, den = scalars._reduce(z.num, z.den, 3)
+        assert (z.num, z.den) == (num, den)
+        ref = Scalar(z.num, z.den, 3)
+        assert z == ref and hash(z) == hash(ref)
+
+
+def test_polynomial_sums_and_products_never_reduce(F, monkeypatch):
+    def refuse(num, den, nvars):
+        raise AssertionError("_reduce called on a polynomial")
+
+    s, c1, c2 = F.s, F.cs[0], F.cs[1]
+    a = s * s + F.i * c1 - F.rational(Fraction(1, 3))
+    b = c1 * c2 - F.r * s
+    monkeypatch.setattr(scalars, "_reduce", refuse)
+    x = (a + b) * (a - b) * F.rational(7)
+    y = a * a - b * b
+    assert x == y * F.rational(7)
+    assert (a - a).is_zero() and (a - a) == F.zero
+    assert Scalar.from_coeff(C_I, 3) * Scalar.from_coeff(C_I, 3) \
+        == Scalar.from_coeff(Coeff(-1), 3)
+
+
+def test_monomial_denominator_still_reduces(F, monkeypatch):
+    calls = []
+    reduce = scalars._reduce
+
+    def spy(num, den, nvars):
+        calls.append(den)
+        return reduce(num, den, nvars)
+
+    inv_s = F.one / F.s
+    monkeypatch.setattr(scalars, "_reduce", spy)
+    assert inv_s * F.s == F.one
+    assert (inv_s * F.s).den == {(0, 0, 0): C_ONE}
+    assert (inv_s + inv_s) * F.s == F.rational(2)
+    assert calls
