@@ -208,7 +208,6 @@ class RootDatum:
         self._mul_table = None
         self._inv_table = None
         self._classes = None
-        self.flagged_low_dim = d < 3
 
     @staticmethod
     def _e(i, d, si, j=None, sj=None):

@@ -298,13 +298,10 @@ def image_basis_coeff(mat):
 
 
 def intersection_dim(basis_a, basis_b):
-    """dim(span A intersect span B) over Q(i, sqrt2)."""
+    """dim(span A intersect span B) over Q(i, sqrt2), for bases A and B."""
     if not basis_a or not basis_b:
         return 0
-    ra = rank_coeff(basis_a)
-    rb = rank_coeff(basis_b)
-    rab = rank_coeff(basis_a + basis_b)
-    return ra + rb - rab
+    return len(basis_a) + len(basis_b) - rank_coeff(basis_a + basis_b)
 
 
 def cohomology_dims(rep: SpinorRep, d_omega: HCElement, degrees):
@@ -319,8 +316,9 @@ def cohomology_dims(rep: SpinorRep, d_omega: HCElement, degrees):
         if out_deg != k:
             raise ValueError("operator does not preserve the degree")
         ker = kernel_basis_coeff(mat)
-        im = image_basis_coeff(mat)
-        both = intersection_dim([list(v) for v in ker], [list(v) for v in im])
+        both = 0
+        if ker:
+            both = intersection_dim(ker, image_basis_coeff(mat))
         out.append({
             "degree": k,
             "dim": rep.dim(k),

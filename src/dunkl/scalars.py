@@ -5,17 +5,23 @@ An element a + b*i + c*r + d*i*r is stored as four int numerators over
 one positive int denominator, with the gcd of the five ints equal to 1
 and zero stored as 0/1; its arithmetic uses int operations only.
 On top of it we build sparse multivariate polynomials in the deformation
-variables (s first, then the orbit parameters c_1..c_m) and reduced
-fractions thereof.  The conventions t = s^2/2 and sqrt(2t) = s make every
-square root needed downstream exact.
+variables (s first, then the orbit parameters c_1..c_m) and the scalars
+num/den whose denominator is a monic monomial: Laurent polynomials in
+the monomials.  The constructions divide only by s, t = s^2/2 and t^2,
+so these scalars are closed under every operation the verifier makes,
+and the conventions t = s^2/2 and sqrt(2t) = s make every square root
+needed downstream exact.
 
-Scalars are immutable; equal field elements are structurally identical
-(reduced fraction, denominator monic w.r.t. graded-lex order).  A sum or
-product of two scalars whose denominators are both 1 (every scalar of a
-fully specialised run, and every polynomial) is built directly from
-`poly_add` / `poly_mul`: p/1 with zero terms dropped is already in that
+Scalars are immutable; equal values are structurally identical: num and
+den share no monomial factor and den is a monomial with coefficient 1.
+The gcd of a polynomial and a monomial is a monomial, so no polynomial
+gcd is needed.  Dividing by, or inverting, a scalar whose numerator has
+more than one term raises NonMonomialDenominatorError.  A sum or product
+of two scalars whose denominators are both 1 (every scalar of a fully
+specialised run, and every polynomial) is built directly from
+`poly_add` / `poly_mul`: p/1 with zero terms dropped is already in
 canonical form, so only fractions with a nontrivial denominator go
-through `_reduce` and its gcd.
+through `_reduce`.
 """
 
 from __future__ import annotations
@@ -198,9 +204,6 @@ def poly_add(p, q):
 def poly_neg(p):
     return {e: -v for e, v in p.items()}
 
-def poly_sub(p, q):
-    return poly_add(p, poly_neg(q))
-
 
 def poly_mul(p, q):
     if len(p) == 1 and len(q) == 1:
@@ -228,41 +231,8 @@ def poly_mul(p, q):
     return out
 
 
-def poly_scale(p, cf):
-    if cf.is_zero():
-        return {}
-    return {e: v * cf for e, v in p.items()}
-
-
 def _grlex_key(e):
     return (sum(e), e)
-
-
-def poly_leading(p):
-    """Leading (exponent, coeff) in graded-lex order."""
-    e = max(p, key=_grlex_key)
-    return e, p[e]
-
-
-def poly_divexact(p, q):
-    """Exact division p / q; raises ValueError if the remainder is nonzero."""
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not p:
-        return {}
-    qe, qc = poly_leading(q)
-    qc_inv = qc.inv()
-    rem = dict(p)
-    quo = {}
-    while rem:
-        re, rc = poly_leading(rem)
-        de = tuple(a - b for a, b in zip(re, qe))
-        if any(x < 0 for x in de):
-            raise ValueError("inexact polynomial division")
-        f = rc * qc_inv
-        quo[de] = f
-        rem = poly_sub(rem, poly_mul({de: f}, q))
-    return quo
 
 
 def poly_is_unit(p):
@@ -280,110 +250,32 @@ def _monomial_content(p):
     return tuple(m)
 
 
+class NonMonomialDenominatorError(ArithmeticError):
+    """A denominator with more than one term, outside the Laurent scalars."""
+
+
 def poly_gcd(p, q):
-    """gcd over the coefficient field, monic, via primitive PRS recursion."""
-    if not p:
-        return _monic(q)
-    if not q:
-        return _monic(p)
-    if poly_is_unit(p) or poly_is_unit(q):
-        nv = len(next(iter(p)))
-        return {(0,) * nv: C_ONE}
-    # common monomial factor first
-    mp = _monomial_content(p)
-    mq = _monomial_content(q)
-    mg = tuple(min(a, b) for a, b in zip(mp, mq))
-    if any(mg):
-        shift = {tuple(-x for x in mg): C_ONE}
-        # divide out, recurse, multiply back
-        g = poly_gcd(poly_mul(p, shift), poly_mul(q, shift))
-        return _monic(poly_mul(g, {mg: C_ONE}))
-    nv = len(next(iter(p)))
-    var = max(k for e in list(p) + list(q) for k in range(nv) if e[k])
-    fu = _to_univ(p, var)
-    gu = _to_univ(q, var)
-    if max(fu) == 0 and max(gu) == 0:
-        return _monic(poly_gcd(fu[0], gu[0]))
-    cf = _univ_content(fu)
-    cg = _univ_content(gu)
-    cont = poly_gcd(cf, cg)
-    fu = {k: poly_divexact(v, cf) for k, v in fu.items()}
-    gu = {k: poly_divexact(v, cg) for k, v in gu.items()}
-    # primitive Euclidean loop with pseudo-division
-    while gu:
-        ru = _pseudo_rem(fu, gu, var)
-        fu, gu = gu, ru
-        if gu:
-            cg2 = _univ_content(gu)
-            gu = {k: poly_divexact(v, cg2) for k, v in gu.items()}
-    prim = _from_univ(fu, var)
-    return _monic(poly_mul(cont, prim))
+    """Monic gcd of a polynomial p and a monomial q.
 
-
-def _monic(p):
-    if not p:
-        return p
-    _, lc = poly_leading(p)
-    if lc == C_ONE:
-        return p
-    return poly_scale(p, lc.inv())
-
-
-def _to_univ(p, var):
-    """Split off `var`: {deg: poly in the remaining vars (exponent var zeroed)}."""
-    out = {}
-    for e, v in p.items():
-        k = e[var]
-        e0 = e[:var] + (0,) + e[var + 1:]
-        out.setdefault(k, {})[e0] = v
-    return out
-
-
-def _from_univ(u, var):
-    out = {}
-    for k, p in u.items():
-        for e, v in p.items():
-            out[e[:var] + (k,) + e[var + 1:]] = v
-    return out
-
-
-def _univ_content(u):
-    g = {}
-    for p in u.values():
-        g = poly_gcd(g, p)
-        if poly_is_unit(g):
-            return g
-    return g
-
-
-def _pseudo_rem(fu, gu, var):
-    """Pseudo-remainder of univariate polys with polynomial coefficients."""
-    df = max(fu)
-    dg = max(gu)
-    if df < dg:
-        return fu
-    lg = gu[dg]
-    r = fu
-    while r and max(r) >= dg:
-        dr = max(r)
-        lr = r[dr]
-        # lg * r - lr * x^(dr-dg) * gu
-        r2 = {}
-        for k, p in r.items():
-            r2[k] = poly_mul(p, lg)
-        for k, p in gu.items():
-            kk = k + dr - dg
-            r2[kk] = poly_sub(r2.get(kk, {}), poly_mul(p, lr))
-        r = {k: p for k, p in r2.items() if p}
-    return r
+    The divisors of a monomial are monomials, so the gcd is x^m with m the
+    componentwise minimum of q's exponent and p's monomial content.  A q
+    of any other length raises NonMonomialDenominatorError.
+    """
+    if len(q) != 1:
+        raise NonMonomialDenominatorError(
+            f"denominator with {len(q)} terms is not a monomial")
+    (m,) = q
+    if p:
+        m = tuple(min(a, b) for a, b in zip(_monomial_content(p), m))
+    return {m: C_ONE}
 
 
 # ---------------------------------------------------------------------------
-# Scalar: reduced fraction of polynomials
+# Scalar: polynomial over a monic monomial
 # ---------------------------------------------------------------------------
 
 class Scalar:
-    """Element of Q(i, sqrt2)(s, c_1..c_m), canonical reduced form.
+    """Element num/den of Q(i, sqrt2)(s, c_1..c_m), den a monic monomial.
 
     nvars = 1 + number of orbit parameters; exponent slot 0 is s.
     """
@@ -444,9 +336,8 @@ class Scalar:
         z = (0,) * self.nvars
         if not self.is_constant():
             raise ValueError("not a constant scalar")
-        n = self.num.get(z, C_ZERO)
-        d = self.den[z]
-        return n if d == C_ONE else n * d.inv()
+        # a constant monic denominator is 1
+        return self.num.get(z, C_ZERO)
 
     # -- arithmetic ---------------------------------------------------------
     def _chk(self, o):
@@ -590,34 +481,31 @@ def _poly_str(p, nvars):
 
 
 def _reduce(num, den, nvars):
+    """Canonical (num, den) of num/den for a monomial den.
+
+    Zero terms are dropped and zero becomes 0/1; otherwise the monomial
+    gcd is cancelled and num is divided by den's coefficient, which leaves
+    den a monic monomial.  A den of more than one term raises
+    NonMonomialDenominatorError.
+    """
     num = {e: v for e, v in num.items() if not v.is_zero()}
     den = {e: v for e, v in den.items() if not v.is_zero()}
-    z = (0,) * nvars
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
-        return {}, {z: C_ONE}
-    # cancel shared monomial factor
-    mn = _monomial_content(num)
-    md = _monomial_content(den)
-    mg = tuple(min(a, b) for a, b in zip(mn, md))
-    if any(mg):
-        shift = {tuple(-x for x in mg): C_ONE}
-        num = poly_mul(num, shift)
-        den = poly_mul(den, shift)
-    if len(den) > 1 or any(next(iter(den))):
-        if not poly_is_unit(den):
-            g = poly_gcd(num, den)
-            if not poly_is_unit(g):
-                num = poly_divexact(num, g)
-                den = poly_divexact(den, g)
-    # make denominator monic w.r.t. graded-lex leading coefficient
-    _, lc = poly_leading(den)
-    if lc != C_ONE:
-        inv = lc.inv()
-        num = poly_scale(num, inv)
-        den = poly_scale(den, inv)
-    return num, den
+        return {}, {(0,) * nvars: C_ONE}
+    if not poly_is_unit(den):
+        (g,) = poly_gcd(num, den)
+        if any(g):
+            num = {tuple(a - b for a, b in zip(e, g)): v
+                   for e, v in num.items()}
+            den = {tuple(a - b for a, b in zip(e, g)): v
+                   for e, v in den.items()}
+    (de, dc), = den.items()
+    if dc != C_ONE:
+        inv = dc.inv()
+        num = {e: v * inv for e, v in num.items()}
+    return num, {de: C_ONE}
 
 
 class ScalarField:

@@ -76,21 +76,27 @@ def test_report_determinism():
     assert b1 == b2
 
 
-# sha256 of canonical_report_bytes(..., include_timing=False) for the run
+# sha256 of canonical_report_bytes(..., include_timing=False) for each run
 # below.  Changes of representation or of the matrix assembly must leave
-# every status, detail and check order, and so this digest, as it is.
-B2_COHOMOLOGY_SHA256 = (
-    "0b95d55886b3de4cf40916cf4135c282760ec70070958389ea09332a75457f79")
+# every status, detail and check order, and so these digests, as they are.
+# The symbolic B2 run pins the centre, relations, Vogan and Hermitian-minor
+# paths, whose scalars have denominators.
+PINNED_REPORTS = {
+    "--family B --rank 2 --suite cohomology --specialize s=2,c1=1/3,c2=1/5 "
+    "--max-degree 3":
+        "0b95d55886b3de4cf40916cf4135c282760ec70070958389ea09332a75457f79",
+    "--family B --rank 2 --suite all --max-degree 2":
+        "b3826ca94bc81052cffd703fcbaa7a41c80b6ab6e2da96ae9ea276e8807c264a",
+}
 
 
 def test_specialised_cohomology_report_bytes_are_pinned():
-    args = build_parser().parse_args(
-        ["--family", "B", "--rank", "2", "--suite", "cohomology",
-         "--specialize", "s=2,c1=1/3,c2=1/5", "--max-degree", "3"])
-    rep, code = run_config(config_from_args(args))
-    assert code == 0
-    payload = canonical_report_bytes(rep, include_timing=False)
-    assert hashlib.sha256(payload).hexdigest() == B2_COHOMOLOGY_SHA256
+    for argv, digest in PINNED_REPORTS.items():
+        args = build_parser().parse_args(argv.split())
+        rep, code = run_config(config_from_args(args))
+        assert code == 0, argv
+        payload = canonical_report_bytes(rep, include_timing=False)
+        assert hashlib.sha256(payload).hexdigest() == digest, argv
 
 
 def test_all_suite_expansion():

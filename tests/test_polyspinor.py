@@ -156,8 +156,11 @@ def test_elimination_helpers_agree(mat):
                 acc = acc + a * b
             assert acc.is_zero()
     im = image_basis_coeff(mat)
-    assert len(im) == rank == rank_coeff(list(map(list, zip(*mat))))
-    assert intersection_dim(im, list(map(list, zip(*mat)))) == rank
+    cols = list(map(list, zip(*mat)))
+    assert len(im) == rank == rank_coeff(cols)
+    # im spans the column space: adding the columns raises no rank
+    assert rank_coeff(im + cols) == rank
+    assert intersection_dim(im, im) == rank
 
 
 def test_exact_linear_algebra_helpers():

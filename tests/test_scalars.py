@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dunkl import scalars
+from dunkl.cli import Runner
 from dunkl.scalars import (Coeff, Scalar, ScalarField, C_ZERO, C_ONE, C_I,
-                           C_R, _i_power)
+                           C_R, NonMonomialDenominatorError, _i_power)
 
 rats = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 7))
 coeffs = st.builds(Coeff, rats, rats, rats, rats)
@@ -180,8 +181,42 @@ def test_scalar_field_ops(a, b, c):
     y = F.rational(c) + F.s
     assert x * y == y * x
     assert x + y - y == x
-    if not y.is_zero():
-        assert (x / y) * y == x
+    m = F.rational(c or 1) * F.s * F.s * F.cs[0]
+    assert (x / m) * m == x
+    if c:
+        # c + s has two terms: no Laurent scalar is its inverse
+        with pytest.raises(NonMonomialDenominatorError):
+            y.inv()
+        if not x.is_zero():
+            with pytest.raises(NonMonomialDenominatorError):
+                x / y
+
+
+def test_non_monomial_denominator_raises(F):
+    two_terms = F.s + F.cs[0]
+    for divide in (two_terms.inv, lambda: F.one / two_terms,
+                   lambda: F.t / (F.one - F.s)):
+        with pytest.raises(NonMonomialDenominatorError):
+            divide()
+    assert issubclass(NonMonomialDenominatorError, ArithmeticError)
+    with pytest.raises(NonMonomialDenominatorError):
+        scalars.poly_gcd(F.s.num, two_terms.num)
+    assert (F.zero / two_terms).is_zero()
+    # a check that divides by it fails; it does not pass
+    rec = Runner().residual("scalars", "x", "a", lambda: F.one / two_terms)
+    assert rec["status"] == "fail"
+    assert "NonMonomialDenominatorError" in rec["witness"]
+
+
+def test_poly_gcd_of_polynomial_and_monomial(F):
+    s, c1 = F.s, F.cs[0]
+    p = (s * s * c1 + s * c1 * c1).num
+    assert scalars.poly_gcd(p, (s * s * s).num) == {(1, 0, 0): C_ONE}
+    assert scalars.poly_gcd(p, (F.rational(3) * s * c1).num) == \
+        {(1, 1, 0): C_ONE}
+    assert scalars.poly_gcd({}, (F.rational(2) * c1).num) == \
+        {(0, 1, 0): C_ONE}
+    assert scalars.poly_gcd(p, F.one.num) == {(0, 0, 0): C_ONE}
 
 
 def test_scalar_str_is_deterministic(F):
@@ -243,3 +278,74 @@ def test_monomial_denominator_still_reduces(F, monkeypatch):
     assert (inv_s * F.s).den == {(0, 0, 0): C_ONE}
     assert (inv_s + inv_s) * F.s == F.rational(2)
     assert calls
+
+
+# -- property tests over Laurent scalars ---------------------------------------
+# Scalars in s, c1, c2 built from the variables, constants and inverses of
+# monomials, with evaluation at nonzero rational points as the oracle.  At
+# most two terms each: a general polynomial-gcd representation, which
+# these tests must also hold for, takes minutes on some products of three.
+
+F2 = ScalarField(2)
+_nonzero_rats = rats.filter(bool)
+_points = st.tuples(_nonzero_rats, _nonzero_rats, _nonzero_rats)
+
+
+def _monomial(cf, exps):
+    out = Scalar.from_coeff(cf, 3)
+    for var, k in zip((F2.s, F2.cs[0], F2.cs[1]), exps):
+        factor = var if k > 0 else F2.one / var
+        for _ in range(abs(k)):
+            out = out * factor
+    return out
+
+
+_exps = st.tuples(*[st.integers(-2, 2)] * 3)
+monomials = st.builds(_monomial, coeffs.filter(lambda c: not c.is_zero()),
+                      _exps)
+laurent = st.lists(st.builds(_monomial, coeffs, _exps), max_size=2).map(
+    lambda terms: sum(terms, F2.zero))
+
+
+def _at(x, point):
+    return x.substitute(point).constant_value()
+
+
+@given(laurent, laurent, laurent)
+@settings(max_examples=60, deadline=None)
+def test_laurent_ring_axioms(x, y, z):
+    assert x + y == y + x
+    assert x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert (x + y) * z == x * z + y * z
+    assert x - x == F2.zero
+    assert x * F2.one == x
+
+
+@given(laurent, laurent, monomials, _points)
+@settings(max_examples=60, deadline=None)
+def test_evaluation_is_a_homomorphism(x, y, m, point):
+    ex, ey, em = _at(x, point), _at(y, point), _at(m, point)
+    assert _at(x + y, point) == ex + ey
+    assert _at(x - y, point) == ex - ey
+    assert _at(x * y, point) == ex * ey
+    assert _at(x / m, point) == ex * em.inv()
+    assert _at(m.inv(), point) == em.inv()
+
+
+@given(laurent, laurent, monomials, monomials)
+@settings(max_examples=60, deadline=None)
+def test_equal_laurent_values_are_equal_objects(x, y, m1, m2):
+    pairs = (
+        ((x + y) - y, x),
+        ((x * m1) / m1, x),
+        ((x / m1) / m2, x / (m1 * m2)),
+        (x / m1 + y / m1, (x + y) / m1),
+        (x * (y + m1), x * y + x * m1),
+        (m1.inv().inv(), m1),
+    )
+    for a, b in pairs:
+        assert (a.num, a.den) == (b.num, b.den)
+        assert hash(a) == hash(b)
