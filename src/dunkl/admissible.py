@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .scalars import Coeff, C_ONE, C_I, _i_power, Scalar
-from .pin import PinCover, cunit_mul, unit_ratio_sign
+from .pin import PinCover, unit_ratio_sign
 from .groups import RootDatum
 
 

@@ -420,24 +420,28 @@ def suite_vogan(ctx: Context, run: Runner):
 
 
 def suite_admissible(ctx: Context, run: Runner):
-    cover = ctx.cover
-    brute, consistency = cover.brute_force_epsilon_centre()
-    catalog = cover.epsilon_centre_basis()
-    cat_vecs = [v for _rep, v in catalog]
-    n = len(ctx.rd.elements)
-    _, rank_b = linearly_independent(brute, n)
-    _, rank_c = linearly_independent(cat_vecs, n)
-    _, rank_u = linearly_independent(brute + cat_vecs, n)
+    def oracle():
+        cover = ctx.cover
+        n = len(ctx.rd.elements)
+        brute, _consistency = cover.brute_force_epsilon_centre()
+        cat_vecs = [v for _rep, v in cover.epsilon_centre_basis()]
+        _, rank_b = linearly_independent(brute, n)
+        _, rank_c = linearly_independent(cat_vecs, n)
+        _, rank_u = linearly_independent(brute + cat_vecs, n)
+        return (("pass" if rank_b == rank_c == rank_u else "fail"), None,
+                {"brute_dim": rank_b, "catalog_dim": rank_c,
+                 "union_rank": rank_u})
     run.check("admissible", "epsilon-centre-oracle",
               "catalogued epsilon-centre equals the brute-force solution",
-              lambda: (("pass" if rank_b == rank_c == rank_u else "fail"),
-                       None,
-                       {"brute_dim": rank_b, "catalog_dim": rank_c,
-                        "union_rank": rank_u}))
-    basis = cover.admissible_basis()
-    flags = []
-    for entry in basis:
-        flags.append({
+              oracle)
+
+    # the class-flags check computes the basis once; partition-criterion
+    # reads it from here
+    computed = {}
+
+    def class_flags():
+        basis = computed["basis"] = ctx.cover.admissible_basis()
+        flags = [{
             "class": entry["label"],
             "parity": int(entry["parity"]),
             "splits": bool(entry["splits"]),
@@ -445,31 +449,34 @@ def suite_admissible(ctx: Context, run: Runner):
             "bullet_fixed_literal": entry["bullet_fixed"],
             "admissible_literal": entry["admissible"],
             "admissible_adjusted": entry["admissible_adjusted"],
-        })
+        } for entry in basis]
+        return "pass", None, {"classes": flags}
     run.check("admissible", "class-flags",
-              "per-class admissibility certificates",
-              lambda: ("pass", None, {"classes": flags}))
+              "per-class admissibility certificates", class_flags)
     if ctx.rd.family == "A":
-        d_odd = ctx.rd.dim % 2 == 1
-        n = ctx.rd.rank + 1
-        preds = dict(sn_partition_predictions(n, d_odd))
-        extra_fixed = ctx.rd.dim - n
-        mismatches = []
-        for entry in basis:
-            label = entry["label"]
-            part = _parse_partition_label(label, strip_ones=extra_fixed)
-            if part is None or part not in preds:
-                mismatches.append({"class": label,
-                                   "predicted": None,
-                                   "brute_force": entry["admissible_adjusted"]})
-                continue
-            actual = entry["admissible_adjusted"]
-            if preds[part] != actual:
-                mismatches.append({"class": label,
-                                   "predicted": preds[part],
-                                   "brute_force": actual})
-
         def criterion():
+            basis = computed.get("basis")
+            if basis is None:
+                return "fail", "no admissible basis: class-flags failed", None
+            d_odd = ctx.rd.dim % 2 == 1
+            n_perm = ctx.rd.rank + 1
+            preds = dict(sn_partition_predictions(n_perm, d_odd))
+            extra_fixed = ctx.rd.dim - n_perm
+            mismatches = []
+            for entry in basis:
+                label = entry["label"]
+                part = _parse_partition_label(label, strip_ones=extra_fixed)
+                if part is None or part not in preds:
+                    mismatches.append({"class": label,
+                                       "predicted": None,
+                                       "brute_force":
+                                           entry["admissible_adjusted"]})
+                    continue
+                actual = entry["admissible_adjusted"]
+                if preds[part] != actual:
+                    mismatches.append({"class": label,
+                                       "predicted": preds[part],
+                                       "brute_force": actual})
             detail = {"d_parity": "odd" if d_odd else "even",
                       "discrepancies": mismatches}
             if not mismatches:

@@ -8,18 +8,18 @@ from __future__ import annotations
 
 
 def basis_sign(a, b):
-    """Sign of e_A * e_B relative to e_{A xor B}, with e_j^2 = +1."""
-    sign = 1
-    acc = a
-    bb = b
-    while bb:
-        j = bb & (-bb)
-        bb ^= j
-        higher = acc & ~((j << 1) - 1)
-        if bin(higher).count("1") % 2:
-            sign = -sign
-        acc ^= j
-    return sign
+    """Sign of e_A * e_B relative to e_{A xor B}, with e_j^2 = +1.
+
+    Moving each e_j (j in B) left past the e_i (i in A, i > j) costs one
+    sign each, so the sign is the parity of sum_{k>=1} |(A >> k) & B|;
+    xor-ing the terms keeps that parity.
+    """
+    acc = 0
+    a >>= 1
+    while a:
+        acc ^= a & b
+        a >>= 1
+    return -1 if acc.bit_count() & 1 else 1
 
 
 def mask_str(mask):

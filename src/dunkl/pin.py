@@ -8,25 +8,29 @@ reflection generators), so the cover is the set of pairs (w, eps) with
     (g, eps) * (h, delta) = (g h, eps delta sigma(g, h)),
     u(g) u(h) = sigma(g, h) u(g h),  sigma(g, h) in {+1, -1}.
 
-theta = (id, -1) is the central element of order two.  Clifford units are
-stored as {mask: Coeff} dicts over Q(i, sqrt2): no symbolic variables are
-needed at this level, which keeps cover computations fast.
+theta = (id, -1) is the central element of order two.
+
+Every root has squared norm 1 or 2 and entries in {0, 1, -1}, so every
+lift is 2^(-k/2) times an integer combination of basis blades.  A unit
+is stored as the pair (k, n): n is a {mask: int} dict, not all of whose
+values are even, and the unit is 2^(-k/2) * sum_m n[m] e_m.  A product
+adds the k's, multiplies the n's, and halves every value (taking 2 from
+k) while k >= 2 and every value is even.  For a unit sum_m n[m]^2 = 2^k,
+so k < 2 already forces an odd value, and two units that agree up to
+sign have the same k and n up to sign: the cocycle needs only integer
+arithmetic.  `PinCover.lift` converts a unit to {mask: Coeff} over
+Q(i, sqrt2) for the algebra layers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalars import Coeff, C_ONE
+from .scalars import _canon
 from .clifford import basis_sign
 from .groups import RootDatum
 
-_HALF_R = Coeff(0, 0, Fraction(1, 2))   # 1/sqrt2 = r/2
-_MINUS_ONE = Coeff(-1)
-
 
 def cunit_mul(u, v):
-    """Product of Clifford elements given as {mask: Coeff}."""
+    """Product of Clifford elements given as {mask: value}, values int or Coeff."""
     out = {}
     for ma, va in u.items():
         for mb, vb in v.items():
@@ -36,10 +40,10 @@ def cunit_mul(u, v):
                 w = -w
             acc = out.get(m)
             acc = w if acc is None else acc + w
-            if acc.is_zero():
-                out.pop(m, None)
-            else:
+            if acc:
                 out[m] = acc
+            else:
+                out.pop(m, None)
     return out
 
 
@@ -63,6 +67,33 @@ def unit_ratio_sign(u, v):
     return eps
 
 
+def _unit_mul(u, v):
+    """Product of units (k, n), in the canonical form of the module docstring."""
+    k = u[0] + v[0]
+    n = cunit_mul(u[1], v[1])
+    while k >= 2 and all(x % 2 == 0 for x in n.values()):
+        n = {m: x // 2 for m, x in n.items()}
+        k -= 2
+    return k, n
+
+
+def _generator_unit(alpha, n2):
+    """The unit gamma(alpha / |alpha|) of the reflection at root alpha."""
+    if n2 not in (1, 2):
+        raise ValueError("unexpected root length")
+    return n2 - 1, {1 << j: a for j, a in enumerate(alpha) if a}
+
+
+def _coeff_unit(unit):
+    """The unit (k, n) as {mask: Coeff}."""
+    k, n = unit
+    # 2^(-k/2) is 1 / 2^(k/2) for even k and sqrt2 / 2^((k+1)/2) for odd k
+    q = 1 << ((k + 1) // 2)
+    if k % 2:
+        return {m: _canon(0, 0, x, 0, q) for m, x in n.items()}
+    return {m: _canon(x, 0, 0, 0, q) for m, x in n.items()}
+
+
 class PinCover:
     """Canonical lifts, cocycle and conjugacy structure of the double cover."""
 
@@ -70,45 +101,39 @@ class PinCover:
         self.rd = rd
         self.n = len(rd.elements)
         self.id_idx = rd.identity_index
+        self._gen_units = [_generator_unit(alpha, n2) for alpha, n2
+                           in zip(rd.positive_roots, rd.root_norms_sq)]
         # lifts of the reflection generators: gamma(alpha / |alpha|)
-        self.gen_lifts = []
-        for alpha, n2 in zip(rd.positive_roots, rd.root_norms_sq):
-            if n2 == 1:
-                (j,) = [k for k, a in enumerate(alpha) if a]
-                self.gen_lifts.append({1 << j: Coeff(alpha[j])})
-            elif n2 == 2:
-                u = {}
-                for k, a in enumerate(alpha):
-                    if a:
-                        u[1 << k] = _HALF_R if a > 0 else -_HALF_R
-                self.gen_lifts.append(u)
-            else:
-                raise ValueError("unexpected root length")
-        self._lifts = self._build_lifts()
+        self.gen_lifts = [_coeff_unit(u) for u in self._gen_units]
+        self._units = self._build_units()
+        self._lifts = [None] * self.n
         self._sigma_cache = {}
         self._classes = None
 
-    def _build_lifts(self):
-        lifts = [None] * self.n
-        lifts[self.id_idx] = {0: C_ONE}
+    def _build_units(self):
+        units = [None] * self.n
+        units[self.id_idx] = (0, {0: 1})
         tbl = self.rd.mul_table
         frontier = [self.id_idx]
         while frontier:
             new = []
             for g in frontier:
-                ug = lifts[g]
-                for r_idx in range(len(self.gen_lifts)):
+                ug = units[g]
+                for r_idx, gen in enumerate(self._gen_units):
                     h = tbl[g][self.rd.reflection_index(r_idx)]
-                    if lifts[h] is None:
-                        lifts[h] = cunit_mul(ug, self.gen_lifts[r_idx])
+                    if units[h] is None:
+                        units[h] = _unit_mul(ug, gen)
                         new.append(h)
             frontier = new
-        assert all(u is not None for u in lifts)
-        return lifts
+        assert all(u is not None for u in units)
+        return units
 
     def lift(self, g_idx):
         """Canonical Clifford unit over g, as {mask: Coeff}."""
-        return self._lifts[g_idx]
+        u = self._lifts[g_idx]
+        if u is None:
+            u = self._lifts[g_idx] = _coeff_unit(self._units[g_idx])
+        return u
 
     def parity(self, g_idx):
         """Z2-grading of the lift: 0 for even, 1 for odd."""
@@ -119,8 +144,11 @@ class PinCover:
         key = (g, h)
         s = self._sigma_cache.get(key)
         if s is None:
-            prod = cunit_mul(self._lifts[g], self._lifts[h])
-            s = unit_ratio_sign(prod, self._lifts[self.rd.mul_table[g][h]])
+            k, prod = _unit_mul(self._units[g], self._units[h])
+            k_gh, n_gh = self._units[self.rd.mul_table[g][h]]
+            if k != k_gh:
+                raise ValueError("units are not proportional")
+            s = unit_ratio_sign(prod, n_gh)
             self._sigma_cache[key] = s
         return s
 

@@ -21,7 +21,9 @@ of two scalars whose denominators are both 1 (every scalar of a fully
 specialised run, and every polynomial) is built directly from
 `poly_add` / `poly_mul`: p/1 with zero terms dropped is already in
 canonical form, so only fractions with a nontrivial denominator go
-through `_reduce`.
+through `_reduce`.  Multiplying by a monic monomial denominator (cross
+terms of a sum, the product of two denominators, division) adds its
+exponent to each term (`_shift`) and makes no field multiplication.
 """
 
 from __future__ import annotations
@@ -97,6 +99,9 @@ class Coeff:
     def is_zero(self):
         a, b, c, d, _ = self._v
         return not (a or b or c or d)
+
+    def __bool__(self):
+        return not self.is_zero()
 
     def is_rational(self):
         _, b, c, d, _ = self._v
@@ -231,6 +236,14 @@ def poly_mul(p, q):
     return out
 
 
+def _shift(p, den):
+    """p times the monic monomial den: den's exponent is added to each term's."""
+    (m,) = den
+    if not any(m):
+        return p
+    return {tuple(a + b for a, b in zip(e, m)): v for e, v in p.items()}
+
+
 def _grlex_key(e):
     return (sum(e), e)
 
@@ -353,8 +366,8 @@ class Scalar:
         if self.den == o.den:
             return Scalar(poly_add(self.num, o.num), self.den, self.nvars,
                           _normalized=poly_is_unit(self.den))
-        num = poly_add(poly_mul(self.num, o.den), poly_mul(o.num, self.den))
-        return Scalar(num, poly_mul(self.den, o.den), self.nvars)
+        num = poly_add(_shift(self.num, o.den), _shift(o.num, self.den))
+        return Scalar(num, _shift(self.den, o.den), self.nvars)
 
     def __sub__(self, o):
         return self + (-o)
@@ -370,13 +383,15 @@ class Scalar:
             # a canonical denominator is monic, so a constant one is 1
             return Scalar(poly_mul(self.num, o.num), self.den, self.nvars,
                           _normalized=True)
-        return Scalar(poly_mul(self.num, o.num), poly_mul(self.den, o.den), self.nvars)
+        return Scalar(poly_mul(self.num, o.num), _shift(self.den, o.den),
+                      self.nvars)
 
     def __truediv__(self, o):
         self._chk(o)
         if not o.num:
             raise ZeroDivisionError("scalar division by zero")
-        return Scalar(poly_mul(self.num, o.den), poly_mul(self.den, o.num), self.nvars)
+        return Scalar(_shift(self.num, o.den), _shift(o.num, self.den),
+                      self.nvars)
 
     def inv(self):
         if not self.num:

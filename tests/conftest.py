@@ -6,6 +6,7 @@ import pytest
 from dunkl.groups import RootDatum
 from dunkl.hc import HCAlgebra
 from dunkl.osp import OspRealisation
+from dunkl.scalars import Coeff, C_ONE
 from dunkl.tama import Tama
 
 
@@ -92,4 +93,27 @@ def fractions_made():
             yield made
         finally:
             Fraction.__new__ = original
+    return counting
+
+
+@pytest.fixture
+def coeff_products():
+    """Context manager yielding a list that grows by one per Coeff product."""
+    @contextmanager
+    def counting():
+        made = []
+        original = Coeff.__mul__
+
+        def counting_mul(self, other):
+            made.append(1)
+            return original(self, other)
+
+        Coeff.__mul__ = counting_mul
+        try:
+            C_ONE * C_ONE
+            assert made, "Coeff products are not being counted"
+            made.clear()
+            yield made
+        finally:
+            Coeff.__mul__ = original
     return counting

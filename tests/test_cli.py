@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import dunkl
+from dunkl.admissible import CoverAlgebra
 from dunkl.cli import (main, RunConfig, run_config, parse_specialize,
                        canonical_report_bytes, ConfigError, SUITES,
                        MUL_TABLE_CAP, SPINOR_DIM_CAP, spinor_dim,
@@ -97,6 +98,45 @@ def test_specialised_cohomology_report_bytes_are_pinned():
         assert code == 0, argv
         payload = canonical_report_bytes(rep, include_timing=False)
         assert hashlib.sha256(payload).hexdigest() == digest, argv
+
+
+def _admissible_checks(monkeypatch, method):
+    """Checks and exit code of an S3 admissible run in which the
+    CoverAlgebra `method` raises."""
+    def broken(self, *args, **kwargs):
+        raise RuntimeError("injected")
+    monkeypatch.setattr(CoverAlgebra, method, broken)
+    rep, code = run_config(RunConfig("A", 2, None, ["admissible"]))
+    return {rec["check"]: rec for rec in rep["checks"]}, code
+
+
+def test_admissible_solver_exception_fails_one_check(monkeypatch):
+    checks, code = _admissible_checks(monkeypatch,
+                                      "brute_force_epsilon_centre")
+    assert code == 1
+    oracle = checks["epsilon-centre-oracle"]
+    assert oracle["status"] == "fail"
+    assert oracle["witness"].startswith("exception: RuntimeError('injected')")
+    # the run goes on: the other admissible checks still run and pass
+    assert checks["class-flags"]["status"] == "pass"
+    assert checks["partition-criterion"]["status"] == "pass"
+
+
+def test_partition_criterion_reads_the_class_flags_basis(monkeypatch):
+    calls = []
+    original = CoverAlgebra.admissible_basis
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+    monkeypatch.setattr(CoverAlgebra, "admissible_basis", counted)
+    _rep, code = run_config(RunConfig("A", 2, None, ["admissible"]))
+    assert code == 0 and len(calls) == 1
+    checks, code = _admissible_checks(monkeypatch, "admissible_basis")
+    assert code == 1
+    assert checks["class-flags"]["witness"].startswith("exception:")
+    assert checks["partition-criterion"]["status"] == "fail"
+    assert checks["epsilon-centre-oracle"]["status"] == "pass"
 
 
 def test_all_suite_expansion():

@@ -24,23 +24,27 @@ def test_generator_relations():
 
 
 def test_basis_sign_oracle():
-    # independent oracle: multiply generators one by one
-    d = 4
-    for amask in range(16):
-        for bmask in range(16):
-            ea = CliffordElement.one(d, F)
+    # independent oracle: multiply generators one by one, so that only
+    # products by a single generator are formed
+    for d in (4, 6):
+        blades = []
+        for mask in range(1 << d):
+            e = CliffordElement.one(d, F)
             for j in range(1, d + 1):
-                if amask & (1 << (j - 1)):
-                    ea = ea * gen(d, j)
-            eb = CliffordElement.one(d, F)
-            for j in range(1, d + 1):
-                if bmask & (1 << (j - 1)):
-                    eb = eb * gen(d, j)
-            prod = ea * eb
-            assert set(prod.terms) == {amask ^ bmask}
-            v = prod.terms[amask ^ bmask]
-            expect = F.one if basis_sign(amask, bmask) > 0 else -F.one
-            assert v == expect
+                if mask & (1 << (j - 1)):
+                    e = e * gen(d, j)
+            assert e.terms == {mask: F.one}
+            blades.append(e)
+        for amask, ea in enumerate(blades):
+            for bmask in range(1 << d):
+                prod = ea
+                for j in range(1, d + 1):
+                    if bmask & (1 << (j - 1)):
+                        prod = prod * gen(d, j)
+                assert set(prod.terms) == {amask ^ bmask}
+                v = prod.terms[amask ^ bmask]
+                expect = F.one if basis_sign(amask, bmask) > 0 else -F.one
+                assert v == expect
 
 
 def test_star_is_conjugate_linear_anti_involution():

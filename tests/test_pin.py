@@ -1,6 +1,40 @@
+from fractions import Fraction
+
+import pytest
+
 from dunkl.groups import RootDatum
 from dunkl.pin import PinCover, cunit_mul, unit_ratio_sign
-from dunkl.scalars import C_ONE
+from dunkl.scalars import Coeff, C_ONE
+
+_HALF_R = Coeff(0, 0, Fraction(1, 2))   # 1/sqrt2 = r/2
+
+
+def _reference_lifts(rd):
+    """Canonical lifts over Q(i, sqrt2): the same BFS, with Coeff products.
+
+    Returns (generator lifts, lifts), each as {mask: Coeff} dicts.
+    """
+    gens = []
+    for alpha, n2 in zip(rd.positive_roots, rd.root_norms_sq):
+        if n2 == 1:
+            (j,) = [k for k, a in enumerate(alpha) if a]
+            gens.append({1 << j: Coeff(alpha[j])})
+        else:
+            gens.append({1 << k: _HALF_R if a > 0 else -_HALF_R
+                         for k, a in enumerate(alpha) if a})
+    lifts = [None] * len(rd.elements)
+    lifts[rd.identity_index] = {0: C_ONE}
+    frontier = [rd.identity_index]
+    while frontier:
+        new = []
+        for g in frontier:
+            for r_idx, gen in enumerate(gens):
+                h = rd.mul_table[g][rd.reflection_index(r_idx)]
+                if lifts[h] is None:
+                    lifts[h] = cunit_mul(lifts[g], gen)
+                    new.append(h)
+        frontier = new
+    return gens, lifts
 
 
 def test_lift_units_square_to_plus_minus_one():
@@ -84,3 +118,68 @@ def test_cover_class_count_consistency():
     n_split = sum(1 for r in pc.split_class_report() if r["splits"])
     n_w = len(rd.conjugacy_classes())
     assert len(classes) == n_w + n_split
+
+
+@pytest.mark.parametrize("group", [("B", 3, 3), ("D", 4, 4), ("A", 3, 4),
+                                   ("A1", 3, 3)])
+def test_integer_units_match_coeff_reference(group):
+    rd = RootDatum(*group)
+    pc = PinCover(rd)
+    gens, ref = _reference_lifts(rd)
+    assert pc.gen_lifts == gens
+    n = len(rd.elements)
+    for g in range(n):
+        assert pc.lift(g) == ref[g]
+    tbl = rd.mul_table
+    for g in range(n):
+        for h in range(n):
+            prod = cunit_mul(ref[g], ref[h])
+            assert pc.sigma(g, h) == unit_ratio_sign(prod, ref[tbl[g][h]])
+
+
+def test_cover_classes_make_no_field_products(coeff_products):
+    with coeff_products() as made:
+        classes = PinCover(RootDatum("A", 4, 5)).cover_classes()
+    assert made == []
+    assert sum(len(c) for c in classes) == 240
+
+
+def _corrupted_sigma(unit_of_target):
+    """sigma(a, b) on a fresh B3 cover whose unit at a*b is replaced."""
+    rd = RootDatum("B", 3, 3)
+    pc = PinCover(rd)
+    b = rd.reflection_index(0)
+    # a target whose lift has several terms, reached from a, b != target
+    target = next(g for g in range(pc.n) if len(pc._units[g][1]) > 2)
+    a = rd.mul_table[target][b]
+    assert rd.mul_table[a][b] == target and target not in (a, b)
+    pc._units[target] = unit_of_target(pc._units[target])
+    return pc.sigma(a, b)
+
+
+def test_sigma_rejects_a_unit_with_the_wrong_k():
+    for dk in (-1, 1, 2):
+        with pytest.raises(ValueError):
+            _corrupted_sigma(lambda u, dk=dk: (u[0] + dk, u[1]))
+
+
+def test_sigma_rejects_a_unit_with_one_flipped_entry():
+    # every term of the product is compared, not only the first one
+    for i in range(4):
+        def flip(u, i=i):
+            k, n = u
+            masks = sorted(n)
+            m = masks[i % len(masks)]
+            return k, {**n, m: -n[m]}
+        with pytest.raises(ValueError):
+            _corrupted_sigma(flip)
+
+
+def test_cunit_mul_is_value_generic():
+    # (e1 + e2)(e1 - e2) = -2 e1 e2 over int and over Coeff values: the
+    # scalar terms cancel and are dropped
+    u = {0b01: 1, 0b10: 1}
+    v = {0b01: 1, 0b10: -1}
+    assert cunit_mul(u, v) == {0b11: -2}
+    as_coeff = [{m: Coeff(x) for m, x in w.items()} for w in (u, v)]
+    assert cunit_mul(*as_coeff) == {0b11: Coeff(-2)}

@@ -94,6 +94,28 @@ def test_coeff_arithmetic_makes_no_fraction(fractions_made):
     assert made == []
 
 
+def test_monomial_denominators_make_no_field_products(coeff_products):
+    F = ScalarField(2)
+    s, c1, c2 = F.s, F.cs[0], F.cs[1]
+    x = (c1 + F.rational(3)) / s              # two terms over s
+    y = (c2 * F.i + F.r) / (s * s * c1)       # two terms over s^2 c1
+    m = s * c2
+    with coeff_products() as made:
+        total = x + y
+        quotient = x / m
+    # cross terms and denominators are exponent shifts only
+    assert made == []
+    with coeff_products() as made:
+        product = x * y
+    # only the 2 x 2 numerator products multiply field elements
+    assert len(made) == 4
+    pt = (Fraction(2), Fraction(1, 3), Fraction(-5, 7))
+    for value, expect in ((total, x.substitute(pt) + y.substitute(pt)),
+                          (quotient, x.substitute(pt) / m.substitute(pt)),
+                          (product, x.substitute(pt) * y.substitute(pt))):
+        assert value.substitute(pt) == expect
+
+
 @given(coeffs, coeffs, coeffs)
 @settings(max_examples=60, deadline=None)
 def test_coeff_ring_axioms(x, y, z):
