@@ -4,7 +4,9 @@ rational Cherednik system, with verification suites and a CLI front end.
 Layers, bottom up:
 
 - scalars: the coefficient field Q(i, sqrt2)(s, c_1..c_m) with t = s^2/2;
-  elements of Q(i, sqrt2) are four int numerators over one denominator.
+  elements of Q(i, sqrt2) are four int numerators over one denominator,
+  and a scalar is a sparse Laurent polynomial {exponent: Coeff} in s and
+  the c_k.
 - groups: real reflection groups (types A, B, D and A1 products), each
   element stored as a signed permutation (perm, sign) of the orthonormal
   basis, with roots, orbits and conjugacy classes.

@@ -52,6 +52,7 @@ class CoverAlgebra:
         self.n = len(rd.elements)
         self.d = rd.dim
         self._star_sign = None
+        self._basis = None
 
     def epsilon(self, g_idx):
         if self.d % 2 == 1:
@@ -249,8 +250,10 @@ class CoverAlgebra:
         an extra cocycle sign sigma(g, g^-1) relative to the grading, some
         candidates come out bullet-ANTI-fixed; for those, i times the
         candidate is the admissible representative, recorded under
-        `adjusted` with flag `admissible_adjusted`.
+        `adjusted` with flag `admissible_adjusted`.  Built once.
         """
+        if self._basis is not None:
+            return self._basis
         out = []
         for cls in self.rd.conjugacy_classes():
             rep = cls[0]
@@ -279,6 +282,7 @@ class CoverAlgebra:
                 "vector": v,
                 "adjusted": adjusted,
             })
+        self._basis = out
         return out
 
     def to_hc(self, alg, a):

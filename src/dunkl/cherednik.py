@@ -359,18 +359,21 @@ def filtration_check(alg: HAlgebra, xi: HElement, eta: HElement):
     return True
 
 
+def _c_in_denominator(sc: Scalar) -> bool:
+    return any(x < 0 for e in sc.terms for x in e[1:])
+
+
 def _kill_c(sc: Scalar) -> Scalar:
     """Set every orbit parameter to zero."""
-    num = {e: v for e, v in sc.num.items() if not any(e[1:])}
-    den = {e: v for e, v in sc.den.items() if not any(e[1:])}
-    if not den:
+    if _c_in_denominator(sc):
         raise ZeroDivisionError("denominator vanishes at c = 0")
-    return Scalar(num, den, sc.nvars)
+    return Scalar({e: v for e, v in sc.terms.items() if not any(e[1:])},
+                  sc.nvars)
 
 
 def _min_c_degree(sc: Scalar) -> int:
-    if not all(not any(e[1:]) for e in sc.den):
+    if _c_in_denominator(sc):
         raise ValueError("denominator involves orbit parameters")
-    if not sc.num:
+    if not sc.terms:
         return 0
-    return min(sum(e[1:]) for e in sc.num)
+    return min(sum(e[1:]) for e in sc.terms)

@@ -32,7 +32,8 @@ from .tama import Tama
 from .admissible import CoverAlgebra, linearly_independent, \
     sn_partition_predictions
 from .polyspinor import (SpinorRep, HermitianForm, cohomology_dims,
-                         spinor_matrices, _mat_mul_coeff, kernel_basis_coeff)
+                         spinor_matrices, _mat_mul_coeff, _mat_mul_scalar,
+                         kernel_basis_coeff)
 from .scalars import C_R, C_ONE, C_ZERO
 
 SCHEMA_VERSION = 1
@@ -189,13 +190,6 @@ class Context:
             self._rep = SpinorRep(self.alg)
         return self._rep
 
-    def t_is_one(self):
-        sp = self.config.specialize
-        if sp is None:
-            return None     # symbolic
-        s = sp.get("s")
-        return s is not None and Fraction(s) ** 2 == 2
-
 
 def _truncate(text, limit=400):
     return text if len(text) <= limit else text[:limit] + "..."
@@ -325,21 +319,20 @@ def suite_relations(ctx: Context, run: Runner):
             return "pass", None, {"tuples": len(tuples)}
         run.check("relations", name, f"generator relation {name}", all_tuples)
     # antisymmetrised reconstruction identities, normalised at t = 1
-    t_one = ctx.t_is_one()
     for n in (4, 5):
         cid = f"reconstruction-{n}index"
         anchor = f"{n}-index generator from antisymmetrised products at t = 1"
         if ctx.rd.dim < n:
             run.skip("relations", cid, anchor, "arity exceeds dimension")
             continue
-        if t_one is False:
+        if ctx.config.specialize is not None:
             run.skip("relations", cid, anchor,
                      "reconstruction identities hold only at t = 1")
             continue
         idxs = tuple(range(1, n + 1))
         run.residual("relations", cid, anchor,
                      lambda n=n, idxs=idxs: tm.reconstruction_residual(
-                         n, idxs, at_t_one=(t_one is None)))
+                         n, idxs))
 
 
 def suite_centre(ctx: Context, run: Runner):
@@ -506,25 +499,6 @@ def _parse_partition_label(label, strip_ones=0):
     return tuple(parts) if parts else None
 
 
-def _mat_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def _mat_mul_scalar(a, b, zero):
-    """Dense product of Scalar matrices; zero factors are skipped."""
-    out = []
-    for row in a:
-        acc = [zero] * len(b[0])
-        for k, v in enumerate(row):
-            if v.is_zero():
-                continue
-            for j, u in enumerate(b[k]):
-                if not u.is_zero():
-                    acc[j] = acc[j] + v * u
-        out.append(acc)
-    return out
-
-
 def suite_cohomology(ctx: Context, run: Runner):
     rep = ctx.rep
     alg = ctx.alg
@@ -567,7 +541,7 @@ def suite_cohomology(ctx: Context, run: Runner):
             Ma, _ = rep.matrix_of(a, deg0)
             Mb, _ = rep.matrix_of(b, deg0)
             Mab, _ = rep.matrix_of(a * b, deg0)
-            if not _mat_eq(_mat_mul_scalar(Ma, Mb, F.zero), Mab):
+            if _mat_mul_scalar(Ma, Mb, F.zero) != Mab:
                 return "fail", "matrix_of(a b) != matrix_of(a) matrix_of(b)", None
         return "pass", None, None
     run.check("cohomology", "representation-property",
@@ -581,7 +555,7 @@ def suite_cohomology(ctx: Context, run: Runner):
     def dsq(k):
         MD, _ = rep.matrix_of(D, k)
         MO, _ = rep.matrix_of(Om, k)
-        if _mat_eq(_mat_mul_scalar(MD, MD, F.zero), MO):
+        if _mat_mul_scalar(MD, MD, F.zero) == MO:
             return "pass", None, None
         return "fail", f"degree {k} matrix identity fails", None
     for k in range(max_deg + 1):
@@ -599,7 +573,7 @@ def suite_cohomology(ctx: Context, run: Runner):
             rhs = _mat_mul_scalar(Mr, MD, F.zero)
             if eps < 0:
                 rhs = [[-v for v in row] for row in rhs]
-            if not _mat_eq(lhs, rhs):
+            if lhs != rhs:
                 return "fail", f"reflection {r_idx}", None
         return "pass", None, None
     run.check("cohomology", "cover-equivariance",

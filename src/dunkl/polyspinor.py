@@ -49,6 +49,21 @@ def _mat_mul_coeff(a, b):
     )
 
 
+def _mat_mul_scalar(a, b, zero):
+    """Dense product of Scalar matrices; zero factors are skipped."""
+    out = []
+    for row in a:
+        acc = [zero] * len(b[0])
+        for k, v in enumerate(row):
+            if v.is_zero():
+                continue
+            for j, u in enumerate(b[k]):
+                if not u.is_zero():
+                    acc[j] = acc[j] + v * u
+        out.append(acc)
+    return out
+
+
 def _sum_c(it):
     acc = C_ZERO
     for v in it:
@@ -413,43 +428,31 @@ class HermitianForm:
                     for i in range(len(mat[0]))]
 
         def mm(a, b):
-            if not a or not b:
-                return []
-            return [[_ssum(a[i][k] * b[k][j] for k in range(len(b)))
-                     for j in range(len(b[0]))] for i in range(len(a))]
-
-        def _ssum(it):
-            acc = F.zero
-            for v in it:
-                acc = acc + v
-            return acc
-
-        def eq(a, b):
-            return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+            return _mat_mul_scalar(a, b, F.zero)
 
         Gk = self.gram(degree)
         Gk1 = self.gram(degree + 1)
         # Hermitianity of the Gram matrix itself (makes the y_i condition
         # the conjugate transpose of the x_i condition)
-        res["gram_hermitian"] = eq(conj_t(Gk), Gk) and eq(conj_t(Gk1), Gk1)
+        res["gram_hermitian"] = conj_t(Gk) == Gk and conj_t(Gk1) == Gk1
         for i in range(1, rep.d + 1):
             Px, _ = rep.matrix_of(alg.x(i), degree)
             Py, _ = rep.matrix_of(alg.y(i), degree + 1)
             # <x_i u, v> = <u, y_i v>: conj(Px)^T G_{k+1} = G_k Py
             lhs = mm(conj_t(Px), Gk1)
             rhs = mm(Gk, Py)
-            res[f"x{i}"] = eq(lhs, rhs)
+            res[f"x{i}"] = lhs == rhs
         for r_idx in range(len(alg.rd.positive_roots)):
             g = alg.group(alg.rd.reflection_index(r_idx))
             Pg, _ = rep.matrix_of(g, degree)
             lhs = mm(conj_t(Pg), Gk)
             rhs = mm(Gk, Pg)     # s_alpha bullet = s_alpha^{-1} = s_alpha
-            res[f"s_{r_idx}"] = eq(lhs, rhs)
+            res[f"s_{r_idx}"] = lhs == rhs
         for j in range(1, rep.d + 1):
             Pe, _ = rep.matrix_of(alg.e(j), degree)
             lhs = mm(conj_t(Pe), Gk)
             rhs = mm(Gk, [[-v for v in row] for row in Pe])  # e_j bullet = -e_j
-            res[f"e{j}"] = eq(lhs, rhs)
+            res[f"e{j}"] = lhs == rhs
         return res
 
     def leading_minor_signs(self, degree, s_value, c_values):

@@ -4,26 +4,23 @@ The ground ring is Q[i, r] / (i^2 + 1, r^2 - 2), a degree-4 field over Q.
 An element a + b*i + c*r + d*i*r is stored as four int numerators over
 one positive int denominator, with the gcd of the five ints equal to 1
 and zero stored as 0/1; its arithmetic uses int operations only.
-On top of it we build sparse multivariate polynomials in the deformation
-variables (s first, then the orbit parameters c_1..c_m) and the scalars
-num/den whose denominator is a monic monomial: Laurent polynomials in
-the monomials.  The constructions divide only by s, t = s^2/2 and t^2,
+On top of it, a Scalar is a sparse Laurent polynomial in the deformation
+variables (s first, then the orbit parameters c_1..c_m): a dict
+{exponent tuple: Coeff} whose exponents may be negative and whose values
+are never zero.  The constructions divide only by s, t = s^2/2 and t^2,
 so these scalars are closed under every operation the verifier makes,
 and the conventions t = s^2/2 and sqrt(2t) = s make every square root
 needed downstream exact.
 
-Scalars are immutable; equal values are structurally identical: num and
-den share no monomial factor and den is a monomial with coefficient 1.
-The gcd of a polynomial and a monomial is a monomial, so no polynomial
-gcd is needed.  Dividing by, or inverting, a scalar whose numerator has
-more than one term raises NonMonomialDenominatorError.  A sum or product
-of two scalars whose denominators are both 1 (every scalar of a fully
-specialised run, and every polynomial) is built directly from
-`poly_add` / `poly_mul`: p/1 with zero terms dropped is already in
-canonical form, so only fractions with a nontrivial denominator go
-through `_reduce`.  Multiplying by a monic monomial denominator (cross
-terms of a sum, the product of two denominators, division) adds its
-exponent to each term (`_shift`) and makes no field multiplication.
+Scalars are immutable, and the dict is already canonical: equal values
+have equal `terms` and equal hashes, and nothing is ever reduced.  `+`,
+`-` and `*` are `poly_add`, `poly_neg` and `poly_mul`; a product with a
+one-term factor shifts exponents and multiplies no field elements when
+that term's coefficient is 1.  Only a monomial is invertible here (its
+exponent is negated and its coefficient inverted): inverting, or
+dividing by, a scalar of more than one term raises
+NonMonomialDenominatorError.  `str` prints the lowest-terms numerator
+over the monic monomial denominator that `_reduce` splits off.
 """
 
 from __future__ import annotations
@@ -188,7 +185,7 @@ def _i_power(n):
 
 
 # ---------------------------------------------------------------------------
-# sparse polynomials: dict {exponent tuple: Coeff}, no zero values stored
+# sparse Laurent polynomials: dict {exponent tuple: Coeff}, no zero values
 # ---------------------------------------------------------------------------
 
 def poly_add(p, q):
@@ -211,13 +208,17 @@ def poly_neg(p):
 
 
 def poly_mul(p, q):
-    if len(p) == 1 and len(q) == 1:
-        (e1, v1), = p.items()
-        (e2, v2), = q.items()
-        v = v1 * v2
-        if v.is_zero():
-            return {}
-        return {tuple(a + b for a, b in zip(e1, e2)): v}
+    if len(q) == 1:
+        p, q = q, p
+    if len(p) == 1:
+        # a monomial times q: shift q's exponents, scale unless by 1; the
+        # field has no zero divisors, so no product is zero
+        (m, c), = p.items()
+        if c == C_ONE:
+            return {tuple(a + b for a, b in zip(e, m)): v
+                    for e, v in q.items()}
+        return {tuple(a + b for a, b in zip(e, m)): v * c
+                for e, v in q.items()}
     out = {}
     for e1, v1 in p.items():
         for e2, v2 in q.items():
@@ -225,8 +226,7 @@ def poly_mul(p, q):
             v = v1 * v2
             w = out.get(e)
             if w is None:
-                if not v.is_zero():
-                    out[e] = v
+                out[e] = v
             else:
                 w = w + v
                 if w.is_zero():
@@ -236,31 +236,8 @@ def poly_mul(p, q):
     return out
 
 
-def _shift(p, den):
-    """p times the monic monomial den: den's exponent is added to each term's."""
-    (m,) = den
-    if not any(m):
-        return p
-    return {tuple(a + b for a, b in zip(e, m)): v for e, v in p.items()}
-
-
 def _grlex_key(e):
     return (sum(e), e)
-
-
-def poly_is_unit(p):
-    return len(p) == 1 and not any(next(iter(p)))
-
-
-def _monomial_content(p):
-    """Componentwise min exponent over the support."""
-    it = iter(p)
-    m = list(next(it))
-    for e in it:
-        for k, x in enumerate(e):
-            if x < m[k]:
-                m[k] = x
-    return tuple(m)
 
 
 class NonMonomialDenominatorError(ArithmeticError):
@@ -268,47 +245,44 @@ class NonMonomialDenominatorError(ArithmeticError):
 
 
 def poly_gcd(p, q):
-    """Monic gcd of a polynomial p and a monomial q.
+    """Monic gcd of a Laurent polynomial p and a monomial q.
 
     The divisors of a monomial are monomials, so the gcd is x^m with m the
-    componentwise minimum of q's exponent and p's monomial content.  A q
+    componentwise minimum of q's exponent and every exponent of p.  A q
     of any other length raises NonMonomialDenominatorError.
     """
     if len(q) != 1:
         raise NonMonomialDenominatorError(
             f"denominator with {len(q)} terms is not a monomial")
     (m,) = q
-    if p:
-        m = tuple(min(a, b) for a, b in zip(_monomial_content(p), m))
+    for e in p:
+        m = tuple(map(min, m, e))
     return {m: C_ONE}
 
 
 # ---------------------------------------------------------------------------
-# Scalar: polynomial over a monic monomial
+# Scalar: Laurent polynomial in s, c_1..c_m
 # ---------------------------------------------------------------------------
 
 class Scalar:
-    """Element num/den of Q(i, sqrt2)(s, c_1..c_m), den a monic monomial.
+    """Element of Q(i, sqrt2)(s, c_1..c_m) with a monomial denominator.
 
-    nvars = 1 + number of orbit parameters; exponent slot 0 is s.
+    `terms` is {exponent tuple: Coeff}; exponents may be negative and no
+    value is zero.  nvars = 1 + number of orbit parameters; exponent slot
+    0 is s.
     """
 
-    __slots__ = ("num", "den", "nvars", "_hash")
+    __slots__ = ("terms", "nvars", "_hash")
 
-    def __init__(self, num, den, nvars, _normalized=False):
-        if not _normalized:
-            num, den = _reduce(num, den, nvars)
-        self.num = num
-        self.den = den
+    def __init__(self, terms, nvars):
+        self.terms = terms
         self.nvars = nvars
         self._hash = None
 
     # -- constructors -------------------------------------------------------
     @staticmethod
     def from_coeff(cf, nvars):
-        z = (0,) * nvars
-        num = {} if cf.is_zero() else {z: cf}
-        return Scalar(num, {z: C_ONE}, nvars, _normalized=True)
+        return Scalar({} if cf.is_zero() else {(0,) * nvars: cf}, nvars)
 
     @staticmethod
     def rational(q, nvars):
@@ -324,33 +298,27 @@ class Scalar:
 
     @staticmethod
     def s_var(nvars):
-        z = (0,) * nvars
-        e = (1,) + (0,) * (nvars - 1)
-        return Scalar({e: C_ONE}, {z: C_ONE}, nvars, _normalized=True)
+        return Scalar({(1,) + (0,) * (nvars - 1): C_ONE}, nvars)
 
     @staticmethod
     def c_var(k, nvars):
         """Orbit parameter c_{k+1} (0-based index k)."""
         if not 0 <= k < nvars - 1:
             raise IndexError(f"orbit parameter index {k} out of range")
-        z = (0,) * nvars
         e = tuple(1 if j == k + 1 else 0 for j in range(nvars))
-        return Scalar({e: C_ONE}, {z: C_ONE}, nvars, _normalized=True)
+        return Scalar({e: C_ONE}, nvars)
 
     # -- predicates ---------------------------------------------------------
     def is_zero(self):
-        return not self.num
+        return not self.terms
 
     def is_constant(self):
-        z = (0,) * self.nvars
-        return set(self.num) <= {z} and set(self.den) <= {z}
+        return not any(any(e) for e in self.terms)
 
     def constant_value(self):
-        z = (0,) * self.nvars
         if not self.is_constant():
             raise ValueError("not a constant scalar")
-        # a constant monic denominator is 1
-        return self.num.get(z, C_ZERO)
+        return self.terms.get((0,) * self.nvars, C_ZERO)
 
     # -- arithmetic ---------------------------------------------------------
     def _chk(self, o):
@@ -359,50 +327,38 @@ class Scalar:
 
     def __add__(self, o):
         self._chk(o)
-        if not self.num:
-            return o
-        if not o.num:
-            return self
-        if self.den == o.den:
-            return Scalar(poly_add(self.num, o.num), self.den, self.nvars,
-                          _normalized=poly_is_unit(self.den))
-        num = poly_add(_shift(self.num, o.den), _shift(o.num, self.den))
-        return Scalar(num, _shift(self.den, o.den), self.nvars)
+        return Scalar(poly_add(self.terms, o.terms), self.nvars)
 
     def __sub__(self, o):
         return self + (-o)
 
     def __neg__(self):
-        return Scalar(poly_neg(self.num), self.den, self.nvars, _normalized=True)
+        return Scalar(poly_neg(self.terms), self.nvars)
 
     def __mul__(self, o):
         self._chk(o)
-        if not self.num or not o.num:
-            return Scalar({}, {(0,) * self.nvars: C_ONE}, self.nvars, _normalized=True)
-        if poly_is_unit(self.den) and poly_is_unit(o.den):
-            # a canonical denominator is monic, so a constant one is 1
-            return Scalar(poly_mul(self.num, o.num), self.den, self.nvars,
-                          _normalized=True)
-        return Scalar(poly_mul(self.num, o.num), _shift(self.den, o.den),
-                      self.nvars)
+        return Scalar(poly_mul(self.terms, o.terms), self.nvars)
 
     def __truediv__(self, o):
-        self._chk(o)
-        if not o.num:
-            raise ZeroDivisionError("scalar division by zero")
-        return Scalar(_shift(self.num, o.den), _shift(o.num, self.den),
-                      self.nvars)
+        if not self.terms and o.terms:
+            self._chk(o)
+            return self   # zero over any nonzero scalar
+        return self * o.inv()
 
     def inv(self):
-        if not self.num:
+        if not self.terms:
             raise ZeroDivisionError("scalar division by zero")
-        return Scalar(dict(self.den), dict(self.num), self.nvars)
+        if len(self.terms) != 1:
+            raise NonMonomialDenominatorError(
+                f"denominator with {len(self.terms)} terms is not a monomial")
+        (e, c), = self.terms.items()
+        return Scalar({tuple(-a for a in e): c if c == C_ONE else c.inv()},
+                      self.nvars)
 
     def conjugate(self):
         """Field automorphism i -> -i; fixes r, s and the c_k."""
-        num = {e: v.conj_i() for e, v in self.num.items()}
-        den = {e: v.conj_i() for e, v in self.den.items()}
-        return Scalar(num, den, self.nvars)
+        return Scalar({e: v.conj_i() for e, v in self.terms.items()},
+                      self.nvars)
 
     def substitute(self, values):
         """Evaluate at rational points: values = (s, c_1, .., c_m) Fractions.
@@ -412,67 +368,58 @@ class Scalar:
         if len(values) != self.nvars:
             raise ValueError("substitution arity mismatch")
         vals = [Fraction(v) for v in values]
-
-        def ev(p):
-            acc = C_ZERO
-            for e, v in p.items():
-                f = _F1
-                for x, k in zip(vals, e):
-                    f *= x ** k
-                acc = acc + Coeff(v.a * f, v.b * f, v.c * f, v.d * f)
-            return acc
-
-        d = ev(self.den)
-        if d.is_zero():
-            raise ZeroDivisionError("denominator vanishes at substitution point")
-        return Scalar.from_coeff(ev(self.num) * d.inv(), self.nvars)
+        acc = C_ZERO
+        for e, v in self.terms.items():
+            f = _F1
+            for x, k in zip(vals, e):
+                if k < 0 and not x:
+                    raise ZeroDivisionError(
+                        "denominator vanishes at substitution point")
+                f *= x ** k
+            acc = acc + Coeff(v.a * f, v.b * f, v.c * f, v.d * f)
+        return Scalar.from_coeff(acc, self.nvars)
 
     def substitute_s(self, cf):
         """Replace s by the constant Coeff `cf`, keeping the c_k symbolic."""
-        def sub(p):
-            out = {}
-            pw = {0: C_ONE}
-            for e, v in p.items():
-                k = e[0]
-                if k not in pw:
-                    acc = pw[max(pw)]
-                    for _ in range(max(pw), k):
-                        acc = acc * cf
-                        pw[max(pw) + 1] = acc
-                vv = v * pw[k]
-                e2 = (0,) + e[1:]
-                w = out.get(e2)
-                w = vv if w is None else w + vv
-                if w.is_zero():
-                    out.pop(e2, None)
+        powers = {0: C_ONE}
+
+        def power(k):
+            if k not in powers:
+                if k > 0:
+                    powers[k] = power(k - 1) * cf
                 else:
-                    out[e2] = w
-            return out
-        return Scalar(sub(self.num), sub(self.den), self.nvars)
+                    powers[k] = power(k + 1) * cf.inv()
+            return powers[k]
 
-    # -- canonical form / identity -----------------------------------------
-    def _key(self):
-        return (
-            tuple(sorted(self.num.items(), key=lambda t: _grlex_key(t[0]))),
-            tuple(sorted(self.den.items(), key=lambda t: _grlex_key(t[0]))),
-        )
+        out = {}
+        for e, v in self.terms.items():
+            vv = v * power(e[0])
+            e2 = (0,) + e[1:]
+            w = out.get(e2)
+            w = vv if w is None else w + vv
+            if w.is_zero():
+                out.pop(e2, None)
+            else:
+                out[e2] = w
+        return Scalar(out, self.nvars)
 
+    # -- identity -----------------------------------------------------------
     def __eq__(self, o):
         if not isinstance(o, Scalar):
             return NotImplemented
-        return self.nvars == o.nvars and self.num == o.num and self.den == o.den
+        return self.nvars == o.nvars and self.terms == o.terms
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self._key())
+            self._hash = hash(frozenset(self.terms.items()))
         return self._hash
 
     def __str__(self):
-        ns = _poly_str(self.num, self.nvars)
-        z = (0,) * self.nvars
-        if self.den == {z: C_ONE}:
+        num, den = _reduce(self.terms, self.nvars)
+        ns = _poly_str(num, self.nvars)
+        if not any(den):
             return ns
-        return f"({ns})/({_poly_str(self.den, self.nvars)})"
+        return f"({ns})/({_poly_str({den: C_ONE}, self.nvars)})"
 
     __repr__ = __str__
 
@@ -495,32 +442,16 @@ def _poly_str(p, nvars):
     return " + ".join(terms)
 
 
-def _reduce(num, den, nvars):
-    """Canonical (num, den) of num/den for a monomial den.
+def _reduce(terms, nvars):
+    """Lowest-terms numerator of a Laurent polynomial, and the exponent of
+    its monic monomial denominator.
 
-    Zero terms are dropped and zero becomes 0/1; otherwise the monomial
-    gcd is cancelled and num is divided by den's coefficient, which leaves
-    den a monic monomial.  A den of more than one term raises
-    NonMonomialDenominatorError.
+    The denominator is the inverse of the monomial gcd of the terms and 1,
+    so numerator and denominator share no variable.
     """
-    num = {e: v for e, v in num.items() if not v.is_zero()}
-    den = {e: v for e, v in den.items() if not v.is_zero()}
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    if not num:
-        return {}, {(0,) * nvars: C_ONE}
-    if not poly_is_unit(den):
-        (g,) = poly_gcd(num, den)
-        if any(g):
-            num = {tuple(a - b for a, b in zip(e, g)): v
-                   for e, v in num.items()}
-            den = {tuple(a - b for a, b in zip(e, g)): v
-                   for e, v in den.items()}
-    (de, dc), = den.items()
-    if dc != C_ONE:
-        inv = dc.inv()
-        num = {e: v * inv for e, v in num.items()}
-    return num, {de: C_ONE}
+    (g,) = poly_gcd(terms, {(0,) * nvars: C_ONE})
+    num = {tuple(a - b for a, b in zip(e, g)): v for e, v in terms.items()}
+    return num, tuple(-b for b in g)
 
 
 class ScalarField:

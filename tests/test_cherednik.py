@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from dunkl.groups import RootDatum
-from dunkl.cherednik import (HAlgebra, dunkl_commutator, filtration_check)
+from dunkl.cherednik import (HAlgebra, dunkl_commutator, filtration_check,
+                             _kill_c, _min_c_degree)
+from dunkl.scalars import ScalarField
 
 
 def test_rank_one_commutator():
@@ -120,3 +124,20 @@ def test_filtration_random_pairs():
                 (xe if rng.random() < 0.5 else ye)[rng.randrange(3)] += 1
             return h.monomial(tuple(xe), tuple(ye), h.id_idx)
         assert filtration_check(h, mono(), mono())
+
+
+def test_c_degree_helpers_on_laurent_scalars():
+    F = ScalarField(2)
+    s, t, c1, c2 = F.s, F.t, F.cs[0], F.cs[1]
+    x = F.one / t + c1 * c2 / s + c2 * s
+    assert _kill_c(x) == F.one / t
+    assert _min_c_degree(x) == 0
+    assert _min_c_degree(x - F.one / t) == 1
+    assert _min_c_degree(F.zero) == 0
+    # c in the denominator: setting it to 0 divides by zero, and its
+    # c-degree is not a polynomial degree
+    for y in (F.one / c1, s + c2 / (s * c1)):
+        with pytest.raises(ZeroDivisionError):
+            _kill_c(y)
+        with pytest.raises(ValueError):
+            _min_c_degree(y)

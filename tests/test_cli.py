@@ -88,6 +88,9 @@ PINNED_REPORTS = {
         "0b95d55886b3de4cf40916cf4135c282760ec70070958389ea09332a75457f79",
     "--family B --rank 2 --suite all --max-degree 2":
         "b3826ca94bc81052cffd703fcbaa7a41c80b6ab6e2da96ae9ea276e8807c264a",
+    "--family A1^4 --suite osp --suite relations --suite vogan "
+    "--suite filtration":
+        "1c492fd55b98d9043564f9f93aa1e901fcfb7612b7911d8e9cc67fd7e79a972a",
 }
 
 
@@ -137,6 +140,20 @@ def test_partition_criterion_reads_the_class_flags_basis(monkeypatch):
     assert checks["class-flags"]["witness"].startswith("exception:")
     assert checks["partition-criterion"]["status"] == "fail"
     assert checks["epsilon-centre-oracle"]["status"] == "pass"
+
+
+def test_admissible_and_vogan_share_one_basis(monkeypatch):
+    # vogan reads the basis that class-flags built: one candidate per class
+    calls = []
+    original = CoverAlgebra.admissible_candidate
+
+    def counted(self, g_idx):
+        calls.append(g_idx)
+        return original(self, g_idx)
+    monkeypatch.setattr(CoverAlgebra, "admissible_candidate", counted)
+    _rep, code = run_config(RunConfig("A", 3, None, ["admissible", "vogan"]))
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 5    # the classes of S4
 
 
 def test_all_suite_expansion():

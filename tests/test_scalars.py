@@ -116,6 +116,21 @@ def test_monomial_denominators_make_no_field_products(coeff_products):
         assert value.substitute(pt) == expect
 
 
+def test_monomial_factors_make_no_field_products(coeff_products):
+    F = ScalarField(2)
+    s, c1, c2 = F.s, F.cs[0], F.cs[1]
+    x = F.rational(3) * s * c1 + F.i * c2 - F.r / s     # three terms
+    with coeff_products() as made:
+        results = (x * s, x * c1, x / (s * c2))
+    # a one-term factor with coefficient 1 only shifts exponents
+    assert made == []
+    pt = (Fraction(2), Fraction(1, 3), Fraction(-5, 7))
+    ex = x.substitute(pt).constant_value()
+    for value, factor in zip(results, (Fraction(2), Fraction(1, 3),
+                                       Fraction(-7, 10))):
+        assert value.substitute(pt).constant_value() == ex * Coeff(factor)
+
+
 @given(coeffs, coeffs, coeffs)
 @settings(max_examples=60, deadline=None)
 def test_coeff_ring_axioms(x, y, z):
@@ -189,6 +204,15 @@ def test_scalar_substitute_s_keeps_c_symbolic(F):
     assert out == F.cs[0] * F.r + F.one
 
 
+def test_substitute_s_inverts_negative_powers(F):
+    # 1/t = 2 s^-2, and s -> sqrt2 gives t = 1
+    assert (F.one / F.t).substitute_s(C_R) == F.one
+    assert (F.cs[0] / F.s).substitute_s(C_R) == \
+        F.cs[0] * F.r * F.rational(Fraction(1, 2))
+    with pytest.raises(ZeroDivisionError):
+        (F.one / F.s).substitute_s(C_ZERO)
+
+
 def test_scalar_conjugate(F):
     expr = F.i * F.s + F.cs[0]
     assert expr.conjugate() == -(F.i) * F.s + F.cs[0]
@@ -222,7 +246,7 @@ def test_non_monomial_denominator_raises(F):
             divide()
     assert issubclass(NonMonomialDenominatorError, ArithmeticError)
     with pytest.raises(NonMonomialDenominatorError):
-        scalars.poly_gcd(F.s.num, two_terms.num)
+        scalars.poly_gcd(F.s.terms, two_terms.terms)
     assert (F.zero / two_terms).is_zero()
     # a check that divides by it fails; it does not pass
     rec = Runner().residual("scalars", "x", "a", lambda: F.one / two_terms)
@@ -232,13 +256,13 @@ def test_non_monomial_denominator_raises(F):
 
 def test_poly_gcd_of_polynomial_and_monomial(F):
     s, c1 = F.s, F.cs[0]
-    p = (s * s * c1 + s * c1 * c1).num
-    assert scalars.poly_gcd(p, (s * s * s).num) == {(1, 0, 0): C_ONE}
-    assert scalars.poly_gcd(p, (F.rational(3) * s * c1).num) == \
+    p = (s * s * c1 + s * c1 * c1).terms
+    assert scalars.poly_gcd(p, (s * s * s).terms) == {(1, 0, 0): C_ONE}
+    assert scalars.poly_gcd(p, (F.rational(3) * s * c1).terms) == \
         {(1, 1, 0): C_ONE}
-    assert scalars.poly_gcd({}, (F.rational(2) * c1).num) == \
+    assert scalars.poly_gcd({}, (F.rational(2) * c1).terms) == \
         {(0, 1, 0): C_ONE}
-    assert scalars.poly_gcd(p, F.one.num) == {(0, 0, 0): C_ONE}
+    assert scalars.poly_gcd(p, F.one.terms) == {(0, 0, 0): C_ONE}
 
 
 def test_scalar_str_is_deterministic(F):
@@ -247,7 +271,7 @@ def test_scalar_str_is_deterministic(F):
     assert str(e1) == str(e2)
 
 
-# -- unit-denominator fast path ------------------------------------------------
+# -- canonical form -------------------------------------------------------------
 
 def _poly(nvars):
     exps = st.tuples(*[st.integers(0, 2)] * nvars)
@@ -258,16 +282,15 @@ def _poly(nvars):
 @given(_poly(3), _poly(3))
 @settings(max_examples=80, deadline=None)
 def test_unit_denominator_ops_are_canonical(p, q):
-    # p/1 and q/1 combined without _reduce must equal the _reduce form of
-    # the same value, structurally and by hash
-    unit = {(0, 0, 0): C_ONE}
-    x = Scalar(p, unit, 3, _normalized=True)
-    y = Scalar(q, unit, 3, _normalized=True)
-    for z in (x + y, x - y, x * y):
-        num, den = scalars._reduce(z.num, z.den, 3)
-        assert (z.num, z.den) == (num, den)
-        ref = Scalar(z.num, z.den, 3)
-        assert z == ref and hash(z) == hash(ref)
+    # sums, differences and products store no zero value, and the same
+    # value reached two ways has equal terms and hash
+    x = Scalar(p, 3)
+    y = Scalar(q, 3)
+    for z in (x + y, x - y, x * y, -x):
+        assert all(not v.is_zero() for v in z.terms.values())
+    for a, b in ((x + y, y + x), (x * y, y * x), ((x - y) + y, x),
+                 (x * y - y * x, Scalar({}, 3))):
+        assert a.terms == b.terms and hash(a) == hash(b)
 
 
 def test_polynomial_sums_and_products_never_reduce(F, monkeypatch):
@@ -286,27 +309,18 @@ def test_polynomial_sums_and_products_never_reduce(F, monkeypatch):
         == Scalar.from_coeff(Coeff(-1), 3)
 
 
-def test_monomial_denominator_still_reduces(F, monkeypatch):
-    calls = []
-    reduce = scalars._reduce
-
-    def spy(num, den, nvars):
-        calls.append(den)
-        return reduce(num, den, nvars)
-
+def test_monomial_denominator_still_reduces(F):
+    # s^-1 * s cancels to the constant 1, stored as one term
     inv_s = F.one / F.s
-    monkeypatch.setattr(scalars, "_reduce", spy)
+    assert inv_s.terms == {(-1, 0, 0): C_ONE}
     assert inv_s * F.s == F.one
-    assert (inv_s * F.s).den == {(0, 0, 0): C_ONE}
+    assert (inv_s * F.s).terms == {(0, 0, 0): C_ONE}
     assert (inv_s + inv_s) * F.s == F.rational(2)
-    assert calls
 
 
 # -- property tests over Laurent scalars ---------------------------------------
 # Scalars in s, c1, c2 built from the variables, constants and inverses of
-# monomials, with evaluation at nonzero rational points as the oracle.  At
-# most two terms each: a general polynomial-gcd representation, which
-# these tests must also hold for, takes minutes on some products of three.
+# monomials, with evaluation at nonzero rational points as the oracle.
 
 F2 = ScalarField(2)
 _nonzero_rats = rats.filter(bool)
@@ -325,7 +339,7 @@ def _monomial(cf, exps):
 _exps = st.tuples(*[st.integers(-2, 2)] * 3)
 monomials = st.builds(_monomial, coeffs.filter(lambda c: not c.is_zero()),
                       _exps)
-laurent = st.lists(st.builds(_monomial, coeffs, _exps), max_size=2).map(
+laurent = st.lists(st.builds(_monomial, coeffs, _exps), max_size=3).map(
     lambda terms: sum(terms, F2.zero))
 
 
@@ -369,5 +383,42 @@ def test_equal_laurent_values_are_equal_objects(x, y, m1, m2):
         (m1.inv().inv(), m1),
     )
     for a, b in pairs:
-        assert (a.num, a.den) == (b.num, b.den)
+        assert a.terms == b.terms
         assert hash(a) == hash(b)
+
+
+# -- printing -------------------------------------------------------------------
+# Reference formatter: the lowest-terms numerator over the monic monomial
+# denominator, terms in descending graded-lex order, written independently
+# of `scalars._poly_str` and `_reduce`.
+
+def _ref_poly_str(p):
+    if not p:
+        return "0"
+    names = ("s", "c1", "c2")
+    out = []
+    for e in sorted(p, key=lambda e: (sum(e), e), reverse=True):
+        factors = [name if k == 1 else f"{name}^{k}"
+                   for name, k in zip(names, e) if k]
+        out.append("*".join([f"({p[e]})"] + factors))
+    return " + ".join(out)
+
+
+def _ref_str(terms):
+    den = tuple(max(0, -min(e[k] for e in terms)) if terms else 0
+                for k in range(3))
+    num = {tuple(a + b for a, b in zip(e, den)): v for e, v in terms.items()}
+    if not any(den):
+        return _ref_poly_str(num)
+    return f"({_ref_poly_str(num)})/({_ref_poly_str({den: C_ONE})})"
+
+
+_laurent_terms = st.dictionaries(
+    st.tuples(*[st.integers(-2, 2)] * 3),
+    coeffs.filter(lambda c: not c.is_zero()), max_size=4)
+
+
+@given(_laurent_terms)
+@settings(max_examples=100, deadline=None)
+def test_str_prints_numerator_over_monomial_denominator(terms):
+    assert str(Scalar(terms, 3)) == _ref_str(terms)
