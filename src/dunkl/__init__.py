@@ -3,6 +3,9 @@ rational Cherednik system, with verification suites and a CLI front end.
 
 Layers, bottom up:
 
+- sparse: the one accumulator `add_into` of sparse {key: value} sums, and
+  `SparseElement`, the linear operations shared by the element types of
+  clifford, cherednik and hc.
 - scalars: the coefficient field Q(i, sqrt2)(s, c_1..c_m) with t = s^2/2;
   elements of Q(i, sqrt2) are four int numerators over one denominator,
   and a scalar is a sparse Laurent polynomial {exponent: Coeff} in s and
@@ -24,7 +27,8 @@ Layers, bottom up:
 - admissible: class sums, epsilon-centres and admissible elements of the
   group-algebra image of the cover.
 - polyspinor: the degree-truncated polynomial-spinor representation,
-  cohomology dimensions, and the bullet-Hermitian form.
+  cohomology dimensions, the bullet-Hermitian form, and the one exact
+  elimination over Q(i, sqrt2).
 - cli: the `verify` command line and deterministic JSON reports.
 """
 

@@ -12,29 +12,19 @@ epsilon-centre is the solution space of
 
 which in coordinates pairs a_{w g w^-1} with a_g up to an explicit sign;
 the solver walks these sign chains per conjugacy class and reports the
-classes where the chain is consistent.
+classes where the chain is consistent.  Products, bullets and class sums
+accumulate through `sparse.add_into`; `linearly_independent` densifies
+its vectors and calls `polyspinor.rank_coeff`, the one elimination.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import combinations
-
-from .scalars import Coeff, C_ONE, C_I, _i_power, Scalar
+from .scalars import Coeff, C_ONE, C_ZERO, C_I, _i_power, Scalar
+from .sparse import add_into
+from .clifford import reversion_sign
 from .pin import PinCover, unit_ratio_sign
 from .groups import RootDatum
-
-
-def vec_add(a, b):
-    out = dict(a)
-    for g, v in b.items():
-        w = out.get(g)
-        w = v if w is None else w + v
-        if w.is_zero():
-            out.pop(g, None)
-        else:
-            out[g] = w
-    return out
+from .polyspinor import rank_coeff
 
 
 def vec_scale(a, cf):
@@ -65,21 +55,9 @@ class CoverAlgebra:
     def mul(self, a, b):
         """Product using rho(g) rho(h) = sigma(g, h) rho(gh)."""
         tbl = self.rd.mul_table
-        pc = self.pin
-        out = {}
-        for g, u in a.items():
-            for h, v in b.items():
-                k = tbl[g][h]
-                w = u * v
-                if pc.sigma(g, h) < 0:
-                    w = -w
-                acc = out.get(k)
-                acc = w if acc is None else acc + w
-                if acc.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = acc
-        return out
+        sigma = self.pin.sigma
+        return add_into({}, ((tbl[g][h], u * v if sigma(g, h) > 0 else -(u * v))
+                             for g, u in a.items() for h, v in b.items()))
 
     # -- bullet (conjugate-linear anti-involution) ---------------------------
     def _bullet_signs(self):
@@ -90,13 +68,8 @@ class CoverAlgebra:
         inv = self.rd.inv_table
         out = [0] * self.n
         for g in range(self.n):
-            u = pc.lift(g)
-            starred = {}
-            for m, cf in u.items():
-                k = bin(m).count("1")
-                sgn = -1 if (k * (k + 1) // 2) % 2 else 1
-                cf = cf.conj_i()
-                starred[m] = -cf if sgn < 0 else cf
+            starred = {m: cf.conj_i() if reversion_sign(m) > 0 else -cf.conj_i()
+                       for m, cf in pc.lift(g).items()}
             out[g] = unit_ratio_sign(starred, pc.lift(inv[g]))
         self._star_sign = out
         return out
@@ -104,19 +77,8 @@ class CoverAlgebra:
     def bullet(self, a):
         tau = self._bullet_signs()
         inv = self.rd.inv_table
-        out = {}
-        for g, v in a.items():
-            w = v.conj_i()
-            if tau[g] < 0:
-                w = -w
-            k = inv[g]
-            acc = out.get(k)
-            acc = w if acc is None else acc + w
-            if acc.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = acc
-        return out
+        return add_into({}, ((inv[g], v.conj_i() if tau[g] > 0 else -v.conj_i())
+                             for g, v in a.items()))
 
     # -- class sums ----------------------------------------------------------
     def class_sum_T(self, g_idx):
@@ -125,43 +87,25 @@ class CoverAlgebra:
         Both lifts of w conjugate g~ identically, so this is rho(T_g~)/2;
         the normalisation is irrelevant for (non)vanishing and centrality.
         """
-        tbl = self.rd.mul_table
-        inv = self.rd.inv_table
-        pc = self.pin
-        out = {}
-        for w in range(self.n):
-            wi = inv[w]
-            h = tbl[tbl[wi][g_idx]][w]      # w^-1 g w
-            s = pc.conj_sign(wi, g_idx)
-            cf = Coeff(s)
-            acc = out.get(h)
-            acc = cf if acc is None else acc + cf
-            if acc.is_zero():
-                out.pop(h, None)
-            else:
-                out[h] = acc
-        return out
+        return self._class_sum(g_idx, graded=False)
 
     def class_sum_T_minus(self, g_idx):
         """T^(-1)_g~ / 2 = sum_{w in W} (-1)^{|w|} rho(w~^-1 g~ w~)."""
+        return self._class_sum(g_idx, graded=True)
+
+    def _class_sum(self, g_idx, graded):
+        """sum_{w in W} rho(w~^-1 g~ w~), weighted by (-1)^{|w|} if graded."""
         tbl = self.rd.mul_table
         inv = self.rd.inv_table
         pc = self.pin
-        out = {}
-        for w in range(self.n):
+
+        def term(w):
             wi = inv[w]
-            h = tbl[tbl[wi][g_idx]][w]
             s = pc.conj_sign(wi, g_idx)
-            if pc.parity(w):
+            if graded and pc.parity(w):
                 s = -s
-            cf = Coeff(s)
-            acc = out.get(h)
-            acc = cf if acc is None else acc + cf
-            if acc.is_zero():
-                out.pop(h, None)
-            else:
-                out[h] = acc
-        return out
+            return tbl[tbl[wi][g_idx]][w], Coeff(s)     # w^-1 g w
+        return add_into({}, map(term, range(self.n)))
 
     # -- epsilon-centre ------------------------------------------------------
     def is_epsilon_central(self, a):
@@ -294,20 +238,11 @@ class CoverAlgebra:
 
 
 def linearly_independent(vectors, n):
-    """Rank check over Q(i, sqrt2) by Gaussian elimination on {g: Coeff}."""
-    rows = [dict(v) for v in vectors if v]
-    pivots = {}
-    rank = 0
-    for row in rows:
-        for piv, prow in pivots.items():
-            v = row.get(piv)
-            if v is not None:
-                row = vec_add(row, vec_scale(prow, -(v * prow[piv].inv())))
-        if row:
-            piv = min(row)
-            pivots[piv] = row
-            rank += 1
-    return rank == len([v for v in vectors if v]), rank
+    """Rank over Q(i, sqrt2) of {g: Coeff} vectors with g < n, by
+    `polyspinor.rank_coeff` on their dense rows."""
+    rows = [[v.get(g, C_ZERO) for g in range(n)] for v in vectors if v]
+    rank = rank_coeff(rows)
+    return rank == len(rows), rank
 
 
 def sn_partition_predictions(n, d_parity_odd):

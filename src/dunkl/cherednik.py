@@ -8,14 +8,16 @@ commutation formula
 
 with all divided differences computed by exact polynomial division.  The
 straightening of y^b x^a is memoised per algebra; this is the dominant
-cost of every downstream suite.
+cost of every downstream suite.  Sums accumulate through
+`sparse.add_into`, and `HElement` takes its linear operations from
+`sparse.SparseElement`; `HAlgebra.star_key` is the star on one monomial,
+shared with the bullet of `hc`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .scalars import Scalar, ScalarField
+from .sparse import SparseElement, add_into
 from .groups import RootDatum
 
 
@@ -112,14 +114,7 @@ class HAlgebra:
                 continue
             g = self.rd.reflection_index(r_idx)
             factor = -(self.c_root[r_idx] * F.rational(ai))
-            for e, v in dd.items():
-                k = (e, g)
-                w = out.get(k)
-                w = v * factor if w is None else w + v * factor
-                if w.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = w
+            add_into(out, (((e, g), v * factor) for e, v in dd.items()))
         self._ycomm_memo[key] = out
         return out
 
@@ -135,7 +130,7 @@ class HAlgebra:
             num = {cexp: F.one, img: F.rational(-sgn)}
         lin = {self._unit_exp(j + 1): F.rational(a)
                for j, a in enumerate(alpha) if a}
-        return _xpoly_divexact(num, lin, F)
+        return _xpoly_divexact(num, lin)
 
     def straighten(self, yexp, xexp):
         """y^yexp * x^xexp in PBW form: {(xexp', yexp', g_idx): Scalar}."""
@@ -151,33 +146,16 @@ class HAlgebra:
         b1 = list(yexp)
         b1[i] -= 1
         b1 = tuple(b1)
+        elems = self._elems
         out = {}
         # y^{b1} x^c y_i : push y_i back through the group part
-        for (a, b, g), v in self.straighten(b1, xexp).items():
-            ge = self._elems[g]
-            tgt = ge.perm[i]
-            sg = ge.sign[i]
-            bb = list(b)
-            bb[tgt] += 1
-            k = (a, tuple(bb), g)
-            vv = -v if sg < 0 else v
-            w = out.get(k)
-            w = vv if w is None else w + vv
-            if w.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = w
+        add_into(out, (((a, _bump(b, elems[g].perm[i]), g),
+                        v if elems[g].sign[i] > 0 else -v)
+                       for (a, b, g), v in self.straighten(b1, xexp).items()))
         # y^{b1} [y_i, x^c]
-        for (gamma, g), u in self.ycomm(i, xexp).items():
-            for (a, b, g2), v in self.straighten(b1, gamma).items():
-                k = (a, b, self._mul[g2][g])
-                vv = u * v
-                w = out.get(k)
-                w = vv if w is None else w + vv
-                if w.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = w
+        add_into(out, (((a, b, self._mul[g2][g]), u * v)
+                       for (gamma, g), u in self.ycomm(i, xexp).items()
+                       for (a, b, g2), v in self.straighten(b1, gamma).items()))
         self._straighten_memo[key] = out
         return out
 
@@ -200,11 +178,28 @@ class HAlgebra:
             out.append(((xk, yk, self._mul[g2][wv]), coeff))
         return out
 
+    def star_key(self, a, b, g):
+        """The star of the monomial x^a y^b w as (key, sign).
 
-def _xpoly_divexact(num, lin, field):
+        (x^a y^b w)* = w^-1 x^b y^a = sign * x^a' y^b' w^-1, and key is
+        (a', b', index of w^-1).
+        """
+        gi = self._inv[g]
+        ge = self._elems[gi]
+        a2, sg1 = ge.apply_exp(b)
+        b2, sg2 = ge.apply_exp(a)
+        return (a2, b2, gi), sg1 * sg2
+
+
+def _bump(e, j):
+    """The exponent tuple e with slot j raised by one."""
+    return e[:j] + (e[j] + 1,) + e[j + 1:]
+
+
+def _xpoly_divexact(num, lin):
     """Divide an x-polynomial by a linear form, requiring zero remainder."""
     # leading variable of the linear form under lex order
-    lead = max(lin, key=lambda e: e)
+    lead = max(lin)
     lc_inv = lin[lead].inv()
     rem = dict(num)
     quo = {}
@@ -214,102 +209,41 @@ def _xpoly_divexact(num, lin, field):
         de = tuple(p - q for p, q in zip(e, lead))
         if any(p < 0 for p in de):
             raise DividedDifferenceError("divided difference is not a polynomial")
-        f = v * lc_inv
-        quo[de] = quo.get(de, field.zero) + f
-        for le, lv in lin.items():
-            ke = tuple(p + q for p, q in zip(de, le))
-            w = rem.get(ke, field.zero) - f * lv
-            if w.is_zero():
-                rem.pop(ke, None)
-            else:
-                rem[ke] = w
-        rem.pop(e, None)
-    return {e: v for e, v in quo.items() if not v.is_zero()}
+        # the leading monomial e falls at every step, so de is new to quo
+        f = quo[de] = v * lc_inv
+        # and the lead term of the linear form cancels e exactly
+        add_into(rem, ((tuple(p + q for p, q in zip(de, le)), -(f * lv))
+                       for le, lv in lin.items() if le != lead))
+    return quo
 
 
-class HElement:
+class HElement(SparseElement):
     """Element of H_{t,c} in PBW normal form x^a y^b w."""
 
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg, terms):
-        self.alg = alg
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
-
-    def _chk(self, o):
-        if self.alg is not o.alg:
-            raise ValueError("elements from different algebra contexts")
-
-    def __add__(self, o):
-        self._chk(o)
-        out = dict(self.terms)
-        for k, v in o.terms.items():
-            w = out.get(k)
-            w = v if w is None else w + v
-            if w.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = w
-        return HElement(self.alg, out)
-
-    def __neg__(self):
-        return HElement(self.alg, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, o):
-        return self + (-o)
+    __slots__ = ()
 
     def __mul__(self, o):
         self._chk(o)
-        out = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in o.terms.items():
-                v12 = v1 * v2
-                for k, cf in self.alg.term_mul(k1, k2):
-                    w = out.get(k)
-                    w = v12 * cf if w is None else w + v12 * cf
-                    if w.is_zero():
-                        out.pop(k, None)
-                    else:
-                        out[k] = w
-        return HElement(self.alg, out)
+        term_mul = self.alg.term_mul
 
-    def scale(self, sc):
-        if not isinstance(sc, Scalar):
-            sc = self.alg.field.rational(sc)
-        return HElement(self.alg, {k: v * sc for k, v in self.terms.items()})
-
-    def commutator(self, o):
-        return self * o - o * self
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, o):
-        return self.alg is o.alg and self.terms == o.terms
+        def terms():
+            for k1, v1 in self.terms.items():
+                for k2, v2 in o.terms.items():
+                    v12 = v1 * v2
+                    for k, cf in term_mul(k1, k2):
+                        yield k, v12 * cf
+        return self._new(add_into({}, terms()))
 
     def star(self):
         """Anti-involution: w -> w^{-1}, x_i <-> y_i, conjugate-linear."""
-        alg = self.alg
-        out = {}
-        for (a, b, g), v in self.terms.items():
-            gi = alg._inv[g]
-            ge = alg._elems[gi]
-            a2, sg1 = ge.apply_exp(b)   # (x^a y^b w)* = w^-1 x^b y^a
-            b2, sg2 = ge.apply_exp(a)
-            k = (a2, b2, gi)
-            vv = v.conjugate()
-            if sg1 * sg2 < 0:
-                vv = -vv
-            w = out.get(k)
-            w = vv if w is None else w + vv
-            if w.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = w
-        return HElement(alg, out)
+        star_key = self.alg.star_key
 
-    def map_scalars(self, f):
-        return HElement(self.alg, {k: f(v) for k, v in self.terms.items()})
+        def term(key, v):
+            key, sgn = star_key(*key)
+            v = v.conjugate()
+            return key, v if sgn > 0 else -v
+        return self._new(add_into({}, (term(k, v)
+                                       for k, v in self.terms.items())))
 
     def poly_degree(self):
         """Max total (x,y)-degree over the support; -1 for zero."""
@@ -317,18 +251,10 @@ class HElement:
             return -1
         return max(sum(a) + sum(b) for (a, b, _g) in self.terms)
 
-    def terms_sorted(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1]))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (a, b, g), v in self.terms_sorted():
-            bits.append(f"({v}) x^{a} y^{b} [w{g}]")
-        return " + ".join(bits)
-
-    __repr__ = __str__
+    @staticmethod
+    def _term(key, v):
+        a, b, g = key
+        return (g, a, b), f"({v}) x^{a} y^{b} [w{g}]"
 
 
 def dunkl_commutator(alg: HAlgebra, j, xexp):

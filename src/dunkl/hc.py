@@ -5,14 +5,17 @@ with Clifford basis elements e_A; the two factors commute.  The Z2-grading
 used by the graded bracket is the Clifford parity |A| mod 2.
 
 The conjugate-linear anti-involution `bullet` acts as the Cherednik star
-(w -> w^{-1}, x_i <-> y_i) on the first factor and as
-e_A -> (-1)^{|A|} reversed(e_A) on the second.
+(w -> w^{-1}, x_i <-> y_i, `HAlgebra.star_key`) on the first factor and as
+e_A -> (-1)^{|A|} reversed(e_A) (`clifford.reversion_sign`) on the second.
+`HCElement` takes its linear operations from `sparse.SparseElement`, and
+its product accumulates through `sparse.add_into`.
 """
 
 from __future__ import annotations
 
-from .scalars import Scalar, Coeff
-from .clifford import basis_sign, mask_str
+from .scalars import Scalar
+from .sparse import SparseElement, add_into
+from .clifford import basis_sign, mask_str, reversion_sign
 from .cherednik import HAlgebra
 from .pin import PinCover
 
@@ -93,65 +96,24 @@ class HCAlgebra:
         return self.rho((self.rd.reflection_index(r_idx), 1))
 
 
-class HCElement:
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg, terms):
-        self.alg = alg
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
-
-    def _chk(self, o):
-        if self.alg is not o.alg:
-            raise ValueError("elements from different algebra contexts")
-
-    def __add__(self, o):
-        self._chk(o)
-        out = dict(self.terms)
-        for k, v in o.terms.items():
-            w = out.get(k)
-            w = v if w is None else w + v
-            if w.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = w
-        return HCElement(self.alg, out)
-
-    def __neg__(self):
-        return HCElement(self.alg, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, o):
-        return self + (-o)
+class HCElement(SparseElement):
+    __slots__ = ()
 
     def __mul__(self, o):
         self._chk(o)
-        h = self.alg.h
-        out = {}
-        for (a1, b1, g1, m1), v1 in self.terms.items():
-            for (a2, b2, g2, m2), v2 in o.terms.items():
-                v12 = v1 * v2
-                m = m1 ^ m2
-                if basis_sign(m1, m2) < 0:
-                    v12 = -v12
-                for (xk, yk, gk), cf in h.term_mul((a1, b1, g1), (a2, b2, g2)):
-                    k = (xk, yk, gk, m)
-                    w = out.get(k)
-                    w = v12 * cf if w is None else w + v12 * cf
-                    if w.is_zero():
-                        out.pop(k, None)
-                    else:
-                        out[k] = w
-        return HCElement(self.alg, out)
+        term_mul = self.alg.h.term_mul
 
-    def scale(self, sc):
-        if not isinstance(sc, Scalar):
-            sc = self.alg.field.rational(sc)
-        return HCElement(self.alg, {k: v * sc for k, v in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, o):
-        return self.alg is o.alg and self.terms == o.terms
+        def terms():
+            for (a1, b1, g1, m1), v1 in self.terms.items():
+                for (a2, b2, g2, m2), v2 in o.terms.items():
+                    v12 = v1 * v2
+                    m = m1 ^ m2
+                    if basis_sign(m1, m2) < 0:
+                        v12 = -v12
+                    for (xk, yk, gk), cf in term_mul((a1, b1, g1),
+                                                     (a2, b2, g2)):
+                        yield (xk, yk, gk, m), v12 * cf
+        return self._new(add_into({}, terms()))
 
     # -- grading -------------------------------------------------------------
     def parity(self):
@@ -162,20 +124,14 @@ class HCElement:
         return ps.pop() if len(ps) == 1 else None
 
     def even_part(self):
-        return HCElement(self.alg, {k: v for k, v in self.terms.items()
-                                    if bin(k[3]).count("1") % 2 == 0})
+        return self._new({k: v for k, v in self.terms.items()
+                          if bin(k[3]).count("1") % 2 == 0})
 
     def odd_part(self):
-        return HCElement(self.alg, {k: v for k, v in self.terms.items()
-                                    if bin(k[3]).count("1") % 2 == 1})
+        return self._new({k: v for k, v in self.terms.items()
+                          if bin(k[3]).count("1") % 2 == 1})
 
     # -- brackets ------------------------------------------------------------
-    def commutator(self, o):
-        return self * o - o * self
-
-    def anticommutator(self, o):
-        return self * o + o * self
-
     def gbracket(self, o):
         """Graded bracket: anticommutator on odd*odd, commutator otherwise."""
         out = self.alg.zero()
@@ -191,48 +147,17 @@ class HCElement:
 
     # -- anti-involution -----------------------------------------------------
     def bullet(self):
-        alg = self.alg
-        h = alg.h
-        out = {}
-        for (a, b, g, m), v in self.terms.items():
-            gi = h._inv[g]
-            ge = h._elems[gi]
-            a2, sg1 = ge.apply_exp(b)
-            b2, sg2 = ge.apply_exp(a)
-            kcount = bin(m).count("1")
-            sgn = sg1 * sg2
-            if (kcount * (kcount + 1) // 2) % 2:
-                sgn = -sgn
-            vv = v.conjugate()
-            if sgn < 0:
-                vv = -vv
-            k = (a2, b2, gi, m)
-            w = out.get(k)
-            w = vv if w is None else w + vv
-            if w.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = w
-        return HCElement(alg, out)
+        star_key = self.alg.h.star_key
 
-    def map_scalars(self, f):
-        return HCElement(self.alg, {k: f(v) for k, v in self.terms.items()})
+        def term(key, v):
+            a, b, g, m = key
+            (a2, b2, gi), sgn = star_key(a, b, g)
+            v = v.conjugate()
+            return (a2, b2, gi, m), v if sgn * reversion_sign(m) > 0 else -v
+        return self._new(add_into({}, (term(k, v)
+                                       for k, v in self.terms.items())))
 
-    def poly_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(a) + sum(b) for (a, b, _g, _m) in self.terms)
-
-    def terms_sorted(self):
-        return sorted(self.terms.items(),
-                      key=lambda kv: (kv[0][3], kv[0][2], kv[0][0], kv[0][1]))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (a, b, g, m), v in self.terms_sorted():
-            bits.append(f"({v}) x^{a} y^{b} [w{g}] {mask_str(m)}")
-        return " + ".join(bits)
-
-    __repr__ = __str__
+    @staticmethod
+    def _term(key, v):
+        a, b, g, m = key
+        return (m, g, a, b), f"({v}) x^{a} y^{b} [w{g}] {mask_str(m)}"

@@ -25,26 +25,8 @@ Q(i, sqrt2) for the algebra layers.
 from __future__ import annotations
 
 from .scalars import _canon
-from .clifford import basis_sign
+from .clifford import cunit_mul
 from .groups import RootDatum
-
-
-def cunit_mul(u, v):
-    """Product of Clifford elements given as {mask: value}, values int or Coeff."""
-    out = {}
-    for ma, va in u.items():
-        for mb, vb in v.items():
-            m = ma ^ mb
-            w = va * vb
-            if basis_sign(ma, mb) < 0:
-                w = -w
-            acc = out.get(m)
-            acc = w if acc is None else acc + w
-            if acc:
-                out[m] = acc
-            else:
-                out.pop(m, None)
-    return out
 
 
 def unit_ratio_sign(u, v):

@@ -10,13 +10,16 @@ Matrices are returned dense as lists of lists, row-major, acting on
 column vectors indexed by (monomial, spinor) pairs with monomials in
 graded-lex order.  One sparse assembly builds them: the spinor matrix of
 each Clifford mask is monomial (one unit i^k per row), so only its
-nonzero entries are visited, and entries accumulate in a
-{(row, col): value} map that is densified once.  `matrix_of` assembles
-over Scalar; `matrix_of_coeff` runs the same assembly over Coeff for
-rational specialisations, converting each scalar of the algebra with
-`constant_value()`, and never builds a Scalar matrix.  One exact row
+nonzero entries are visited, and entries accumulate through
+`sparse.add_into` in a {(row, col): value} map that is densified once.
+`matrix_of` assembles over Scalar; `matrix_of_coeff` runs the same
+assembly over Coeff for rational specialisations, converting each
+scalar of the algebra with `constant_value()`, and never builds a
+Scalar matrix.  One exact row
 reduction, `_rref`, serves `rank_coeff`, `kernel_basis_coeff` and
-`image_basis_coeff`.
+`image_basis_coeff`, and through `rank_coeff` the rank check of
+`admissible.linearly_independent`; it skips zero entries in its row
+operations.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import Scalar, C_ONE, C_ZERO, C_I, _i_power
+from .sparse import add_into
 from .hc import HCAlgebra, HCElement
 
 _X = ((C_ZERO, C_ONE), (C_ONE, C_ZERO))
@@ -190,14 +194,8 @@ class SpinorRep:
                     if ri is None:
                         raise AssertionError("degree bookkeeping failure")
                     cv = coeff * v
-                    for si, sj, u in spin:
-                        key = (ri * sd + si, ci * sd + sj)
-                        w = acc.get(key)
-                        w = cv * u if w is None else w + cv * u
-                        if w.is_zero():
-                            acc.pop(key, None)
-                        else:
-                            acc[key] = w
+                    add_into(acc, (((ri * sd + si, ci * sd + sj), cv * u)
+                                   for si, sj, u in spin))
         zero = lift(C_ZERO)
         mat = [[zero] * (len(src) * sd) for _ in range(len(dst) * sd)]
         for (r, c), v in acc.items():
@@ -232,17 +230,9 @@ def _dunkl_word(h, yexp, polys, value=_same):
     """
     for i in range(h.dim):
         for _ in range(yexp[i]):
-            nxt = {}
-            for e, v in polys.items():
-                for (e2, _g), u in h.ycomm(i, e).items():
-                    u = v * value(u)
-                    w = nxt.get(e2)
-                    w = u if w is None else w + u
-                    if w.is_zero():
-                        nxt.pop(e2, None)
-                    else:
-                        nxt[e2] = w
-            polys = nxt
+            polys = add_into({}, ((e2, v * value(u))
+                                  for e, v in polys.items()
+                                  for (e2, _g), u in h.ycomm(i, e).items()))
             if not polys:
                 return polys
     return polys
@@ -271,11 +261,11 @@ def _rref(rows):
             continue
         m[rank], m[piv] = m[piv], m[rank]
         inv = m[rank][col].inv()
-        m[rank] = [v * inv for v in m[rank]]
+        m[rank] = [v * inv if v else v for v in m[rank]]
         for r in range(len(m)):
             if r != rank and not m[r][col].is_zero():
                 f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+                m[r] = [a - f * b if b else a for a, b in zip(m[r], m[rank])]
         pivots.append(col)
         if len(pivots) == len(m):
             break

@@ -28,6 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .sparse import add_into
+
 _F1 = Fraction(1)
 
 
@@ -98,7 +100,8 @@ class Coeff:
         return not (a or b or c or d)
 
     def __bool__(self):
-        return not self.is_zero()
+        a, b, c, d, _ = self._v
+        return bool(a or b or c or d)
 
     def is_rational(self):
         _, b, c, d, _ = self._v
@@ -189,18 +192,7 @@ def _i_power(n):
 # ---------------------------------------------------------------------------
 
 def poly_add(p, q):
-    out = dict(p)
-    for e, v in q.items():
-        w = out.get(e)
-        if w is None:
-            out[e] = v
-        else:
-            w = w + v
-            if w.is_zero():
-                del out[e]
-            else:
-                out[e] = w
-    return out
+    return add_into(dict(p), q.items())
 
 
 def poly_neg(p):
@@ -219,21 +211,8 @@ def poly_mul(p, q):
                     for e, v in q.items()}
         return {tuple(a + b for a, b in zip(e, m)): v * c
                 for e, v in q.items()}
-    out = {}
-    for e1, v1 in p.items():
-        for e2, v2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            v = v1 * v2
-            w = out.get(e)
-            if w is None:
-                out[e] = v
-            else:
-                w = w + v
-                if w.is_zero():
-                    del out[e]
-                else:
-                    out[e] = w
-    return out
+    return add_into({}, ((tuple(a + b for a, b in zip(e1, e2)), v1 * v2)
+                         for e1, v1 in p.items() for e2, v2 in q.items()))
 
 
 def _grlex_key(e):
@@ -311,6 +290,9 @@ class Scalar:
     # -- predicates ---------------------------------------------------------
     def is_zero(self):
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def is_constant(self):
         return not any(any(e) for e in self.terms)
@@ -391,17 +373,9 @@ class Scalar:
                     powers[k] = power(k + 1) * cf.inv()
             return powers[k]
 
-        out = {}
-        for e, v in self.terms.items():
-            vv = v * power(e[0])
-            e2 = (0,) + e[1:]
-            w = out.get(e2)
-            w = vv if w is None else w + vv
-            if w.is_zero():
-                out.pop(e2, None)
-            else:
-                out[e2] = w
-        return Scalar(out, self.nvars)
+        return Scalar(add_into({}, (((0,) + e[1:], v * power(e[0]))
+                                    for e, v in self.terms.items())),
+                      self.nvars)
 
     # -- identity -----------------------------------------------------------
     def __eq__(self, o):

@@ -28,7 +28,6 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
-from .scalars import Scalar
 from .clifford import pseudo_scalar
 from .hc import HCAlgebra, HCElement
 from .osp import OspRealisation

@@ -1,7 +1,11 @@
 import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import stack
 from dunkl.groups import RootDatum
-from dunkl.hc import HCAlgebra
+from dunkl.hc import HCAlgebra, HCElement
 
 
 def _alg():
@@ -77,3 +81,35 @@ def test_rho_is_projective_lift():
             gh = alg.rd.mul_table[g][h]
             expect = alg.rho((gh, 1 if pc.sigma(g, h) > 0 else -1))
             assert prod == expect
+
+
+def _monomials(alg):
+    """Scalar multiples of x^a y^b w e_A with deg(x^a y^b) <= 2."""
+    F = alg.field
+    d = alg.dim
+
+    def build(variables, g, mask, cf):
+        a, b = [0] * d, [0] * d
+        for is_y, j in variables:
+            (b if is_y else a)[j] += 1
+        return HCElement(alg, {(tuple(a), tuple(b), g, mask): cf})
+    return st.builds(
+        build,
+        st.lists(st.tuples(st.booleans(), st.integers(0, d - 1)), max_size=2),
+        st.integers(0, len(alg.rd.elements) - 1),
+        st.integers(0, (1 << d) - 1),
+        st.sampled_from([F.one, -F.one, F.i, F.s, F.cs[0], F.i * F.cs[-1]]))
+
+
+@pytest.mark.parametrize("group", [("B", 2, 2), ("A1", 2, 2)],
+                         ids=["B2", "A1^2"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_random_monomial_products(group, data):
+    # straightening, the Clifford sign and bullet on random symbolic
+    # PBW (x) Clifford monomials
+    alg = stack(*group).alg
+    a, b, c = (data.draw(_monomials(alg)) for _ in range(3))
+    assert (a * b) * c == a * (b * c)
+    assert (a * b).bullet() == b.bullet() * a.bullet()
+    assert a.bullet().bullet() == a

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dunkl import scalars
 from dunkl.cli import Runner
+from dunkl.sparse import add_into
 from dunkl.scalars import (Coeff, Scalar, ScalarField, C_ZERO, C_ONE, C_I,
                            C_R, NonMonomialDenominatorError, _i_power)
 
@@ -385,6 +386,27 @@ def test_equal_laurent_values_are_equal_objects(x, y, m1, m2):
     for a, b in pairs:
         assert a.terms == b.terms
         assert hash(a) == hash(b)
+
+
+# -- the shared accumulator ------------------------------------------------------
+
+@pytest.mark.parametrize("one", [1, C_ONE, F2.one], ids=["int", "Coeff", "Scalar"])
+def test_add_into_drops_exact_cancellations(one):
+    two = one + one
+    out = {"a": one, "b": two}
+    pairs = [("a", -one), ("b", one), ("c", -two), ("c", two), ("a", two),
+             ("d", one - one), ("e", -one)]
+    assert add_into(out, pairs) is out
+    assert out == {"a": two, "b": two + one, "e": -one}
+
+
+@given(laurent, coeffs)
+@settings(max_examples=60, deadline=None)
+def test_truth_value_is_false_exactly_at_zero(x, cf):
+    assert bool(x) is (x != F2.zero)
+    assert not x - x
+    assert bool(cf) is (cf != C_ZERO)
+    assert not cf - cf
 
 
 # -- printing -------------------------------------------------------------------
