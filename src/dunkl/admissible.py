@@ -13,13 +13,14 @@ epsilon-centre is the solution space of
 which in coordinates pairs a_{w g w^-1} with a_g up to an explicit sign;
 the solver walks these sign chains per conjugacy class and reports the
 classes where the chain is consistent.  Products, bullets and class sums
-accumulate through `sparse.add_into`; `linearly_independent` densifies
-its vectors and calls `polyspinor.rank_coeff`, the one elimination.
+accumulate through `sparse.add_into`; `linearly_independent` passes the
+sparse vectors as they are to `polyspinor.rank_coeff`, the one
+elimination.
 """
 
 from __future__ import annotations
 
-from .scalars import Coeff, C_ONE, C_ZERO, C_I, _i_power, Scalar
+from .scalars import Coeff, C_ONE, C_I, _i_power, Scalar
 from .sparse import add_into
 from .clifford import reversion_sign
 from .pin import PinCover, unit_ratio_sign
@@ -44,13 +45,8 @@ class CoverAlgebra:
         self._star_sign = None
         self._basis = None
 
-    def epsilon(self, g_idx):
-        if self.d % 2 == 1:
-            return 1
-        return -1 if self.pin.parity(g_idx) else 1
-
-    def basis_vector(self, g_idx, cf=C_ONE):
-        return {g_idx: cf}
+    def basis_vector(self, g_idx):
+        return {g_idx: C_ONE}
 
     def mul(self, a, b):
         """Product using rho(g) rho(h) = sigma(g, h) rho(gh)."""
@@ -114,7 +110,7 @@ class CoverAlgebra:
             s = self.rd.reflection_index(r_idx)
             rs = self.basis_vector(s)
             lhs = self.mul(a, rs)
-            rhs = vec_scale(self.mul(rs, a), Coeff(self.epsilon(s)))
+            rhs = vec_scale(self.mul(rs, a), Coeff(self.pin.epsilon(s)))
             if lhs != rhs:
                 return False
         return True
@@ -145,7 +141,7 @@ class CoverAlgebra:
                 for g in frontier:
                     for s in gens:
                         h = tbl[tbl[s][g]][inv[s]]
-                        sgn = (self.epsilon(s) * pc.conj_sign(s, g) * sign[g])
+                        sgn = (pc.epsilon(s) * pc.conj_sign(s, g) * sign[g])
                         if h in sign:
                             if sign[h] != sgn:
                                 consistent = False
@@ -239,8 +235,10 @@ class CoverAlgebra:
 
 def linearly_independent(vectors, n):
     """Rank over Q(i, sqrt2) of {g: Coeff} vectors with g < n, by
-    `polyspinor.rank_coeff` on their dense rows."""
-    rows = [[v.get(g, C_ZERO) for g in range(n)] for v in vectors if v]
+    `polyspinor.rank_coeff` on the nonzero vectors as sparse rows; the
+    elimination touches only their support, so `n` bounds the keys but
+    is not read."""
+    rows = [v for v in vectors if v]
     rank = rank_coeff(rows)
     return rank == len(rows), rank
 

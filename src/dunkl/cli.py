@@ -32,19 +32,12 @@ from .tama import Tama
 from .admissible import CoverAlgebra, linearly_independent, \
     sn_partition_predictions
 from .polyspinor import (SpinorRep, HermitianForm, cohomology_dims,
-                         spinor_matrices, _mat_mul_coeff, _mat_mul_scalar,
-                         kernel_basis_coeff)
+                         spinor_matrices, _mat_mul_coeff, kernel_basis_coeff)
 from .scalars import C_R, C_ONE, C_ZERO
 
 SCHEMA_VERSION = 1
 SUITES = ("osp", "relations", "centre", "vogan", "admissible",
           "cohomology", "filtration")
-
-RELATION_ORDER = (
-    "r21-cyclic", "r31-alt", "r22-shared", "r22-shared-literal",
-    "r22-disjoint", "r23-disjoint", "r23-shared1", "r23-shared2",
-    "r33-equal", "r33-shared2", "r33-shared1", "r33-disjoint",
-)
 
 
 # Limits checked before anything is allocated.  The multiplication table
@@ -289,7 +282,7 @@ def suite_osp(ctx: Context, run: Runner):
 
 def suite_relations(ctx: Context, run: Runner):
     tm = ctx.tama
-    for name in RELATION_ORDER:
+    for name in Tama.RELATIONS:
         tuples = tm.relation_index_tuples(name)
         if not tuples:
             run.skip("relations", name, f"generator relation {name}",
@@ -404,8 +397,7 @@ def suite_vogan(ctx: Context, run: Runner):
     for entry in entries:
         label = entry["label"]
         rho_omega = ctx.cover.to_hc(alg, entry["adjusted"])
-        eps = 1 if ctx.rd.dim % 2 == 1 else (-1 if entry["parity"] else 1)
-        results = tm.dirac_checks(rho_omega, eps)
+        results = tm.dirac_checks(rho_omega, alg.pin.epsilon(entry["rep"]))
         for key, ok in results.items():
             run.check("vogan", f"{key}-{label}",
                       f"dirac identity {key} for admissible class {label}",
@@ -511,21 +503,18 @@ def suite_cohomology(ctx: Context, run: Runner):
     def cliff_rel():
         mats = spinor_matrices(d)
         sz = len(mats[0])
-        ident = tuple(tuple(C_ONE if i == j else C_ZERO for j in range(sz))
-                      for i in range(sz))
+        ident = [[C_ONE if i == j else C_ZERO for j in range(sz)]
+                 for i in range(sz)]
         for a in range(d):
-            for b in range(a, d):
+            if _mat_mul_coeff(mats[a], mats[a]) != ident:
+                return "fail", f"e_{a+1}^2 != 1", None
+            for b in range(a + 1, d):
                 p = _mat_mul_coeff(mats[a], mats[b])
                 q = _mat_mul_coeff(mats[b], mats[a])
-                want = ident if a == b else None
-                if a == b:
-                    if p != want:
-                        return "fail", f"e_{a+1}^2 != 1", None
-                else:
-                    s = [[x + y for x, y in zip(r1, r2)]
-                         for r1, r2 in zip(p, q)]
-                    if any(not v.is_zero() for row in s for v in row):
-                        return "fail", f"e_{a+1} e_{b+1} not anticommuting", None
+                s = [[x + y for x, y in zip(r1, r2)]
+                     for r1, r2 in zip(p, q)]
+                if any(not v.is_zero() for row in s for v in row):
+                    return "fail", f"e_{a+1} e_{b+1} not anticommuting", None
         return "pass", None, None
     run.check("cohomology", "spinor-clifford-relations",
               "spinor matrices satisfy the clifford relations", cliff_rel)
@@ -541,7 +530,7 @@ def suite_cohomology(ctx: Context, run: Runner):
             Ma, _ = rep.matrix_of(a, deg0)
             Mb, _ = rep.matrix_of(b, deg0)
             Mab, _ = rep.matrix_of(a * b, deg0)
-            if _mat_mul_scalar(Ma, Mb, F.zero) != Mab:
+            if _mat_mul_coeff(Ma, Mb, F.zero) != Mab:
                 return "fail", "matrix_of(a b) != matrix_of(a) matrix_of(b)", None
         return "pass", None, None
     run.check("cohomology", "representation-property",
@@ -555,7 +544,7 @@ def suite_cohomology(ctx: Context, run: Runner):
     def dsq(k):
         MD, _ = rep.matrix_of(D, k)
         MO, _ = rep.matrix_of(Om, k)
-        if _mat_mul_scalar(MD, MD, F.zero) == MO:
+        if _mat_mul_coeff(MD, MD, F.zero) == MO:
             return "pass", None, None
         return "fail", f"degree {k} matrix identity fails", None
     for k in range(max_deg + 1):
@@ -567,11 +556,10 @@ def suite_cohomology(ctx: Context, run: Runner):
         MD, _ = rep.matrix_of(D, deg0)
         for r_idx in range(len(ctx.rd.positive_roots)):
             g = ctx.rd.reflection_index(r_idx)
-            eps = 1 if d % 2 == 1 else (-1 if alg.pin.parity(g) else 1)
             Mr, _ = rep.matrix_of(alg.rho((g, 1)), deg0)
-            lhs = _mat_mul_scalar(MD, Mr, F.zero)
-            rhs = _mat_mul_scalar(Mr, MD, F.zero)
-            if eps < 0:
+            lhs = _mat_mul_coeff(MD, Mr, F.zero)
+            rhs = _mat_mul_coeff(Mr, MD, F.zero)
+            if alg.pin.epsilon(g) < 0:
                 rhs = [[-v for v in row] for row in rhs]
             if lhs != rhs:
                 return "fail", f"reflection {r_idx}", None

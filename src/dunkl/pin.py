@@ -121,6 +121,13 @@ class PinCover:
         """Z2-grading of the lift: 0 for even, 1 for odd."""
         return 0 if self.rd.elements[g_idx].det == 1 else 1
 
+    def epsilon(self, g_idx):
+        """epsilon(rho(w~)) for a lift w~ of g: 1 when d is odd and
+        (-1)^{|w~|} when d is even."""
+        if self.rd.dim % 2 == 1:
+            return 1
+        return -1 if self.parity(g_idx) else 1
+
     def sigma(self, g, h):
         """Cocycle sign: u(g) u(h) = sigma(g, h) u(g h)."""
         key = (g, h)

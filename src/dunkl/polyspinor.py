@@ -15,11 +15,16 @@ nonzero entries are visited, and entries accumulate through
 `matrix_of` assembles over Scalar; `matrix_of_coeff` runs the same
 assembly over Coeff for rational specialisations, converting each
 scalar of the algebra with `constant_value()`, and never builds a
-Scalar matrix.  One exact row
-reduction, `_rref`, serves `rank_coeff`, `kernel_basis_coeff` and
-`image_basis_coeff`, and through `rank_coeff` the rank check of
-`admissible.linearly_independent`; it skips zero entries in its row
-operations.
+Scalar matrix.  `_mat_mul_coeff` is the one matrix product, over
+Coeff or Scalar, and skips zero factors.
+
+One exact elimination, `_rref`, a sparse Gauss-Jordan reduction on
+{col: Coeff} rows, serves `rank_coeff`, `kernel_basis_coeff`,
+`image_basis_coeff`, `intersection_dim`, the leading minors of
+`HermitianForm.leading_minor_signs` through the determinant it returns,
+and through `rank_coeff` the rank check of
+`admissible.linearly_independent`, which passes its sparse vectors as
+they are.
 """
 
 from __future__ import annotations
@@ -45,16 +50,12 @@ def _kron(a, b):
     )
 
 
-def _mat_mul_coeff(a, b):
-    n = len(a)
-    return tuple(
-        tuple(_sum_c(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+def _mat_mul_coeff(a, b, zero=C_ZERO):
+    """Dense product of Coeff or Scalar matrices as list rows.
 
-
-def _mat_mul_scalar(a, b, zero):
-    """Dense product of Scalar matrices; zero factors are skipped."""
+    Zero factors are skipped; `zero` is the zero of the entries' ring
+    (`F.zero` for Scalar matrices).
+    """
     out = []
     for row in a:
         acc = [zero] * len(b[0])
@@ -66,13 +67,6 @@ def _mat_mul_scalar(a, b, zero):
                     acc[j] = acc[j] + v * u
         out.append(acc)
     return out
-
-
-def _sum_c(it):
-    acc = C_ZERO
-    for v in it:
-        acc = acc + v
-    return acc
 
 
 def spinor_matrices(d):
@@ -241,65 +235,75 @@ def _dunkl_word(h, yexp, polys, value=_same):
 # -- exact linear algebra over Coeff ----------------------------------------
 
 def _rref(rows):
-    """Reduced row echelon form of a Coeff matrix, on a copy.
+    """Sparse Gauss-Jordan elimination of Coeff rows, dense or {col: Coeff}.
 
-    Returns (rows, pivots): pivot row r has a 1 in column pivots[r] and
-    zeros in the other pivot columns; the rows after len(pivots) are zero.
+    The reduced rows are built one input row at a time.  Each row is
+    reduced against the pivot rows so far, which have a 1 in their own
+    pivot column and zeros in the others; a nonzero remainder takes its
+    first column as a new pivot, is normalised, and is eliminated from
+    the earlier pivot rows.  Returns (pivots, det): `pivots` maps each
+    pivot column to its row {col: Coeff} of the reduced row echelon
+    form, and `det`, for a square matrix, is its determinant: the sign
+    of the permutation row -> pivot column times the product of the
+    pivots taken before normalisation, or zero when a row reduces to
+    zero.
     """
-    m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    pivots = []
-    for col in range(len(m[0])):
-        rank = len(pivots)
-        piv = None
-        for r in range(rank, len(m)):
-            if not m[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
+    pivots = {}
+    det = C_ONE
+    for row in rows:
+        if not isinstance(row, dict):
+            row = {c: v for c, v in enumerate(row) if not v.is_zero()}
+        r = dict(row)
+        for p, f in row.items():
+            prow = pivots.get(p)
+            if prow is not None:
+                f = -f
+                add_into(r, ((c, f * v) for c, v in prow.items()))
+        if not r:
+            det = C_ZERO
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][col].inv()
-        m[rank] = [v * inv if v else v for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and not m[r][col].is_zero():
-                f = m[r][col]
-                m[r] = [a - f * b if b else a for a, b in zip(m[r], m[rank])]
-        pivots.append(col)
-        if len(pivots) == len(m):
-            break
-    return m, pivots
+        col = min(r)
+        piv = r[col]
+        det = det * piv
+        if sum(q > col for q in pivots) % 2:
+            det = -det
+        inv = piv.inv()
+        r = {c: v * inv for c, v in r.items()}
+        for prow in pivots.values():
+            f = prow.get(col)
+            if f is not None:
+                f = -f
+                add_into(prow, ((c, f * v) for c, v in r.items()))
+        pivots[col] = r
+    return pivots, det
 
 
 def rank_coeff(rows):
-    """Rank of a list-of-lists Coeff matrix."""
-    return len(_rref(rows)[1])
+    """Rank of Coeff rows, dense lists or {col: Coeff} dicts."""
+    return len(_rref(rows)[0])
 
 
 def kernel_basis_coeff(mat):
     """Basis of the right kernel of a Coeff matrix (rows x cols)."""
     if not mat:
         return []
-    m, pivots = _rref(mat)
+    pivots = _rref(mat)[0]
     ncols = len(mat[0])
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         vec = [C_ZERO] * ncols
         vec[fc] = C_ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -m[r][fc]
+        for pc, row in pivots.items():
+            vec[pc] = -row.get(fc, C_ZERO)
         basis.append(vec)
     return basis
 
 
 def image_basis_coeff(mat):
-    """Basis of the column space (as vectors)."""
-    if not mat:
-        return []
+    """Basis of the column space, as {row index: Coeff} vectors."""
     # the nonzero rows of the row-reduced transpose
-    m, pivots = _rref(list(map(list, zip(*mat))))
-    return m[:len(pivots)]
+    pivots = _rref(zip(*mat))[0]
+    return [pivots[c] for c in sorted(pivots)]
 
 
 def intersection_dim(basis_a, basis_b):
@@ -352,7 +356,7 @@ class HermitianForm:
         d = rep.d
         if d % 2 == 0 and d > 0:
             fac = [_Z] * (d // 2)
-            m = fac[0] if fac else ((C_ONE,),)
+            m = fac[0]
             for f in fac[1:]:
                 m = _kron(m, f)
             self.spin_form = m
@@ -418,7 +422,7 @@ class HermitianForm:
                     for i in range(len(mat[0]))]
 
         def mm(a, b):
-            return _mat_mul_scalar(a, b, F.zero)
+            return _mat_mul_coeff(a, b, F.zero)
 
         Gk = self.gram(degree)
         Gk1 = self.gram(degree + 1)
@@ -464,37 +468,13 @@ class HermitianForm:
             rr = []
             for v in row:
                 cv = v.substitute_s(s_value).substitute(point).constant_value()
-                if not (cv.b == 0 and cv.c == 0 and cv.d == 0):
+                if not cv.is_rational():
                     raise ValueError("non-rational Gram entry at this point")
-                rr.append(cv.a)
+                rr.append(cv)
             num.append(rr)
         signs = []
         for k in range(1, n + 1):
-            det = _det_fraction([r[:k] for r in num[:k]])
+            det = _rref([r[:k] for r in num[:k]])[1].a
             signs.append(0 if det == 0 else (1 if det > 0 else -1))
         return signs
 
-
-def _det_fraction(m):
-    """Exact determinant of a Fraction matrix by fraction-free elimination."""
-    n = len(m)
-    a = [[Fraction(v) for v in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det

@@ -13,13 +13,14 @@ together with the diagonal cover embedding rho(W~).  The normalisation of
 Ocheck_j is pinned by the requirement Ocheck_j = -(t/2) P(e_j) with
 P = Id - ad(F-) ad(F+); this is checked in the suites rather than assumed.
 
-Higher generators O_A are obtained from antisymmetrised products of the
-low ones; the closed-form expansion
+Higher generators O_A (|A| >= 4) are built from the closed-form
+expansion
 
-    O_A = ((|A|-1) t/2 + sum_a Ocheck_a e_a + sum_{a<b} M_ab e_ab) e_A
+    O_A = ((|A|-1) t/2 + sum_a Ocheck_a e_a - sum_{a<b} M_ab e_ab) e_A,
 
-is also provided with both readings of the sign of the M-term, so the
-suites can record which one is consistent.
+whose M-term sign is the one that agrees with -(t/2) P(e_A); at t = 1
+they also equal antisymmetrised products of the low ones, which the
+relation suite checks.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class Tama:
             return self._O3(*idxs)
         # |A| >= 4: closed-form expansion (agrees with -(t/2)P(e_A); the
         # antisymmetrised product reconstructions hold only at t = 1)
-        return self.O_closed_form(idxs, m_term_sign=-1)
+        return self.O_closed_form(idxs)
 
     def _O2(self, i, j):
         alg = self.alg
@@ -130,9 +131,8 @@ class Tama:
                 - self.ocheck(j) * ei * ek
                 + self.ocheck(k) * ei * ej)
 
-    def O_closed_form(self, idxs, m_term_sign=1):
-        """The closed-form O_A expansion; m_term_sign picks the reading of
-        the M_ab e_ab term (the displayed sign is suspect for |A| = 2)."""
+    def O_closed_form(self, idxs):
+        """The closed-form O_A expansion of the module docstring."""
         idxs = tuple(sorted(idxs))
         alg = self.alg
         F = alg.field
@@ -142,8 +142,7 @@ class Tama:
         for a in idxs:
             acc = acc + self.ocheck(a) * alg.e(a)
         for a, b in combinations(idxs, 2):
-            term = self.M(a, b) * alg.e(a) * alg.e(b)
-            acc = acc + (term if m_term_sign > 0 else -term)
+            acc = acc - self.M(a, b) * alg.e(a) * alg.e(b)
         return acc * eA
 
     def project_O(self, idxs):
@@ -211,12 +210,6 @@ class Tama:
         """D = Gamma * Scasimir."""
         return self.gamma_element() * self.osp.scasimir
 
-    def epsilon_of(self, pair):
-        """epsilon(rho(w~)): 1 for odd d, (-1)^{|w~|} for even d."""
-        if self.d % 2 == 1:
-            return 1
-        return -1 if self.alg.pin.parity(pair[0]) else 1
-
     def centre_candidates(self):
         """Candidate generators of the graded centre, with labels."""
         alg = self.alg
@@ -235,7 +228,7 @@ class Tama:
             ]
         return out
 
-    def graded_central_in_tama(self, z, index_tuples=None):
+    def graded_central_in_tama(self, z):
         """Graded-commutation of z with rho(s~), O_ij, O_ijk; returns failures."""
         alg = self.alg
         fails = []
@@ -244,9 +237,6 @@ class Tama:
                 fails.append(f"rho(s~_{r_idx})")
         pairs = list(combinations(range(1, self.d + 1), 2))
         triples = list(combinations(range(1, self.d + 1), 3))
-        if index_tuples is not None:
-            pairs = [t for t in pairs if t in index_tuples]
-            triples = [t for t in triples if t in index_tuples]
         for tup in pairs + triples:
             if not z.gbracket(self.O(tup)).is_zero():
                 fails.append(f"O_{tup}")
@@ -337,9 +327,15 @@ class Tama:
                     - acom(oc(k), O((i, j, l, m, n))))
         raise ValueError(f"unknown relation {name!r}")
 
-    RELATION_ARITY = {
-        "r21-cyclic": 3, "r31-alt": 4, "r22-shared": 3, "r22-shared-literal": 3, "r22-disjoint": 4, "r23-disjoint": 5,
-        "r23-shared1": 4, "r23-shared2": 3, "r33-equal": 3, "r33-shared2": 4, "r33-shared1": 5, "r33-disjoint": 6,
+    # the relations in report order, each with its block structure: the
+    # runs of index positions that are interchangeable; the arity is the
+    # sum of the blocks
+    RELATIONS = {
+        "r21-cyclic": (3,), "r31-alt": (4,), "r22-shared": (1, 1, 1),
+        "r22-shared-literal": (1, 1, 1), "r22-disjoint": (2, 2),
+        "r23-disjoint": (2, 3), "r23-shared1": (1, 1, 2),
+        "r23-shared2": (2, 1), "r33-equal": (3,), "r33-shared2": (2, 2),
+        "r33-shared1": (1, 2, 2), "r33-disjoint": (3, 3),
     }
 
     def relation_index_tuples(self, name):
@@ -349,16 +345,9 @@ class Tama:
         enumerate increasing tuples per block.
         """
         d = self.d
-        arity = self.RELATION_ARITY[name]
-        if arity > d:
+        blocks = self.RELATIONS[name]
+        if sum(blocks) > d:
             return []
-        # block structure: which index positions are interchangeable
-        blocks = {
-            "r21-cyclic": [3], "r31-alt": [4], "r22-shared": [1, 1, 1], "r22-shared-literal": [1, 1, 1],
-            "r22-disjoint": [2, 2],
-            "r23-disjoint": [2, 3], "r23-shared1": [1, 1, 2], "r23-shared2": [2, 1], "r33-equal": [3],
-            "r33-shared2": [2, 2], "r33-shared1": [1, 2, 2], "r33-disjoint": [3, 3],
-        }[name]
         pool = range(1, d + 1)
         out = []
 
@@ -447,7 +436,7 @@ class Tama:
         fails = []
         for g in range(len(alg.rd.elements)):
             r = alg.rho((g, 1))
-            eps = self.epsilon_of((g, 1))
+            eps = alg.pin.epsilon(g)
             res = D * r - r.scale(alg.field.rational(eps)) * D
             if not res.is_zero():
                 fails.append(g)

@@ -1,8 +1,14 @@
-"""Lint: every module-level import in `src/dunkl` is used.
+"""Lint: every module-level import in `src/dunkl` is used, and so is
+every module-level private function.
 
 A name bound by a top-level `import` or `from ... import` counts as used
 when the module reads it anywhere, or, in `__init__.py`, when `__all__`
 lists it.  `from __future__` imports are compiler directives and exempt.
+
+A top-level `def _name` counts as used when some module of `src/dunkl`
+refers to it outside its own body: as a name, an attribute or an
+imported name.  So a change that removes the last caller of a helper
+must remove the helper too.
 """
 
 import ast
@@ -35,10 +41,52 @@ def unused_imports(source):
                   if name not in read)
 
 
+def _references(tree, skip=None):
+    """Names `tree` refers to, outside the node `skip`."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def orphan_private_functions(sources):
+    """(module, name) of each top-level `def _name` in {module: source}
+    that no module refers to outside the function's own body."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    everywhere = {mod: _references(tree) for mod, tree in trees.items()}
+    orphans = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            name = getattr(node, "name", "")
+            if not (isinstance(node, ast.FunctionDef)
+                    and name.startswith("_") and not name.startswith("__")):
+                continue
+            elsewhere = any(name in refs for other, refs in everywhere.items()
+                            if other != mod)
+            if not elsewhere and name not in _references(tree, skip=node):
+                orphans.append((mod, name))
+    return sorted(orphans)
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_no_orphan_private_functions():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert orphan_private_functions(sources) == []
 
 
 def test_lint_sees_unused_and_exported_names():
@@ -47,3 +95,19 @@ def test_lint_sees_unused_and_exported_names():
            "__all__ = ['lcm']\n"
            "def f():\n    return os.sep\n")
     assert unused_imports(src) == [(3, "gcd")]
+
+
+def test_lint_sees_orphan_private_functions():
+    sources = {
+        "a.py": ("def _called():\n    pass\n"
+                 "def _imported():\n    pass\n"
+                 "def _read_as_attribute():\n    pass\n"
+                 "def _recursive_only(n):\n    return _recursive_only(n)\n"
+                 "def _orphan():\n    pass\n"
+                 "def __dunder__():\n    pass\n"
+                 "def f():\n    return _called()\n"),
+        "b.py": ("import a\nfrom a import _imported\n"
+                 "def g():\n    return a._read_as_attribute, _imported\n"),
+    }
+    assert orphan_private_functions(sources) == [
+        ("a.py", "_orphan"), ("a.py", "_recursive_only")]

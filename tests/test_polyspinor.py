@@ -1,7 +1,8 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dunkl.groups import RootDatum
 from dunkl.hc import HCAlgebra
@@ -11,7 +12,7 @@ from dunkl.polyspinor import (spinor_matrices, monomial_basis, SpinorRep,
                               HermitianForm, cohomology_dims,
                               rank_coeff, kernel_basis_coeff,
                               image_basis_coeff, intersection_dim,
-                              _mat_mul_coeff)
+                              _mat_mul_coeff, _rref)
 from dunkl.scalars import C_ONE, C_ZERO, C_R, Coeff
 
 
@@ -20,8 +21,8 @@ def test_spinor_matrix_clifford_relations():
         mats = spinor_matrices(d)
         n = len(mats[0])
         assert n == 1 << (d // 2)
-        ident = tuple(tuple(C_ONE if i == j else C_ZERO for j in range(n))
-                      for i in range(n))
+        ident = [[C_ONE if i == j else C_ZERO for j in range(n)]
+                 for i in range(n)]
         for a in range(d):
             assert _mat_mul_coeff(mats[a], mats[a]) == ident
             for b in range(a + 1, d):
@@ -163,6 +164,76 @@ def test_elimination_helpers_agree(mat):
     assert intersection_dim(im, im) == rank
 
 
+def leibniz_det(m):
+    """Reference determinant: the signed sum over all permutations."""
+    n = len(m)
+    total = C_ZERO
+    for perm in permutations(range(n)):
+        term = C_ONE
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+# zero-heavy entries, so that leading pivots vanish, rows must be
+# swapped and matrices are often singular
+_rational_entries = st.one_of(
+    st.just(C_ZERO), st.just(C_ZERO),
+    st.builds(lambda p, q: Coeff(Fraction(p, q)),
+              st.integers(-3, 3), st.integers(1, 3)))
+_field_entries = st.one_of(
+    st.just(C_ZERO), st.just(C_ZERO),
+    st.builds(Coeff, st.integers(-2, 2), st.integers(-1, 1),
+              st.integers(-1, 1), st.integers(-1, 1)))
+
+
+def _square(entries):
+    return st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def _dense(rows):
+    return [[Coeff(v) for v in row] for row in rows]
+
+
+_SWAP = _dense([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+_CYCLE = _dense([[0, 0, 2], [3, 0, 0], [0, 5, 0]])
+_ZERO_LEAD = _dense([[0, 2, 1], [4, 1, 0], [1, 0, 3]])
+_SINGULAR = _dense([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+
+
+@given(_square(_rational_entries))
+@example(_SWAP)
+@example(_CYCLE)
+@example(_ZERO_LEAD)
+@example(_SINGULAR)
+@settings(max_examples=80, deadline=None)
+def test_rref_determinant_matches_leibniz_rational(mat):
+    assert _rref(mat)[1] == leibniz_det(mat)
+
+
+@given(_square(_field_entries))
+@settings(max_examples=60, deadline=None)
+def test_rref_determinant_matches_leibniz_field(mat):
+    det = leibniz_det(mat)
+    assert _rref(mat)[1] == det
+    sparse = [{c: v for c, v in enumerate(row) if v} for row in mat]
+    assert _rref(sparse)[1] == det
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(_field_entries, min_size=n, max_size=n), min_size=0,
+    max_size=5)))
+@settings(max_examples=60, deadline=None)
+def test_rank_of_dict_rows_equals_rank_of_dense_rows(mat):
+    sparse = [{c: v for c, v in enumerate(row) if v} for row in mat]
+    assert rank_coeff(sparse) == rank_coeff(mat)
+    assert _rref(sparse)[0] == _rref(mat)[0]
+
+
 def test_exact_linear_algebra_helpers():
     one, two = Coeff(1), Coeff(2)
     zero = Coeff(0)
@@ -227,3 +298,15 @@ def test_even_dimension_spinor_form_indefinite():
     hf = HermitianForm(rep)
     signs = hf.leading_minor_signs(0, C_R, [0, 0])
     assert -1 in signs
+
+
+def test_leading_minor_signs_report_zero_minors():
+    # <x, x> = t - 2c vanishes at t = 1, c = 1/2
+    rep = SpinorRep(HCAlgebra(RootDatum("A1", 1, 1)))
+    assert HermitianForm(rep).leading_minor_signs(1, C_R, [Fraction(1, 2)]) \
+        == [0]
+    # zero leading minors ahead of a nonzero one: the elimination must
+    # swap past a vanishing leading pivot
+    rep = SpinorRep(HCAlgebra(RootDatum("B", 2, 2)))
+    assert HermitianForm(rep).leading_minor_signs(2, C_R, [1, 1]) \
+        == [0, 0, 0, 0, 0, -1]
