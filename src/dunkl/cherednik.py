@@ -56,6 +56,12 @@ class HAlgebra:
         self._straighten_memo = {}
         self._ycomm_memo = {}
 
+    @property
+    def rational(self):
+        """True when s and every c_k are rational constants."""
+        return self.s.is_constant() and all(c.is_constant()
+                                            for c in self.c_orbit)
+
     # -- element constructors -----------------------------------------------
     def zero(self):
         return HElement(self, {})

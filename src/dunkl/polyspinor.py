@@ -8,15 +8,14 @@ the i^k-scaled product of all even-dimension generators).
 
 Matrices are returned dense as lists of lists, row-major, acting on
 column vectors indexed by (monomial, spinor) pairs with monomials in
-graded-lex order.  One sparse assembly builds them: the spinor matrix of
-each Clifford mask is monomial (one unit i^k per row), so only its
-nonzero entries are visited, and entries accumulate through
-`sparse.add_into` in a {(row, col): value} map that is densified once.
-`matrix_of` assembles over Scalar; `matrix_of_coeff` runs the same
-assembly over Coeff for rational specialisations, converting each
-scalar of the algebra with `constant_value()`, and never builds a
-Scalar matrix.  `_mat_mul_coeff` is the one matrix product, over
-Coeff or Scalar, and skips zero factors.
+graded-lex order.  `SpinorRep` fixes their entry ring once per context:
+Coeff when every parameter is rational, Scalar otherwise.  One sparse
+assembly, `matrix_of`, builds them: the spinor matrix of each Clifford
+mask is monomial (one unit i^k per row), so only its nonzero entries
+are visited, and entries accumulate through `sparse.add_into` in a
+{(row, col): value} map that is densified once.  `matrix_of_coeff` is
+`matrix_of` guarded to rational contexts.  `_mat_mul_coeff` is the one
+matrix product, over Coeff or Scalar, and skips zero factors.
 
 One exact elimination, `_rref`, a sparse Gauss-Jordan reduction on
 {col: Coeff} rows, serves `rank_coeff`, `kernel_basis_coeff`,
@@ -72,7 +71,6 @@ def _mat_mul_coeff(a, b, zero=C_ZERO):
 def spinor_matrices(d):
     """Exact matrices for e_1..e_d of size 2^{floor(d/2)} over Q(i)."""
     k = d // 2
-    size_factors = [_I2] * k
     mats = []
     for i in range(k):
         for pauli in (_X, _Y):
@@ -109,7 +107,13 @@ def monomial_basis(d, degree):
 
 
 class SpinorRep:
-    """Representation context for one HCAlgebra."""
+    """Representation context for one HCAlgebra.
+
+    The entry ring of every matrix is decided here, once: Coeff when s
+    and every c_k are rational (`HAlgebra.rational`), Scalar otherwise.
+    `lift` embeds a Coeff (a spinor entry) into that ring and `value`
+    maps a Scalar of the algebra into it; `zero` and `one` are its units.
+    """
 
     def __init__(self, alg: HCAlgebra):
         self.alg = alg
@@ -117,6 +121,14 @@ class SpinorRep:
         self.spin = spinor_matrices(self.d)
         self.spin_dim = 1 << (self.d // 2)
         self._bases = {}
+        if alg.h.rational:
+            self.lift, self.value = _same, Scalar.constant_value
+        else:
+            nvars = alg.field.nvars
+            self.lift, self.value = (lambda cf: Scalar.from_coeff(cf, nvars),
+                                     _same)
+        self.zero = self.lift(C_ZERO)
+        self.one = self.lift(C_ONE)
 
     def basis(self, degree):
         b = self._bases.get(degree)
@@ -142,28 +154,29 @@ class SpinorRep:
         return [(si, sj, v) for si, row in enumerate(m)
                 for sj, v in enumerate(row) if not v.is_zero()]
 
-    def _apply_poly_part(self, xexp, yexp, g_idx, mono, one, value):
+    def _apply_poly_part(self, xexp, yexp, g_idx, mono):
         """Action of x^a y^b w on the monomial x^mono.
 
-        Returns {result_monomial: entry}, entries in the ring of `one`
-        (see `_assemble`); w substitutes, y^b applies Dunkl operators, x^a
-        multiplies.
+        Returns {result_monomial: entry}, entries in the rep's ring; w
+        substitutes, y^b applies Dunkl operators, x^a multiplies.
         """
         img, sgn = self.alg.h._elems[g_idx].apply_exp(mono)
         polys = _dunkl_word(self.alg.h, yexp,
-                           {img: one if sgn > 0 else -one}, value)
+                           {img: self.one if sgn > 0 else -self.one},
+                           self.value)
         if any(xexp):
             polys = {tuple(a + b for a, b in zip(e, xexp)): v
                      for e, v in polys.items()}
         return polys
 
-    def _assemble(self, elem, degree, lift, value):
-        """Matrix of `elem` with entries in one ring: Scalar or Coeff.
+    def matrix_of(self, elem: HCElement, degree):
+        """Matrix of `elem` from C[V]_degree (x) S to the shifted degree.
 
-        `lift` embeds a Coeff (a spinor entry) into that ring and `value`
-        maps a Scalar of the algebra into it.  Entries are accumulated
-        sparsely, visiting only the nonzero spinor entries, and the
-        matrix is densified once.
+        All terms must shift the polynomial degree by the same amount;
+        raises ValueError otherwise.  Returns (matrix, out_degree) with
+        entries in the rep's ring.  Entries are accumulated sparsely,
+        visiting only the nonzero spinor entries, and the matrix is
+        densified once.
         """
         shifts = {sum(a) - sum(b) for (a, b, _g, _m) in elem.terms}
         if len(shifts) > 1:
@@ -176,47 +189,39 @@ class SpinorRep:
         dst = self.basis(out_degree)
         dst_index = {m: i for i, m in enumerate(dst)}
         sd = self.spin_dim
-        one = lift(C_ONE)
         acc = {}
         for (a, b, g, mask), coeff in elem.terms.items():
-            coeff = value(coeff)
-            spin = [(si, sj, lift(v)) for si, sj, v in self._spin_entries(mask)]
+            coeff = self.value(coeff)
+            spin = [(si, sj, self.lift(v))
+                    for si, sj, v in self._spin_entries(mask)]
             for ci, mono in enumerate(src):
-                for e, v in self._apply_poly_part(a, b, g, mono, one,
-                                                  value).items():
+                for e, v in self._apply_poly_part(a, b, g, mono).items():
                     ri = dst_index.get(e)
                     if ri is None:
                         raise AssertionError("degree bookkeeping failure")
                     cv = coeff * v
                     add_into(acc, (((ri * sd + si, ci * sd + sj), cv * u)
                                    for si, sj, u in spin))
-        zero = lift(C_ZERO)
-        mat = [[zero] * (len(src) * sd) for _ in range(len(dst) * sd)]
+        mat = [[self.zero] * (len(src) * sd) for _ in range(len(dst) * sd)]
         for (r, c), v in acc.items():
             mat[r][c] = v
         return mat, out_degree
 
-    def matrix_of(self, elem: HCElement, degree):
-        """Matrix of `elem` from C[V]_degree (x) S to the shifted degree.
-
-        All terms must shift the polynomial degree by the same amount;
-        raises ValueError otherwise.  Returns (matrix, out_degree) with
-        Scalar entries.
-        """
-        nvars = self.alg.field.nvars
-        return self._assemble(elem, degree,
-                              lambda cf: Scalar.from_coeff(cf, nvars), _same)
-
     def matrix_of_coeff(self, elem, degree):
-        """matrix_of with Coeff entries; every scalar must be constant."""
-        return self._assemble(elem, degree, _same, Scalar.constant_value)
+        """`matrix_of`, whose entries are Coeff in a rational context.
+
+        Raises ValueError("not a constant scalar") in any other context.
+        """
+        if not self.alg.h.rational:
+            raise ValueError("not a constant scalar")
+        return self.matrix_of(elem, degree)
 
 
 def _same(v):
     return v
 
 
-def _dunkl_word(h, yexp, polys, value=_same):
+def _dunkl_word(h, yexp, polys, value):
     """Apply the Dunkl operators y^yexp to the polynomial {xexp: entry}.
 
     Each y_i acts through the memoised commutator [y_i, x^e] of `h`;
@@ -316,8 +321,8 @@ def intersection_dim(basis_a, basis_b):
 def cohomology_dims(rep: SpinorRep, d_omega: HCElement, degrees):
     """Per-degree (dim X_k, dim ker, dim ker∩im, dim H) for D_omega.
 
-    Requires a rational specialisation (constant matrix entries); D_omega
-    must preserve each degree.
+    Requires a rational context (Coeff matrix entries); D_omega must
+    preserve each degree.
     """
     out = []
     for k in degrees:
@@ -345,64 +350,45 @@ class HermitianForm:
 
     <x^a, x^b> is the constant term of the Dunkl operator word y^a applied
     to x^b (zero unless a = b at c = 0; generally supported on equal
-    degrees).  The spinor factor is the identity for odd d and the
-    chirality matrix Z^{(x)k} for even d = 2k, which makes every e_j
-    exactly skew-adjoint; for odd d no such matrix exists and the e_j
-    checks are reported as failing.
+    degrees).  The spinor factor is diagonal: the identity for odd d, and
+    for even d = 2k the chirality matrix Z^{(x)k}, whose sign at spinor
+    index i is (-1)^popcount(i); it makes every e_j exactly
+    skew-adjoint.  For odd d no such matrix exists and the e_j checks are
+    reported as failing.  Gram matrices have entries in the rep's ring.
     """
 
     def __init__(self, rep: SpinorRep):
         self.rep = rep
-        d = rep.d
-        if d % 2 == 0 and d > 0:
-            fac = [_Z] * (d // 2)
-            m = fac[0]
-            for f in fac[1:]:
-                m = _kron(m, f)
-            self.spin_form = m
-        else:
-            n = rep.spin_dim
-            self.spin_form = tuple(
-                tuple(C_ONE if i == j else C_ZERO for j in range(n))
-                for i in range(n))
+        even = rep.d % 2 == 0
+        self.spin_signs = [-1 if even and i.bit_count() % 2 else 1
+                           for i in range(rep.spin_dim)]
         self._gram = {}
 
     def gram(self, degree):
-        """Gram matrix on C[V]_degree (x) S over Scalar entries."""
+        """Gram matrix on C[V]_degree (x) S."""
         g = self._gram.get(degree)
         if g is not None:
             return g
         rep = self.rep
-        alg = rep.alg
-        F = alg.field
         basis = rep.basis(degree)
-        n = len(basis)
-        poly_g = [[F.zero] * n for _ in range(n)]
+        sd = rep.spin_dim
+        out = [[rep.zero] * (len(basis) * sd) for _ in range(len(basis) * sd)]
         for i, a in enumerate(basis):
             for j, b in enumerate(basis):
-                poly_g[i][j] = self._pair(a, b)
-        sd = rep.spin_dim
-        out = [[F.zero] * (n * sd) for _ in range(n * sd)]
-        for i in range(n):
-            for j in range(n):
-                v = poly_g[i][j]
+                v = self._pair(a, b)
                 if v.is_zero():
                     continue
-                for si in range(sd):
-                    for sj in range(sd):
-                        sf = self.spin_form[si][sj]
-                        if sf.is_zero():
-                            continue
-                        out[i * sd + si][j * sd + sj] = (
-                            v * Scalar.from_coeff(sf, F.nvars))
+                for si, sign in enumerate(self.spin_signs):
+                    out[i * sd + si][j * sd + si] = v if sign > 0 else -v
         self._gram[degree] = out
         return out
 
     def _pair(self, aexp, bexp):
         """Constant term of the Dunkl word y^a applied to x^b."""
-        F = self.rep.alg.field
-        polys = _dunkl_word(self.rep.alg.h, aexp, {tuple(bexp): F.one})
-        return polys.get((0,) * self.rep.d, F.zero)
+        rep = self.rep
+        polys = _dunkl_word(rep.alg.h, aexp, {tuple(bexp): rep.one},
+                            rep.value)
+        return polys.get((0,) * rep.d, rep.zero)
 
     def adjointness_check(self, degree):
         """Per-generator report of G pi(eta) = pi(eta_bullet)^{conj T} G.
@@ -412,7 +398,6 @@ class HermitianForm:
         """
         rep = self.rep
         alg = rep.alg
-        F = alg.field
         res = {}
 
         def conj_t(mat):
@@ -422,7 +407,7 @@ class HermitianForm:
                     for i in range(len(mat[0]))]
 
         def mm(a, b):
-            return _mat_mul_coeff(a, b, F.zero)
+            return _mat_mul_coeff(a, b, rep.zero)
 
         Gk = self.gram(degree)
         Gk1 = self.gram(degree + 1)
@@ -453,28 +438,23 @@ class HermitianForm:
         """Signs of leading principal minors of G at a specialisation point.
 
         `s_value` is a Coeff (e.g. sqrt2, giving t = 1) and `c_values` the
-        rational orbit parameters.  Gram entries depend on s only through
-        t = s^2/2, so the result must be rational; a non-rational entry
-        raises.
+        rational orbit parameters; they are substituted into a symbolic
+        Gram matrix.  In a rational context the Gram matrix is already
+        constant and the signs are those at the context's own parameters.
+        Gram entries depend on s only through t = s^2/2, so the result
+        must be rational; a non-rational entry raises.
         """
         G = self.gram(degree)
-        n = len(G)
-        nv = self.rep.alg.field.nvars
-        point = (Fraction(0),) + tuple(Fraction(v) for v in c_values)
-        if len(point) != nv:
-            raise ValueError("wrong number of orbit parameters")
-        num = []
-        for row in G:
-            rr = []
-            for v in row:
-                cv = v.substitute_s(s_value).substitute(point).constant_value()
-                if not cv.is_rational():
-                    raise ValueError("non-rational Gram entry at this point")
-                rr.append(cv)
-            num.append(rr)
+        if not self.rep.alg.h.rational:
+            point = (Fraction(0),) + tuple(Fraction(v) for v in c_values)
+            if len(point) != self.rep.alg.field.nvars:
+                raise ValueError("wrong number of orbit parameters")
+            G = [[v.substitute_s(s_value).substitute(point).constant_value()
+                  for v in row] for row in G]
+        if not all(v.is_rational() for row in G for v in row):
+            raise ValueError("non-rational Gram entry at this point")
         signs = []
-        for k in range(1, n + 1):
-            det = _rref([r[:k] for r in num[:k]])[1].a
+        for k in range(1, len(G) + 1):
+            det = _rref([r[:k] for r in G[:k]])[1].a
             signs.append(0 if det == 0 else (1 if det > 0 else -1))
         return signs
-

@@ -142,6 +142,8 @@ class Coeff:
         a, b, c, d, q = self._v
         return _of((a, -b, c, -d, q))
 
+    conjugate = conj_i
+
     def conj_r(self):
         a, b, c, d, q = self._v
         return _of((a, b, -c, -d, q))

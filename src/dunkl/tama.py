@@ -13,13 +13,13 @@ together with the diagonal cover embedding rho(W~).  The normalisation of
 Ocheck_j is pinned by the requirement Ocheck_j = -(t/2) P(e_j) with
 P = Id - ad(F-) ad(F+); this is checked in the suites rather than assumed.
 
-Higher generators O_A (|A| >= 4) are built from the closed-form
-expansion
+Every O_A is built from the one closed-form expansion
 
     O_A = ((|A|-1) t/2 + sum_a Ocheck_a e_a - sum_{a<b} M_ab e_ab) e_A,
 
-whose M-term sign is the one that agrees with -(t/2) P(e_A); at t = 1
-they also equal antisymmetrised products of the low ones, which the
+which for |A| = 1, 2, 3 is Ocheck_j, O_ij and O_ijk above.  Its M-term
+sign is the one that agrees with -(t/2) P(e_A); for |A| = 4, 5 at t = 1
+it also equals antisymmetrised products of the low ones, which the
 relation suite checks.
 """
 
@@ -97,39 +97,9 @@ class Tama:
         sgn = perm_sign(idxs)
         base = self._O.get(sorted_idx)
         if base is None:
-            base = self._build_sorted(sorted_idx)
+            base = self.O_closed_form(sorted_idx)
             self._O[sorted_idx] = base
         return base if sgn > 0 else -base
-
-    def _build_sorted(self, idxs):
-        n = len(idxs)
-        if n == 1:
-            return self.ocheck(idxs[0])
-        if n == 2:
-            return self._O2(*idxs)
-        if n == 3:
-            return self._O3(*idxs)
-        # |A| >= 4: closed-form expansion (agrees with -(t/2)P(e_A); the
-        # antisymmetrised product reconstructions hold only at t = 1)
-        return self.O_closed_form(idxs)
-
-    def _O2(self, i, j):
-        alg = self.alg
-        t = alg.h.t
-        return (self.M(i, j)
-                + (alg.e(i) * alg.e(j)).scale(t * self._half)
-                + self.ocheck(i) * alg.e(j)
-                - self.ocheck(j) * alg.e(i))
-
-    def _O3(self, i, j, k):
-        alg = self.alg
-        t = alg.h.t
-        ei, ej, ek = alg.e(i), alg.e(j), alg.e(k)
-        return (self.M(i, j) * ek - self.M(i, k) * ej + self.M(j, k) * ei
-                + (ei * ej * ek).scale(t)
-                + self.ocheck(i) * ej * ek
-                - self.ocheck(j) * ei * ek
-                + self.ocheck(k) * ei * ej)
 
     def O_closed_form(self, idxs):
         """The closed-form O_A expansion of the module docstring."""

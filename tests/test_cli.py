@@ -91,6 +91,8 @@ PINNED_REPORTS = {
     "--family A1^4 --suite osp --suite relations --suite vogan "
     "--suite filtration":
         "1c492fd55b98d9043564f9f93aa1e901fcfb7612b7911d8e9cc67fd7e79a972a",
+    "--family A1^2 --suite all --specialize s=1 --max-degree 3":
+        "833a68f19a41c8718c730ab106fb1eb45cf3ae3c39c1876c7a4fe2002f727eab",
 }
 
 
@@ -101,6 +103,19 @@ def test_specialised_cohomology_report_bytes_are_pinned():
         assert code == 0, argv
         payload = canonical_report_bytes(rep, include_timing=False)
         assert hashlib.sha256(payload).hexdigest() == digest, argv
+
+
+def test_cohomology_checks_skip_unless_every_parameter_is_rational():
+    # s alone specialised leaves c_1, c_2 symbolic: no Coeff matrices
+    rep, code = run_config(RunConfig("A1^2", None, None, ["cohomology"],
+                                     specialize=parse_specialize("s=1"),
+                                     max_degree=3))
+    assert code == 0
+    checks = {rec["check"]: rec for rec in rep["checks"]}
+    for cid in ("cohomology-table", "kernel-rescaling-scan"):
+        assert checks[cid]["status"] == "skipped"
+        assert checks[cid]["detail"] == {
+            "reason": "requires a rational specialization"}
 
 
 def _admissible_checks(monkeypatch, method):

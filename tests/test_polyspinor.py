@@ -13,7 +13,7 @@ from dunkl.polyspinor import (spinor_matrices, monomial_basis, SpinorRep,
                               rank_coeff, kernel_basis_coeff,
                               image_basis_coeff, intersection_dim,
                               _mat_mul_coeff, _rref)
-from dunkl.scalars import C_ONE, C_ZERO, C_R, Coeff
+from dunkl.scalars import C_ONE, C_ZERO, C_R, Coeff, Scalar
 
 
 def test_spinor_matrix_clifford_relations():
@@ -117,24 +117,65 @@ SPECIALISED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SPECIALISED))
-def test_matrix_of_coeff_matches_matrix_of(name):
-    # the Coeff assembly must give the constant values of the Scalar one
-    rd_args, spec = SPECIALISED[name]
-    alg = HCAlgebra(RootDatum(*rd_args), specialize=spec)
-    rep = SpinorRep(alg)
+def _probe_elements(alg):
     osp = OspRealisation(alg)
     d = alg.dim
     elems = [Tama(alg, osp).dirac(), osp.Omega_osp, alg.rho_reflection(0)]
     elems += [alg.x(i) for i in range(1, d + 1)]
     elems += [alg.y(i) for i in range(1, d + 1)]
     elems += [alg.e(j) for j in range(1, d + 1)]
-    for elem in elems:
+    return elems
+
+
+@pytest.mark.parametrize("name", sorted(SPECIALISED))
+def test_matrix_of_coeff_matches_matrix_of(name):
+    # a rational context's Coeff matrices and Gram matrices are the
+    # symbolic context's Scalar ones evaluated at the specialised point
+    rd_args, spec = SPECIALISED[name]
+    sym = SpinorRep(HCAlgebra(RootDatum(*rd_args)))
+    rat = SpinorRep(HCAlgebra(RootDatum(*rd_args), specialize=spec))
+    point = tuple(spec[v] for v in ["s"] + [f"c{k}" for k in range(
+        1, sym.alg.field.nvars)])
+
+    def at_point(mat):
+        return [[v.substitute(point).constant_value() for v in row]
+                for row in mat]
+    for s_elem, r_elem in zip(_probe_elements(sym.alg),
+                              _probe_elements(rat.alg)):
         for k in range(4):
-            mat, out = rep.matrix_of(elem, k)
-            cmat, cout = rep.matrix_of_coeff(elem, k)
+            mat, out = sym.matrix_of(s_elem, k)
+            cmat, cout = rat.matrix_of_coeff(r_elem, k)
             assert cout == out
-            assert cmat == [[v.constant_value() for v in row] for row in mat]
+            assert cmat == at_point(mat)
+    sym_form, rat_form = HermitianForm(sym), HermitianForm(rat)
+    for k in range(3):
+        assert rat_form.gram(k) == at_point(sym_form.gram(k))
+
+
+def test_matrix_ring_follows_the_context():
+    rd = RootDatum("A1", 2, 2)
+    rational = SpinorRep(HCAlgebra(rd, specialize={
+        "s": Fraction(2), "c1": Fraction(1, 3), "c2": Fraction(1, 5)}))
+    assert rational.alg.h.rational
+    mat, _ = rational.matrix_of(rational.alg.x(1) * rational.alg.y(1), 1)
+    assert all(type(v) is Coeff for row in mat for v in row)
+    # s alone rational leaves the context symbolic in the c_k
+    for spec in (None, {"s": Fraction(1)}):
+        rep = SpinorRep(HCAlgebra(rd, specialize=spec))
+        assert not rep.alg.h.rational
+        mat, _ = rep.matrix_of(rep.alg.e(1), 0)
+        assert all(type(v) is Scalar for row in mat for v in row)
+        with pytest.raises(ValueError, match="not a constant scalar"):
+            rep.matrix_of_coeff(rep.alg.e(1), 0)
+
+
+def test_hermitian_spinor_signs():
+    # Z^(x)k is diagonal with sign (-1)^popcount(index); odd d takes +1
+    for rd_args, signs in ((("A1", 2, 2), [1, -1]),
+                           (("A1", 3, 3), [1, 1]),
+                           (("A1", 4, 4), [1, -1, -1, 1])):
+        hf = HermitianForm(SpinorRep(HCAlgebra(RootDatum(*rd_args))))
+        assert hf.spin_signs == signs
 
 
 _small_coeffs = st.builds(Coeff, st.integers(-2, 2), st.integers(-1, 1))

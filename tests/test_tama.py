@@ -20,6 +20,21 @@ def test_four_index_closed_form_matches_projection(a14):
     assert tm.O((1, 2, 3, 4)) == tm.project_O((1, 2, 3, 4))
 
 
+def test_closed_form_gives_the_low_generators(s3):
+    # for |A| = 1, 2, 3 the one closed form is Ocheck_j, O_ij and O_ijk
+    tm = s3.tama
+    alg = s3.alg
+    t = alg.h.t
+    e, M, oc = alg.e, tm.M, tm.ocheck
+    assert tm.O((2,)) == oc(2)
+    assert tm.O((1, 3)) == (M(1, 3) + (e(1) * e(3)).scale(
+        t * alg.field.rational(Fraction(1, 2))) + oc(1) * e(3) - oc(3) * e(1))
+    assert tm.O((1, 2, 3)) == (
+        M(1, 2) * e(3) - M(1, 3) * e(2) + M(2, 3) * e(1)
+        + (e(1) * e(2) * e(3)).scale(t) + oc(1) * e(2) * e(3)
+        - oc(2) * e(1) * e(3) + oc(3) * e(1) * e(2))
+
+
 def test_generator_skew_symmetry(a14):
     tm = a14.tama
     assert tm.O((2, 1)) == -tm.O((1, 2))
