@@ -45,9 +45,6 @@ class CoverAlgebra:
         self._star_sign = None
         self._basis = None
 
-    def basis_vector(self, g_idx):
-        return {g_idx: C_ONE}
-
     def mul(self, a, b):
         """Product using rho(g) rho(h) = sigma(g, h) rho(gh)."""
         tbl = self.rd.mul_table
@@ -108,7 +105,7 @@ class CoverAlgebra:
         """Direct product check against all canonical generators rho(s~)."""
         for r_idx in range(len(self.rd.positive_roots)):
             s = self.rd.reflection_index(r_idx)
-            rs = self.basis_vector(s)
+            rs = {s: C_ONE}
             lhs = self.mul(a, rs)
             rhs = vec_scale(self.mul(rs, a), Coeff(self.pin.epsilon(s)))
             if lhs != rhs:

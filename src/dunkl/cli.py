@@ -16,11 +16,14 @@ byte-identity guarantee.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
 import time
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 from math import comb
 
 from .groups import (RootDatum, parse_family, group_order,
@@ -147,87 +150,100 @@ class Context:
         self.config = config
         self.rd = RootDatum(config.family, config.rank, config.ambient,
                             single_c=config.single_c)
-        self._alg = None
-        self._osp = None
-        self._tama = None
-        self._cover = None
-        self._rep = None
 
-    @property
+    @cached_property
     def alg(self):
-        if self._alg is None:
-            self._alg = HCAlgebra(self.rd, specialize=self.config.specialize)
-        return self._alg
+        return HCAlgebra(self.rd, specialize=self.config.specialize)
 
-    @property
+    @cached_property
     def osp(self):
-        if self._osp is None:
-            self._osp = OspRealisation(self.alg)
-        return self._osp
+        return OspRealisation(self.alg)
 
-    @property
+    @cached_property
     def tama(self):
-        if self._tama is None:
-            self._tama = Tama(self.alg, self.osp)
-        return self._tama
+        return Tama(self.alg, self.osp)
 
-    @property
+    @cached_property
     def cover(self):
-        if self._cover is None:
-            self._cover = CoverAlgebra(self.rd, self.alg.pin)
-        return self._cover
+        return CoverAlgebra(self.rd, self.alg.pin)
 
-    @property
+    @cached_property
     def rep(self):
-        if self._rep is None:
-            self._rep = SpinorRep(self.alg)
-        return self._rep
+        return SpinorRep(self.alg)
 
 
-def _truncate(text, limit=400):
-    return text if len(text) <= limit else text[:limit] + "..."
+def _verdict(result):
+    """(status, witness text or None, detail) of one check result."""
+    if isinstance(result, bool):
+        result = ("pass" if result else "fail"), None, None
+    elif not isinstance(result, tuple):
+        result = ("pass", None, None) if result.is_zero() else \
+            ("fail", result, None)
+    status, witness, detail = result
+    return status, (None if witness is None else str(witness)), detail
+
+
+def first_failure(items, detail=None):
+    """Verdict over lazily computed (label, result) items.
+
+    The first result that fails fails the check; its label, followed by
+    the result's own witness if it has one, is the witness.  The items
+    after it are never computed.  `detail` is recorded either way.
+    """
+    for label, result in items:
+        status, witness, _ = _verdict(result)
+        if status == "fail":
+            return "fail", (label if witness is None
+                            else f"{label}: {witness}"), detail
+    return "pass", None, detail
 
 
 class Runner:
+    """Makes every record of a run.
+
+    `check` is the one place where a check is timed, trapped and
+    recorded; its `fn` does all of the check's work and returns one
+    result.  A (status, witness, detail) triple is taken as it is, a bool
+    is a pass or a fail, and an element passes when it is zero (it is its
+    own witness).  A list of (check id, anchor, result) entries is a table
+    computed once: each entry is one record, and the table's time is
+    shared among them.  An exception raised by `fn` fails one record
+    under `check_id`, with an `exception:` witness, and the run goes on.
+    """
+
     def __init__(self):
         self.records = []
 
     def check(self, suite, check_id, anchor, fn):
+        """Run fn, record its result; returns the first record made."""
         start = time.monotonic()
         try:
-            status, witness, detail = fn()
+            result = fn()
+            if not isinstance(result, list):
+                result = [(check_id, anchor, result)]
+            entries = [(cid, anc, _verdict(r)) for cid, anc, r in result]
         except Exception as exc:        # a crashed check is a failed check
-            status, witness, detail = "fail", f"exception: {exc!r}", None
-        elapsed = int((time.monotonic() - start) * 1000)
-        rec = {
-            "suite": suite,
-            "check": check_id,
-            "anchor": anchor,
-            "status": status,
-            "elapsed_ms": elapsed,
-        }
-        if witness is not None:
-            rec["witness"] = _truncate(str(witness))
-        if detail is not None:
-            rec["detail"] = detail
-        self.records.append(rec)
-        return rec
-
-    def residual(self, suite, check_id, anchor, fn):
-        """fn() returns an element; pass iff it is zero."""
-        def run():
-            r = fn()
-            if r.is_zero():
-                return "pass", None, None
-            return "fail", str(r), None
-        return self.check(suite, check_id, anchor, run)
-
-    def boolean(self, suite, check_id, anchor, fn, detail_fn=None):
-        def run():
-            ok = fn()
-            detail = detail_fn() if detail_fn else None
-            return ("pass" if ok else "fail"), None, detail
-        return self.check(suite, check_id, anchor, run)
+            entries = [(check_id, anchor,
+                        ("fail", f"exception: {exc!r}", None))]
+        share, extra = divmod(int((time.monotonic() - start) * 1000),
+                              len(entries))
+        first = len(self.records)
+        for cid, anc, (status, witness, detail) in entries:
+            rec = {
+                "suite": suite,
+                "check": cid,
+                "anchor": anc,
+                "status": status,
+                "elapsed_ms": share + extra,
+            }
+            extra = 0               # the first record takes the remainder
+            if witness is not None:
+                rec["witness"] = (witness if len(witness) <= 400
+                                  else witness[:400] + "...")
+            if detail is not None:
+                rec["detail"] = detail
+            self.records.append(rec)
+        return self.records[first]
 
     def skip(self, suite, check_id, anchor, reason):
         return self.check(suite, check_id, anchor,
@@ -237,54 +253,45 @@ class Runner:
 # -- suites ------------------------------------------------------------------
 
 def suite_osp(ctx: Context, run: Runner):
-    osp = ctx.osp
     alg = ctx.alg
     F = alg.field
-    table = osp.bracket_table_check()
-    for idx, (name, ok) in enumerate(table.items()):
-        run.check("osp", f"bracket-{idx:02d}", f"osp12-relation {name}",
-                  lambda ok=ok: (("pass" if ok else "fail"), None, None))
+    run.check("osp", "bracket-00", "osp12 defining relations", lambda: [
+        (f"bracket-{idx:02d}", f"osp12-relation {name}", ok)
+        for idx, (name, ok)
+        in enumerate(ctx.osp.bracket_table_check().items())])
     quarter = alg.scalar(F.rational(Fraction(1, 4)))
-    run.residual("osp", "scasimir-square", "scasimir squares to casimir + 1/4",
-                 lambda: osp.scasimir * osp.scasimir - osp.Omega_osp - quarter)
-    tm = ctx.tama
+    run.check("osp", "scasimir-square", "scasimir squares to casimir + 1/4",
+              lambda: ctx.osp.scasimir * ctx.osp.scasimir
+              - ctx.osp.Omega_osp - quarter)
     if ctx.rd.dim <= 6:
-        run.residual("osp", "scasimir-gamma",
-                     "scasimir times pseudo-scalar equals scaled top generator",
-                     tm.sgamma_residual)
-        run.residual("osp", "scasimir-square-expansion",
-                     "scasimir square as generator sum",
-                     tm.ssquare_expansion_residual)
-    two = F.rational(2)
-    run.residual("osp", "projection-scasimir",
-                 "P(scasimir) = -2(casimir + 1/4)",
-                 lambda: osp.project(osp.scasimir)
-                 + (osp.Omega_osp + quarter).scale(two))
-    run.residual("osp", "projection-sl2-casimir",
-                 "P(sl2 casimir) = 3 casimir",
-                 lambda: osp.project(osp.Omega_sl2) - osp.Omega_osp.scale(F.rational(3)))
-    from itertools import combinations
+        run.check("osp", "scasimir-gamma",
+                  "scasimir times pseudo-scalar equals scaled top generator",
+                  lambda: ctx.tama.sgamma_residual())
+        run.check("osp", "scasimir-square-expansion",
+                  "scasimir square as generator sum",
+                  lambda: ctx.tama.ssquare_expansion_residual())
+    run.check("osp", "projection-scasimir",
+              "P(scasimir) = -2(casimir + 1/4)",
+              lambda: ctx.osp.project(ctx.osp.scasimir)
+              + (ctx.osp.Omega_osp + quarter).scale(F.rational(2)))
+    run.check("osp", "projection-sl2-casimir",
+              "P(sl2 casimir) = 3 casimir",
+              lambda: ctx.osp.project(ctx.osp.Omega_sl2)
+              - ctx.osp.Omega_osp.scale(F.rational(3)))
     for size in (1, 2, 3):
+        cid = f"projection-generators-{size}"
+        anchor = f"-(t/2) P(e_A) = O_A, |A| = {size}"
         if size > ctx.rd.dim:
-            run.skip("osp", f"projection-generators-{size}",
-                     f"-(t/2) P(e_A) = O_A, |A| = {size}", "arity exceeds dimension")
+            run.skip("osp", cid, anchor, "arity exceeds dimension")
             continue
-
-        def all_tuples(size=size):
-            for tup in combinations(range(1, ctx.rd.dim + 1), size):
-                r = tm.project_O(tup) - tm.O(tup)
-                if not r.is_zero():
-                    return "fail", f"A={tup}: {r}", None
-            return "pass", None, None
-        run.check("osp", f"projection-generators-{size}",
-                  f"-(t/2) P(e_A) = O_A, |A| = {size}", all_tuples)
+        run.check("osp", cid, anchor, lambda size=size: first_failure(
+            (f"A={tup}", ctx.tama.project_O(tup) - ctx.tama.O(tup))
+            for tup in combinations(range(1, ctx.rd.dim + 1), size)))
 
 
 def suite_relations(ctx: Context, run: Runner):
-    tm = ctx.tama
-    for name in Tama.RELATIONS:
-        tuples = tm.relation_index_tuples(name)
-        if not tuples:
+    for name, blocks in Tama.RELATIONS.items():
+        if sum(blocks) > ctx.rd.dim:
             run.skip("relations", name, f"generator relation {name}",
                      "arity exceeds dimension")
             continue
@@ -292,10 +299,10 @@ def suite_relations(ctx: Context, run: Runner):
             # recorded variant of r22-shared with the alternative middle
             # commutator; it holds only in type A and is reported for
             # transparency, not as a defining relation
-            def literal(tuples=tuples):
+            def literal():
+                tuples = ctx.tama.relation_index_tuples(name)
                 bad = [tup for tup in tuples
-                       if not tm.relation_residual("r22-shared-literal",
-                                                   tup).is_zero()]
+                       if not ctx.tama.relation_residual(name, tup).is_zero()]
                 return "pass", None, {"variant_holds": not bad,
                                       "failing_tuples": bad[:5],
                                       "tuples": len(tuples)}
@@ -304,13 +311,12 @@ def suite_relations(ctx: Context, run: Runner):
                       literal)
             continue
 
-        def all_tuples(name=name, tuples=tuples):
-            for tup in tuples:
-                r = tm.relation_residual(name, tup)
-                if not r.is_zero():
-                    return "fail", f"indices {tup}: {r}", {"tuples": len(tuples)}
-            return "pass", None, {"tuples": len(tuples)}
-        run.check("relations", name, f"generator relation {name}", all_tuples)
+        def relation(name=name):
+            tuples = ctx.tama.relation_index_tuples(name)
+            return first_failure(
+                ((f"indices {tup}", ctx.tama.relation_residual(name, tup))
+                 for tup in tuples), {"tuples": len(tuples)})
+        run.check("relations", name, f"generator relation {name}", relation)
     # antisymmetrised reconstruction identities, normalised at t = 1
     for n in (4, 5):
         cid = f"reconstruction-{n}index"
@@ -322,32 +328,31 @@ def suite_relations(ctx: Context, run: Runner):
             run.skip("relations", cid, anchor,
                      "reconstruction identities hold only at t = 1")
             continue
-        idxs = tuple(range(1, n + 1))
-        run.residual("relations", cid, anchor,
-                     lambda n=n, idxs=idxs: tm.reconstruction_residual(
-                         n, idxs))
+        run.check("relations", cid, anchor,
+                  lambda n=n: ctx.tama.reconstruction_residual(
+                      n, tuple(range(1, n + 1))))
+
+
+def _failing(fails, what):
+    """Verdict on a list of failing items: a pass when it is empty."""
+    if fails:
+        return "fail", f"{what} {fails[:5]}", None
+    return "pass", None, None
 
 
 def suite_centre(ctx: Context, run: Runner):
-    tm = ctx.tama
-    osp = ctx.osp
-
     def member(z):
-        return (z.gbracket(osp.F_plus).is_zero()
-                and z.gbracket(osp.F_minus).is_zero())
+        return (z.gbracket(ctx.osp.F_plus).is_zero()
+                and z.gbracket(ctx.osp.F_minus).is_zero())
 
-    candidates = tm.centre_candidates()
-    omega = candidates[0][1]
-    run.boolean("centre", "casimir-membership",
-                "casimir graded-commutes with the osp realisation",
-                lambda: member(omega))
+    run.check("centre", "casimir-membership",
+              "casimir graded-commutes with the osp realisation",
+              lambda: member(ctx.osp.Omega_osp))
     run.check("centre", "casimir-central",
               "casimir graded-central against cover lifts and generators",
-              lambda: (("pass", None, None)
-                       if not (f := tm.graded_central_in_tama(omega))
-                       else ("fail", f"non-central against {f[:5]}", None)))
-    branch = candidates[1:]
-    if not branch:
+              lambda: _failing(ctx.tama.graded_central_in_tama(
+                  ctx.osp.Omega_osp), "non-central against"))
+    if not ctx.rd.contains_minus_identity()[0]:
         run.skip("centre", "square-root-branch",
                  "central square root when -1 is in the group",
                  "group does not contain -identity")
@@ -356,16 +361,14 @@ def suite_centre(ctx: Context, run: Runner):
     def branch_check():
         detail = {}
         winners = []
-        for label, z in branch:
+        for label, z in ctx.tama.centre_candidates()[1:]:
             ok_m = member(z)
-            fails = tm.graded_central_in_tama(z) if ok_m else ["not a member"]
-            ok = ok_m and not fails
-            detail[label] = {"member": ok_m, "central": ok_m and not fails}
-            if ok and label.startswith("S"):
+            central = ok_m and not ctx.tama.graded_central_in_tama(z)
+            detail[label] = {"member": ok_m, "central": central}
+            if central and label.startswith("S"):
                 winners.append(label)
         detail["passing_scasimir_candidates"] = winners
-        status = "pass" if winners else "fail"
-        return status, None, detail
+        return ("pass" if winners else "fail"), None, detail
     run.check("centre", "square-root-branch",
               "a scasimir-type candidate is central in the -identity branch",
               branch_check)
@@ -381,27 +384,30 @@ def _admissible_entries(ctx):
 
 
 def suite_vogan(ctx: Context, run: Runner):
-    tm = ctx.tama
     alg = ctx.alg
     run.check("vogan", "epsilon-commutation",
               "dirac element commutes with cover lifts up to epsilon",
-              lambda: (("pass", None, None)
-                       if not (f := tm.epsilon_commutation_residuals())
-                       else ("fail", f"failing lifts {f[:5]}", None)))
-    entries = _admissible_entries(ctx)
-    if not entries:
-        run.skip("vogan", "dirac-deformation",
-                 "deformed dirac identities per admissible element",
-                 "no admissible elements for this configuration")
-        return
-    for entry in entries:
-        label = entry["label"]
-        rho_omega = ctx.cover.to_hc(alg, entry["adjusted"])
-        results = tm.dirac_checks(rho_omega, alg.pin.epsilon(entry["rep"]))
-        for key, ok in results.items():
-            run.check("vogan", f"{key}-{label}",
-                      f"dirac identity {key} for admissible class {label}",
-                      lambda ok=ok: (("pass" if ok else "fail"), None, None))
+              lambda: _failing(ctx.tama.epsilon_commutation_residuals(),
+                               "failing lifts"))
+
+    def deformations():
+        entries = _admissible_entries(ctx)
+        if not entries:
+            return "skipped", None, {
+                "reason": "no admissible elements for this configuration"}
+        out = []
+        for entry in entries:
+            label = entry["label"]
+            rho_omega = ctx.cover.to_hc(alg, entry["adjusted"])
+            results = ctx.tama.dirac_checks(rho_omega,
+                                            alg.pin.epsilon(entry["rep"]))
+            out += [(f"{key}-{label}",
+                     f"dirac identity {key} for admissible class {label}", ok)
+                    for key, ok in results.items()]
+        return out
+    run.check("vogan", "dirac-deformation",
+              "deformed dirac identities per admissible element",
+              deformations)
 
 
 def suite_admissible(ctx: Context, run: Runner):
@@ -449,27 +455,20 @@ def suite_admissible(ctx: Context, run: Runner):
             extra_fixed = ctx.rd.dim - n_perm
             mismatches = []
             for entry in basis:
-                label = entry["label"]
-                part = _parse_partition_label(label, strip_ones=extra_fixed)
-                if part is None or part not in preds:
-                    mismatches.append({"class": label,
-                                       "predicted": None,
-                                       "brute_force":
-                                           entry["admissible_adjusted"]})
-                    continue
+                # a class with no prediction is a mismatch
+                predicted = preds.get(_parse_partition_label(
+                    entry["label"], strip_ones=extra_fixed))
                 actual = entry["admissible_adjusted"]
-                if preds[part] != actual:
-                    mismatches.append({"class": label,
-                                       "predicted": preds[part],
+                if predicted != actual:
+                    mismatches.append({"class": entry["label"],
+                                       "predicted": predicted,
                                        "brute_force": actual})
             detail = {"d_parity": "odd" if d_odd else "even",
                       "discrepancies": mismatches}
-            if not mismatches:
-                return "pass", None, detail
-            if d_odd:
-                # known parity-odd discrepancies are surfaced, not hidden
-                return "pass", None, detail
-            return "fail", f"{len(mismatches)} mismatches", detail
+            # known parity-odd discrepancies are surfaced, not hidden
+            if mismatches and not d_odd:
+                return "fail", f"{len(mismatches)} mismatches", detail
+            return "pass", None, detail
         run.check("admissible", "partition-criterion",
                   "partition criterion matches brute force (discrepancies surfaced)",
                   criterion)
@@ -492,68 +491,71 @@ def _parse_partition_label(label, strip_ones=0):
 
 
 def suite_cohomology(ctx: Context, run: Runner):
-    rep = ctx.rep
     alg = ctx.alg
-    tm = ctx.tama
-    osp = ctx.osp
     F = alg.field
     d = ctx.rd.dim
     max_deg = ctx.config.max_degree
+    deg0 = min(2, max_deg)
+    quarter = alg.scalar(F.rational(Fraction(1, 4)))
+    # values shared by several checks, built by the first check that needs
+    # them; an exception while building one fails every check that needs it
+    dirac = functools.cache(lambda: ctx.tama.dirac())
+    form = functools.cache(lambda: HermitianForm(ctx.rep))
+    adjoint = functools.cache(lambda: form().adjointness_check(deg0))
+    signs = functools.cache(lambda: [
+        form().leading_minor_signs(k, C_R, [0] * (F.nvars - 1))
+        for k in range(deg0 + 1)])
 
-    def cliff_rel():
+    def positive():
+        return all(s == 1 for per_deg in signs() for s in per_deg)
+
+    def clifford_relations():
         mats = spinor_matrices(d)
         sz = len(mats[0])
         ident = [[C_ONE if i == j else C_ZERO for j in range(sz)]
                  for i in range(sz)]
         for a in range(d):
-            if _mat_mul_coeff(mats[a], mats[a]) != ident:
-                return "fail", f"e_{a+1}^2 != 1", None
+            yield f"e_{a+1}^2 != 1", _mat_mul_coeff(mats[a], mats[a]) == ident
             for b in range(a + 1, d):
                 p = _mat_mul_coeff(mats[a], mats[b])
                 q = _mat_mul_coeff(mats[b], mats[a])
-                s = [[x + y for x, y in zip(r1, r2)]
-                     for r1, r2 in zip(p, q)]
-                if any(not v.is_zero() for row in s for v in row):
-                    return "fail", f"e_{a+1} e_{b+1} not anticommuting", None
-        return "pass", None, None
+                yield (f"e_{a+1} e_{b+1} not anticommuting",
+                       all((x + y).is_zero() for r1, r2 in zip(p, q)
+                           for x, y in zip(r1, r2)))
     run.check("cohomology", "spinor-clifford-relations",
-              "spinor matrices satisfy the clifford relations", cliff_rel)
+              "spinor matrices satisfy the clifford relations",
+              lambda: first_failure(clifford_relations()))
 
-    deg0 = min(2, max_deg)
-
-    def rep_property():
-        pairs = [(alg.e(1), alg.group(ctx.rd.reflection_index(0))),
-                 (osp.scasimir, osp.scasimir),
-                 (alg.rho((ctx.rd.reflection_index(0), 1)),
-                  alg.rho((ctx.rd.reflection_index(-1 % len(ctx.rd.positive_roots)), 1)))]
-        for a, b in pairs:
+    def products():
+        rep = ctx.rep
+        last = -1 % len(ctx.rd.positive_roots)
+        for a, b in [(alg.e(1), alg.group(ctx.rd.reflection_index(0))),
+                     (ctx.osp.scasimir, ctx.osp.scasimir),
+                     (alg.rho((ctx.rd.reflection_index(0), 1)),
+                      alg.rho((ctx.rd.reflection_index(last), 1)))]:
             Ma, _ = rep.matrix_of(a, deg0)
             Mb, _ = rep.matrix_of(b, deg0)
             Mab, _ = rep.matrix_of(a * b, deg0)
-            if _mat_mul_coeff(Ma, Mb, rep.zero) != Mab:
-                return "fail", "matrix_of(a b) != matrix_of(a) matrix_of(b)", None
-        return "pass", None, None
+            yield ("matrix_of(a b) != matrix_of(a) matrix_of(b)",
+                   _mat_mul_coeff(Ma, Mb, rep.zero) == Mab)
     run.check("cohomology", "representation-property",
               "matrix assembly is multiplicative on degree-preserving elements",
-              rep_property)
+              lambda: first_failure(products()))
 
-    D = tm.dirac()
-    quarter = alg.scalar(F.rational(Fraction(1, 4)))
-    Om = osp.Omega_osp + quarter
-
-    def dsq(k):
-        MD, _ = rep.matrix_of(D, k)
-        MO, _ = rep.matrix_of(Om, k)
-        if _mat_mul_coeff(MD, MD, rep.zero) == MO:
-            return "pass", None, None
-        return "fail", f"degree {k} matrix identity fails", None
+    def dirac_square(k):
+        rep = ctx.rep
+        MD, _ = rep.matrix_of(dirac(), k)
+        MO, _ = rep.matrix_of(ctx.osp.Omega_osp + quarter, k)
+        return first_failure([(f"degree {k} matrix identity fails",
+                               _mat_mul_coeff(MD, MD, rep.zero) == MO)])
     for k in range(max_deg + 1):
         run.check("cohomology", f"dirac-square-degree-{k}",
                   "matrix of D squared equals matrix of casimir + 1/4",
-                  lambda k=k: dsq(k))
+                  lambda k=k: dirac_square(k))
 
-    def equivariance():
-        MD, _ = rep.matrix_of(D, deg0)
+    def reflections():
+        rep = ctx.rep
+        MD, _ = rep.matrix_of(dirac(), deg0)
         for r_idx in range(len(ctx.rd.positive_roots)):
             g = ctx.rd.reflection_index(r_idx)
             Mr, _ = rep.matrix_of(alg.rho((g, 1)), deg0)
@@ -561,35 +563,29 @@ def suite_cohomology(ctx: Context, run: Runner):
             rhs = _mat_mul_coeff(Mr, MD, rep.zero)
             if alg.pin.epsilon(g) < 0:
                 rhs = [[-v for v in row] for row in rhs]
-            if lhs != rhs:
-                return "fail", f"reflection {r_idx}", None
-        return "pass", None, None
+            yield f"reflection {r_idx}", lhs == rhs
     run.check("cohomology", "cover-equivariance",
               "matrix of D commutes with reflection lifts up to epsilon",
-              equivariance)
+              lambda: first_failure(reflections()))
 
-    hf = HermitianForm(rep)
-    adj = hf.adjointness_check(deg0)
-    for name, ok in adj.items():
-        if ok:
-            witness = None
-        elif name.startswith("e"):
-            witness = ("no spinor form makes all generators skew-adjoint "
-                       "in odd dimension")
-        else:
-            witness = "adjointness identity fails"
-        run.check("cohomology", f"hermitian-adjoint-{name}",
-                  f"bullet-adjointness of generator {name} under the pairing",
-                  lambda ok=ok, witness=witness: (
-                      ("pass" if ok else "fail"), witness, None))
-    signs = [hf.leading_minor_signs(k, C_R, [0] * (F.nvars - 1))
-             for k in range(deg0 + 1)]
-    positive = all(s == 1 for per_deg in signs for s in per_deg)
-    hermitian_ok = all(adj.values())
+    def adjointness():
+        out = []
+        for name, ok in adjoint().items():
+            witness = ("no spinor form makes all generators skew-adjoint in "
+                       "odd dimension" if name.startswith("e")
+                       else "adjointness identity fails")
+            out.append((f"hermitian-adjoint-{name}",
+                        f"bullet-adjointness of generator {name} under the "
+                        "pairing",
+                        ("pass", None, None) if ok else ("fail", witness, None)))
+        return out
+    run.check("cohomology", "hermitian-adjoint-gram_hermitian",
+              "bullet-adjointness of the generators under the pairing",
+              adjointness)
     run.check("cohomology", "hermitian-minors",
               "leading principal minor signs at c = 0, t = 1",
               lambda: ("pass", None,
-                       {"signs": signs, "positive_definite": positive}))
+                       {"signs": signs(), "positive_definite": positive()}))
 
     if not alg.h.rational:
         run.skip("cohomology", "cohomology-table",
@@ -600,24 +596,23 @@ def suite_cohomology(ctx: Context, run: Runner):
                  "requires a rational specialization")
         return
 
-    entries = _admissible_entries(ctx)
-    d_omega = D
-    omega_label = None
-    if entries:
-        d_omega = D + ctx.cover.to_hc(alg, entries[0]["adjusted"])
-        omega_label = entries[0]["label"]
-
     def table():
-        tab = cohomology_dims(rep, d_omega, range(max_deg + 1))
-        detail = {"omega_class": omega_label, "rows": tab}
-        if hermitian_ok and positive:
-            ok = all(row["ker_cap_im"] == 0 for row in tab)
-            return ("pass" if ok else "fail"), None, detail
-        return "pass", None, detail
+        entries = _admissible_entries(ctx)
+        d_omega, omega_label = dirac(), None
+        if entries:
+            d_omega = d_omega + ctx.cover.to_hc(alg, entries[0]["adjusted"])
+            omega_label = entries[0]["label"]
+        tab = cohomology_dims(ctx.rep, d_omega, range(max_deg + 1))
+        # a positive-definite bullet-Hermitian form forces ker and im apart
+        ok = (not (all(adjoint().values()) and positive())
+              or all(row["ker_cap_im"] == 0 for row in tab))
+        return ("pass" if ok else "fail"), None, {"omega_class": omega_label,
+                                                  "rows": tab}
     run.check("cohomology", "cohomology-table",
               "per-degree kernel and cohomology dimensions", table)
 
     def rescan():
+        entries = _admissible_entries(ctx)
         if not entries:
             return "pass", None, {"found": None,
                                   "reason": "no admissible elements"}
@@ -626,9 +621,9 @@ def suite_cohomology(ctx: Context, run: Runner):
         lams = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
                 Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(-3)]
         for lam in lams:
-            dw = D + rho_w.scale(F.rational(lam))
-            for k in range(min(2, max_deg) + 1):
-                mat, _ = rep.matrix_of(dw, k)
+            dw = dirac() + rho_w.scale(F.rational(lam))
+            for k in range(deg0 + 1):
+                mat, _ = ctx.rep.matrix_of(dw, k)
                 if kernel_basis_coeff(mat):
                     found.append({"lambda": str(lam), "degree": k})
         return "pass", None, {"found": bool(found), "instances": found[:5]}
@@ -636,7 +631,9 @@ def suite_cohomology(ctx: Context, run: Runner):
               "nonzero kernel under rescaled admissible deformation", rescan)
 
 
-def suite_filtration(ctx: Context, run: Runner, pairs=100, max_deg=3):
+def suite_filtration(ctx: Context, run: Runner):
+    pairs = 100
+    max_deg = 3
     h = ctx.alg.h
     d = ctx.rd.dim
     rng = random.Random(20240)
@@ -652,15 +649,15 @@ def suite_filtration(ctx: Context, run: Runner, pairs=100, max_deg=3):
             yexp[rng.randrange(d)] += 1
         return h.monomial(tuple(xexp), tuple(yexp), h.id_idx)
 
-    def all_pairs():
+    def failing_pairs():             # a witness is formatted only on failure
         for n in range(pairs):
             xi, eta = random_monomial(), random_monomial()
             if not filtration_check(h, xi, eta):
-                return "fail", f"pair {n}: {xi} , {eta}", None
-        return "pass", None, {"pairs": pairs}
+                yield f"pair {n}: {xi} , {eta}", False
     run.check("filtration", "commutator-leading-term",
               "deformed commutator drops degree and carries the deformation "
-              "parameter", all_pairs)
+              "parameter", lambda: first_failure(failing_pairs(),
+                                                 {"pairs": pairs}))
 
 
 SUITE_FUNCS = {

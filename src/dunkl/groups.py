@@ -25,10 +25,6 @@ class GroupBoundExceededError(RuntimeError):
     pass
 
 
-def mat_identity(d):
-    return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-
-
 class GroupElement:
     """Signed permutation w with w(y_j) = sign_j * y_{perm_j}.
 
@@ -127,9 +123,6 @@ class GroupElement:
                 if self.sign[j] < 0 and k % 2:
                     sgn = -sgn
         return tuple(out), sgn
-
-    def is_identity(self):
-        return all(s == 1 for s in self.sign) and self.perm == tuple(range(len(self.perm)))
 
     def __repr__(self):
         return f"GroupElement(perm={self.perm}, sign={self.sign})"

@@ -48,9 +48,9 @@ def perm_sign(seq):
 class Tama:
     """Generator cache and relation machinery for one algebra context."""
 
-    def __init__(self, alg: HCAlgebra, osp: OspRealisation = None):
+    def __init__(self, alg: HCAlgebra, osp: OspRealisation):
         self.alg = alg
-        self.osp = osp if osp is not None else OspRealisation(alg)
+        self.osp = osp
         self.d = alg.dim
         F = alg.field
         self._half = F.rational(Fraction(1, 2))

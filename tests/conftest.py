@@ -3,48 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from dunkl.groups import RootDatum
-from dunkl.hc import HCAlgebra
-from dunkl.osp import OspRealisation
+from dunkl.cli import Context, RunConfig
 from dunkl.scalars import Coeff, C_ONE
-from dunkl.tama import Tama
-
-
-class Stack:
-    """Shared lazily-built algebra stack per group configuration."""
-
-    def __init__(self, *args, **kwargs):
-        self.rd = RootDatum(*args, **kwargs)
-        self._alg = None
-        self._osp = None
-        self._tama = None
-
-    @property
-    def alg(self):
-        if self._alg is None:
-            self._alg = HCAlgebra(self.rd)
-        return self._alg
-
-    @property
-    def osp(self):
-        if self._osp is None:
-            self._osp = OspRealisation(self.alg)
-        return self._osp
-
-    @property
-    def tama(self):
-        if self._tama is None:
-            self._tama = Tama(self.alg, self.osp)
-        return self._tama
 
 
 _STACKS = {}
 
 
-def stack(*args, **kwargs):
-    key = (args, tuple(sorted(kwargs.items())))
+def stack(family, rank, ambient, **kwargs):
+    """The shared lazily-built `cli.Context` of one group configuration."""
+    key = (family, rank, ambient, tuple(sorted(kwargs.items())))
     if key not in _STACKS:
-        _STACKS[key] = Stack(*args, **kwargs)
+        _STACKS[key] = Context(RunConfig(family, rank, ambient, [], **kwargs))
     return _STACKS[key]
 
 

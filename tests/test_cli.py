@@ -8,11 +8,16 @@ from pathlib import Path
 import pytest
 
 import dunkl
+from dunkl import cli
 from dunkl.admissible import CoverAlgebra
 from dunkl.cli import (main, RunConfig, run_config, parse_specialize,
                        canonical_report_bytes, ConfigError, SUITES,
                        MUL_TABLE_CAP, SPINOR_DIM_CAP, spinor_dim,
                        build_parser, config_from_args)
+from dunkl.hc import HCElement
+from dunkl.osp import OspRealisation
+from dunkl.polyspinor import SpinorRep, HermitianForm
+from dunkl.tama import Tama
 
 
 def test_malformed_family_exits_2(capsys):
@@ -183,6 +188,66 @@ def test_admissible_and_vogan_share_one_basis(monkeypatch):
     _rep, code = run_config(RunConfig("A", 3, None, ["admissible", "vogan"]))
     assert code == 0
     assert len(calls) == len(set(calls)) == 5    # the classes of S4
+
+
+@pytest.mark.parametrize("argv", [
+    "--family B --rank 2 --suite all --max-degree 2",
+    "--family B --rank 2 --suite all --specialize s=2,c1=1/3,c2=1/5 "
+    "--max-degree 3",
+])
+def test_suite_work_runs_inside_checks(monkeypatch, argv):
+    # once the context is built (group, HAlgebra, pin cover), every
+    # product, matrix assembly and admissible basis is made by a check
+    config = config_from_args(build_parser().parse_args(argv.split()))
+    ctx = cli.Context(config)
+    ctx.alg
+    depth = []
+    outside = []
+    check = cli.Runner.check
+
+    def timed(self, *args):
+        depth.append(1)
+        try:
+            return check(self, *args)
+        finally:
+            depth.pop()
+    monkeypatch.setattr(cli.Runner, "check", timed)
+    for owner, name in ((HCElement, "__mul__"), (SpinorRep, "matrix_of"),
+                        (CoverAlgebra, "admissible_basis")):
+        def counted(*args, original=getattr(owner, name), name=name):
+            if not depth:
+                outside.append(name)
+            return original(*args)
+        monkeypatch.setattr(owner, name, counted)
+    monkeypatch.setattr(cli, "Context", lambda _config: ctx)
+    _rep, code = run_config(config)
+    assert code == 0
+    assert outside == []
+
+
+@pytest.mark.parametrize("owner, method", [
+    (OspRealisation, "bracket_table_check"),
+    (Tama, "centre_candidates"),
+    (Tama, "dirac"),
+    (Tama, "dirac_checks"),
+    (CoverAlgebra, "to_hc"),
+    (HermitianForm, "adjointness_check"),
+    (HermitianForm, "leading_minor_signs"),
+])
+def test_helper_exception_fails_checks_not_the_run(monkeypatch, owner,
+                                                   method):
+    def broken(self, *args, **kwargs):
+        raise RuntimeError("injected")
+    monkeypatch.setattr(owner, method, broken)
+    rep, code = run_config(RunConfig("B", 2, None, list(SUITES),
+                                     max_degree=1))
+    assert code == 1
+    failed = [rec for rec in rep["checks"] if rec["status"] == "fail"]
+    assert failed
+    for rec in failed:
+        assert rec["witness"] == "exception: RuntimeError('injected')"
+    # the run goes on: every suite still reports
+    assert {rec["suite"] for rec in rep["checks"]} == set(SUITES)
 
 
 def test_all_suite_expansion():

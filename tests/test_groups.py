@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from dunkl.groups import (RootDatum, GroupElement, parse_family,
-                          UnsupportedFamilyError, mat_identity, group_order)
+                          UnsupportedFamilyError, group_order)
 
 
 def test_group_orders():
@@ -44,10 +44,10 @@ def test_minus_identity_membership():
 
 def test_reflections_are_involutions():
     rd = RootDatum("B", 2, 2)
-    ident = GroupElement(mat_identity(2))
+    ident = rd.elements[rd.identity_index]
     for s in rd.reflections:
         assert s * s == ident
-        assert not s.is_identity()
+        assert s != ident
 
 
 def test_apply_exp_roundtrip():
