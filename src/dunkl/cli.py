@@ -227,7 +227,6 @@ class Runner:
                         ("fail", f"exception: {exc!r}", None))]
         share, extra = divmod(int((time.monotonic() - start) * 1000),
                               len(entries))
-        first = len(self.records)
         for cid, anc, (status, witness, detail) in entries:
             rec = {
                 "suite": suite,
@@ -243,7 +242,7 @@ class Runner:
             if detail is not None:
                 rec["detail"] = detail
             self.records.append(rec)
-        return self.records[first]
+        return self.records[-len(entries)]
 
     def skip(self, suite, check_id, anchor, reason):
         return self.check(suite, check_id, anchor,
@@ -426,12 +425,10 @@ def suite_admissible(ctx: Context, run: Runner):
               "catalogued epsilon-centre equals the brute-force solution",
               oracle)
 
-    # the class-flags check computes the basis once; partition-criterion
-    # reads it from here
-    computed = {}
+    # class-flags builds the basis; partition-criterion reads it
+    basis = functools.cache(lambda: ctx.cover.admissible_basis())
 
     def class_flags():
-        basis = computed["basis"] = ctx.cover.admissible_basis()
         flags = [{
             "class": entry["label"],
             "parity": int(entry["parity"]),
@@ -440,21 +437,18 @@ def suite_admissible(ctx: Context, run: Runner):
             "bullet_fixed_literal": entry["bullet_fixed"],
             "admissible_literal": entry["admissible"],
             "admissible_adjusted": entry["admissible_adjusted"],
-        } for entry in basis]
+        } for entry in basis()]
         return "pass", None, {"classes": flags}
     run.check("admissible", "class-flags",
               "per-class admissibility certificates", class_flags)
     if ctx.rd.family == "A":
         def criterion():
-            basis = computed.get("basis")
-            if basis is None:
-                return "fail", "no admissible basis: class-flags failed", None
             d_odd = ctx.rd.dim % 2 == 1
             n_perm = ctx.rd.rank + 1
             preds = dict(sn_partition_predictions(n_perm, d_odd))
             extra_fixed = ctx.rd.dim - n_perm
             mismatches = []
-            for entry in basis:
+            for entry in basis():
                 # a class with no prediction is a mismatch
                 predicted = preds.get(_parse_partition_label(
                     entry["label"], strip_ones=extra_fixed))
