@@ -94,14 +94,14 @@ GOLDEN_REPORTS = (
      "1c492fd55b98d9043564f9f93aa1e901fcfb7612b7911d8e9cc67fd7e79a972a"),
     ("--family B --rank 2 --suite all --specialize s=2,c1=1/3,c2=1/5 "
      "--max-degree 10", 0,
-     "f277dde2d4008fef8c9cb089175e6f205404f9aafa2b30186272f8c6a00a9630"),
+     "75e89aa22f91ed2c7abb014ce4ce1e3f75cc7cb007287fcbe01301b23af48b9e"),
     ("--family A --rank 4 --suite admissible", 0,
      "52dd93ceced4a598299df301a0162be06ccc63ec35bf1050732b09fa2eb48e79"),
     ("--family B --rank 2 --suite all --max-degree 2", 0,
      "b3826ca94bc81052cffd703fcbaa7a41c80b6ab6e2da96ae9ea276e8807c264a"),
     ("--family B --rank 2 --suite cohomology --specialize s=2,c1=1/3,c2=1/5 "
      "--max-degree 3", 0,
-     "0b95d55886b3de4cf40916cf4135c282760ec70070958389ea09332a75457f79"),
+     "33d6a20ff87df7249d255539fd7c393e4743e731688dca60b2f9bd7a1b5e3281"),
     ("--family A1^3 --suite all --max-degree 2", 1,
      "5cd118d40585bd1d08732702ee7b4822583f9a3c1bf2340c78b5f35d1666f6fb"),
     ("--family A --rank 2 --suite all --max-degree 2", 1,
