@@ -22,7 +22,6 @@ import random
 import sys
 import time
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -151,23 +150,23 @@ class Context:
         self.rd = RootDatum(config.family, config.rank, config.ambient,
                             single_c=config.single_c)
 
-    @cached_property
+    @functools.cached_property
     def alg(self):
         return HCAlgebra(self.rd, specialize=self.config.specialize)
 
-    @cached_property
+    @functools.cached_property
     def osp(self):
         return OspRealisation(self.alg)
 
-    @cached_property
+    @functools.cached_property
     def tama(self):
         return Tama(self.alg, self.osp)
 
-    @cached_property
+    @functools.cached_property
     def cover(self):
         return CoverAlgebra(self.rd, self.alg.pin)
 
-    @cached_property
+    @functools.cached_property
     def rep(self):
         return SpinorRep(self.alg)
 
@@ -490,10 +489,11 @@ def suite_cohomology(ctx: Context, run: Runner):
     d = ctx.rd.dim
     max_deg = ctx.config.max_degree
     deg0 = min(2, max_deg)
-    quarter = alg.scalar(F.rational(Fraction(1, 4)))
     # values shared by several checks, built by the first check that needs
     # them; an exception while building one fails every check that needs it
     dirac = functools.cache(lambda: ctx.tama.dirac())
+    casimir = functools.cache(lambda: ctx.osp.Omega_osp
+                              + alg.scalar(F.rational(Fraction(1, 4))))
     form = functools.cache(lambda: HermitianForm(ctx.rep))
     adjoint = functools.cache(lambda: form().adjointness_check(deg0))
     signs = functools.cache(lambda: [
@@ -539,7 +539,7 @@ def suite_cohomology(ctx: Context, run: Runner):
     def dirac_square(k):
         rep = ctx.rep
         MD, _ = rep.matrix_of(dirac(), k)
-        MO, _ = rep.matrix_of(ctx.osp.Omega_osp + quarter, k)
+        MO, _ = rep.matrix_of(casimir(), k)
         return first_failure([(f"degree {k} matrix identity fails",
                                _mat_mul_coeff(MD, MD, rep.zero) == MO)])
     for k in range(max_deg + 1):
