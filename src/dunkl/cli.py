@@ -565,9 +565,11 @@ def suite_cohomology(ctx: Context, run: Runner):
     def adjointness():
         out = []
         for name, ok in adjoint().items():
-            witness = ("no spinor form makes all generators skew-adjoint in "
-                       "odd dimension" if name.startswith("e")
-                       else "adjointness identity fails")
+            if name.startswith("e"):
+                witness = ("no spinor form makes all generators skew-adjoint "
+                           "in odd dimension")
+            else:
+                witness = "adjointness identity fails"
             out.append((f"hermitian-adjoint-{name}",
                         f"bullet-adjointness of generator {name} under the "
                         "pairing",
