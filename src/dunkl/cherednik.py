@@ -7,11 +7,12 @@ commutation formula
     [y, p] = t d_y(p) - sum_{alpha>0} c(alpha) <alpha, y> (p - s_alpha p)/alpha s_alpha
 
 with all divided differences computed by exact polynomial division.  The
-straightening of y^b x^a is memoised per algebra; this is the dominant
-cost of every downstream suite.  Sums accumulate through
-`sparse.add_into`, and `HElement` takes its linear operations from
-`sparse.SparseElement`; `HAlgebra.star_key` is the star on one monomial,
-shared with the bullet of `hc`.
+straightening of y^b x^a is memoised per algebra, and so is the product
+of each pair of PBW monomials (`term_mul`): the H and H (x) C products
+meet the same pair many times over, and each is multiplied once.  Sums
+accumulate through `sparse.add_into`, and `HElement` takes its linear
+operations from `sparse.SparseElement`; `HAlgebra.star_key` is the star
+on one monomial, shared with the bullet of `hc`.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ class HAlgebra:
         self._inv = rd.inv_table
         self._straighten_memo = {}
         self._ycomm_memo = {}
+        self._term_memo = {}
+        self._shared = {}
 
     @property
     def rational(self):
@@ -167,21 +170,36 @@ class HAlgebra:
 
     # -- term-level product (shared with the Clifford tensor layer) ---------
     def term_mul(self, key1, key2):
-        """Product of PBW monomials: list of ((xexp, yexp, g_idx), Scalar)."""
+        """Product of PBW monomials: tuple of ((xexp, yexp, g_idx), Scalar).
+
+        Memoised per algebra: a repeated pair returns the same tuple, which
+        callers only iterate.  Equal result keys, negated coefficients and
+        whole results are each stored once (`_shared`).
+        """
+        mkey = key1 + key2
+        out = self._term_memo.get(mkey)
+        if out is not None:
+            return out
         (a, b, w), (c, dd, v) = key1, key2
         ge = self._elems[w]
         c2, sg1 = ge.apply_exp(c)
         d2, sg2 = ge.apply_exp(dd)
         wv = self._mul[w][v]
         sgn = sg1 * sg2
+        share = self._shared.setdefault
         out = []
         for (al, be, g2), q in self.straighten(b, c2).items():
             ge2 = self._elems[g2]
             d3, sg3 = ge2.apply_exp(d2)
             xk = tuple(p + r for p, r in zip(a, al))
             yk = tuple(p + r for p, r in zip(be, d3))
-            coeff = q if sgn * sg3 > 0 else -q
-            out.append(((xk, yk, self._mul[g2][wv]), coeff))
+            key = (xk, yk, self._mul[g2][wv])
+            if sgn * sg3 < 0:
+                q = -q
+                q = share(q, q)
+            out.append((share(key, key), q))
+        out = tuple(out)
+        out = self._term_memo[mkey] = share(out, out)
         return out
 
     def star_key(self, a, b, g):

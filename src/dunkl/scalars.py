@@ -16,9 +16,11 @@ Scalars are immutable, and the dict is already canonical: equal values
 have equal `terms` and equal hashes, and nothing is ever reduced.  `+`,
 `-` and `*` are `poly_add`, `poly_neg` and `poly_mul`; a product with a
 one-term factor shifts exponents and multiplies no field elements when
-that term's coefficient is 1.  Only a monomial is invertible here (its
-exponent is negated and its coefficient inverted): inverting, or
-dividing by, a scalar of more than one term raises
+that term's coefficient is 1.  A constant factor shifts nothing: a
+product by 1 shares the other operand's dict, and any other constant
+scales its values without rebuilding its exponents.  Only a monomial is
+invertible here (its exponent is negated and its coefficient inverted):
+inverting, or dividing by, a scalar of more than one term raises
 NonMonomialDenominatorError.  `str` prints the lowest-terms numerator
 over the monic monomial denominator that `_reduce` splits off.
 """
@@ -208,6 +210,12 @@ def poly_mul(p, q):
         # a monomial times q: shift q's exponents, scale unless by 1; the
         # field has no zero divisors, so no product is zero
         (m, c), = p.items()
+        if not any(m):
+            # a constant moves no exponent; q's dict is shared when c is 1,
+            # which is safe because a Scalar's terms are never mutated
+            if c == C_ONE:
+                return q
+            return {e: v * c for e, v in q.items()}
         if c == C_ONE:
             return {tuple(a + b for a, b in zip(e, m)): v
                     for e, v in q.items()}

@@ -7,6 +7,7 @@ from dunkl.groups import RootDatum
 from dunkl.cherednik import (HAlgebra, dunkl_commutator, filtration_check,
                              _kill_c, _min_c_degree)
 from dunkl.scalars import ScalarField
+from dunkl.hc import HCAlgebra
 
 
 def test_rank_one_commutator():
@@ -141,3 +142,88 @@ def test_c_degree_helpers_on_laurent_scalars():
             _kill_c(y)
         with pytest.raises(ValueError):
             _min_c_degree(y)
+
+
+# -- the term_mul memo ----------------------------------------------------------
+
+_SPEC_B2 = {"s": Fraction(2), "c1": Fraction(1, 3), "c2": Fraction(1, 5)}
+_MEMO_CASES = [(("B", 2, 2), None), (("A1", 2, 2), None),
+               (("B", 2, 2), _SPEC_B2)]
+
+
+def _pbw_keys(h, seed, count=8):
+    """A seeded set of PBW monomial keys (xexp, yexp, g) of degree <= 3."""
+    rng = random.Random(seed)
+    keys = set()
+    while len(keys) < count:
+        xe, ye = [0] * h.dim, [0] * h.dim
+        for _ in range(rng.randint(0, 3)):
+            (xe if rng.random() < 0.5 else ye)[rng.randrange(h.dim)] += 1
+        keys.add((tuple(xe), tuple(ye), rng.randrange(len(h.rd.elements))))
+    return sorted(keys)
+
+
+@pytest.mark.parametrize("group,spec", _MEMO_CASES,
+                         ids=["B2", "A1^2", "B2-rational"])
+def test_term_mul_memo_matches_a_fresh_algebra(group, spec):
+    rd = RootDatum(*group)
+    h = HAlgebra(rd, specialize=spec)
+    keys = _pbw_keys(h, seed=3)
+    for k1 in keys:
+        for k2 in keys:
+            first = h.term_mul(k1, k2)
+            # callers only iterate the shared result, so it is immutable
+            assert type(first) is tuple
+            assert HAlgebra(rd, specialize=spec).term_mul(k1, k2) == first
+            assert h.term_mul(k1, k2) is first
+    assert len(h._term_memo) == len(keys) ** 2
+
+
+def test_term_mul_memo_is_per_algebra():
+    rd = RootDatum("B", 2, 2)
+    sym, num = HAlgebra(rd), HAlgebra(rd, specialize=_SPEC_B2)
+    keys = _pbw_keys(sym, seed=5)
+    for k1 in keys:
+        for k2 in keys:
+            sym.term_mul(k1, k2)
+            num.term_mul(k1, k2)
+    assert sym._term_memo.keys() == num._term_memo.keys()
+    shared = {id(v) for v in sym._term_memo.values()} & \
+        {id(v) for v in num._term_memo.values()}
+    assert not shared
+    assert all(cf.is_constant() for out in num._term_memo.values()
+               for _k, cf in out)
+    assert not all(cf.is_constant() for out in sym._term_memo.values()
+                   for _k, cf in out)
+
+
+def _h_pair(h):
+    g = h.rd.reflection_index(0)
+    a = h.x(1) * h.y(2) + h.group(g).scale(h.field.i) + h.y(1).scale(h.c_root[0])
+    b = h.y(1) * h.x(1) * h.group(g) - h.x(2).scale(h.t)
+    return a, b
+
+
+def _hc_pair(hc):
+    g = hc.rd.reflection_index(0)
+    a = hc.x(1) * hc.e(2) + hc.y(2) * hc.group(g) + hc.e(1).scale(hc.field.s)
+    b = hc.y(1) * hc.e(1) * hc.x(2) - hc.group(g) * hc.e(2)
+    return a, b
+
+
+@pytest.mark.parametrize("make,pair", [(HAlgebra, _h_pair),
+                                       (HCAlgebra, _hc_pair)],
+                         ids=["H", "HxC"])
+@pytest.mark.parametrize("group", [("B", 2, 2), ("A1", 2, 2)],
+                         ids=["B2", "A1^2"])
+def test_memoised_products_repeat_exactly(group, make, pair):
+    rd = RootDatum(*group)
+    alg = make(rd)
+    memo = getattr(alg, "h", alg)._term_memo
+    a, b = pair(alg)
+    first = a * b
+    size = len(memo)
+    assert a * b == first
+    assert len(memo) == size      # the repeat made no new entry
+    fa, fb = pair(make(rd))
+    assert (fa * fb).terms == first.terms

@@ -444,3 +444,36 @@ _laurent_terms = st.dictionaries(
 @settings(max_examples=100, deadline=None)
 def test_str_prints_numerator_over_monomial_denominator(terms):
     assert str(Scalar(terms, 3)) == _ref_str(terms)
+
+
+# -- products by a constant -------------------------------------------------------
+# Reference: the general double loop over both operands' terms.
+
+def _ref_poly_mul(p, q):
+    return add_into({}, ((tuple(a + b for a, b in zip(e1, e2)), v1 * v2)
+                         for e1, v1 in p.items() for e2, v2 in q.items()))
+
+
+_CONSTANTS = [C_ONE, Coeff(-1), C_I, C_R, Coeff(Fraction(3, 7))]
+
+
+@given(_laurent_terms, st.sampled_from(_CONSTANTS))
+@settings(max_examples=100, deadline=None)
+def test_constant_factor_matches_double_loop(terms, cf):
+    const = {(0, 0, 0): cf}
+    expect = _ref_poly_mul(terms, const)
+    for product in (scalars.poly_mul(terms, const),
+                    scalars.poly_mul(const, terms)):
+        assert product == expect
+        assert list(product) == list(terms)      # no exponent moved
+    assert Scalar(terms, 3) * Scalar(const, 3) == Scalar(expect, 3)
+
+
+def test_product_by_one_makes_no_field_products(coeff_products):
+    x = F2.rational(3) * F2.s * F2.cs[0] + F2.i * F2.cs[1] - F2.r / F2.s
+    with coeff_products() as made:
+        left, right = F2.one * x, x * F2.one
+    assert made == []
+    assert left == x and right == x
+    # the scalars are immutable, so the product may share x's terms
+    assert left.terms is x.terms and right.terms is x.terms
