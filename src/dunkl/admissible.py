@@ -3,7 +3,9 @@
 Elements of rho(C W~) are stored as coordinate vectors {g_idx: Coeff}
 relative to the basis {rho(g, +1) : g in W} of canonical lifts; this makes
 all cover-algebra computations pure Q(i, sqrt2) linear algebra driven by
-the cocycle sigma of the pin cover.
+the cocycle sigma of the pin cover.  The bullet sends rho(g, +1) to
+tau(g) rho(g^-1, +1), with tau(g) = (-1)^{|g~|} sigma(g, g^-1) read off
+the cocycle, so no Clifford lift is built.
 
 epsilon(rho(w~)) is 1 when d is odd and (-1)^{|w~|} when d is even.  The
 epsilon-centre is the solution space of
@@ -20,10 +22,11 @@ elimination.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .scalars import Coeff, C_ONE, C_I, _i_power, Scalar
 from .sparse import add_into
-from .clifford import reversion_sign
-from .pin import PinCover, unit_ratio_sign
+from .pin import PinCover
 from .groups import RootDatum
 from .polyspinor import rank_coeff
 
@@ -42,7 +45,6 @@ class CoverAlgebra:
         self.pin = pin if pin is not None else PinCover(rd)
         self.n = len(rd.elements)
         self.d = rd.dim
-        self._star_sign = None
         self._basis = None
 
     def mul(self, a, b):
@@ -53,22 +55,21 @@ class CoverAlgebra:
                              for g, u in a.items() for h, v in b.items()))
 
     # -- bullet (conjugate-linear anti-involution) ---------------------------
+    @cached_property
     def _bullet_signs(self):
-        """Sign tau(g) with rho(g,1)^bullet = tau(g) rho(g^-1,1)."""
-        if self._star_sign is not None:
-            return self._star_sign
+        """Sign tau(g) with rho(g,1)^bullet = tau(g) rho(g^-1,1).
+
+        u(g) is a product of |g~| real unit vectors v, each with
+        v^bullet = -v and v^2 = 1, so u(g)^bullet = (-1)^{|g~|} u(g)^-1
+        = (-1)^{|g~|} sigma(g, g^-1) u(g^-1).
+        """
         pc = self.pin
         inv = self.rd.inv_table
-        out = [0] * self.n
-        for g in range(self.n):
-            starred = {m: cf.conj_i() if reversion_sign(m) > 0 else -cf.conj_i()
-                       for m, cf in pc.lift(g).items()}
-            out[g] = unit_ratio_sign(starred, pc.lift(inv[g]))
-        self._star_sign = out
-        return out
+        return [-pc.sigma(g, inv[g]) if pc.parity(g) else pc.sigma(g, inv[g])
+                for g in range(self.n)]
 
     def bullet(self, a):
-        tau = self._bullet_signs()
+        tau = self._bullet_signs
         inv = self.rd.inv_table
         return add_into({}, ((inv[g], v.conj_i() if tau[g] > 0 else -v.conj_i())
                              for g, v in a.items()))

@@ -1,16 +1,18 @@
 """Root data and finite reflection groups in orthonormal coordinates.
 
 Supported families: A (S_{rank+1} permuting coordinates of C^ambient),
-B_n, D_n and products A1^d of sign flips.  Every group element is a
-signed permutation of the orthonormal basis, which keeps the whole group
-action monomial-to-monomial; it is stored as int tuples (perm, sign), so
-products and inverses compose permutations instead of multiplying
-matrices.
+B_n, D_n and products A1^d of sign flips.  Every root is +-e_i or
++-(e_i + sigma e_j), so every reflection, and with it every group
+element, is a signed permutation of the orthonormal basis, which keeps
+the whole group action monomial-to-monomial.  An element is stored only
+as the int tuples (perm, sign) and its determinant: products and
+inverses compose permutations, and the element list, its index and the
+multiplication and inverse tables are derived once from the reflections.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import factorial
 
@@ -28,55 +30,18 @@ class GroupBoundExceededError(RuntimeError):
 class GroupElement:
     """Signed permutation w with w(y_j) = sign_j * y_{perm_j}.
 
-    Stored as the int tuples (perm, sign); the same data acts on the
-    x-coordinates since the matrices are orthogonal and the bases dual.
-    `GroupElement(mat)` reads a signed permutation matrix, and `.mat`
-    builds it back.
+    Stored only as the int tuples (perm, sign) and the determinant det;
+    the same data acts on the x-coordinates since the matrices are
+    orthogonal and the bases dual.  `.mat` builds the int matrix.
     """
 
     __slots__ = ("perm", "sign", "det", "_hash")
 
-    def __init__(self, mat):
-        d = len(mat)
-        perm = []
-        sign = []
-        for j in range(d):
-            col = [mat[i][j] for i in range(d)]
-            nz = [i for i in range(d) if col[i]]
-            if len(nz) != 1 or col[nz[0]] not in (1, -1):
-                raise ValueError("not a signed permutation matrix")
-            perm.append(nz[0])
-            sign.append(int(col[nz[0]]))
-        det = 1
-        for s in sign:
-            det *= s
-        # parity of the permutation
-        seen = [False] * d
-        for j in range(d):
-            if seen[j]:
-                continue
-            ln = 0
-            k = j
-            while not seen[k]:
-                seen[k] = True
-                k = perm[k]
-                ln += 1
-            if ln % 2 == 0:
-                det = -det
-        self._set(tuple(perm), tuple(sign), det)
-
-    def _set(self, perm, sign, det):
-        self.perm = perm
-        self.sign = sign
+    def __init__(self, perm, sign, det):
+        self.perm = tuple(perm)
+        self.sign = tuple(sign)
         self.det = det
-        self._hash = hash((perm, sign))
-
-    @classmethod
-    def signed_permutation(cls, perm, sign, det):
-        """The element with these perm and sign sequences and determinant."""
-        g = object.__new__(cls)
-        g._set(tuple(perm), tuple(sign), det)
-        return g
+        self._hash = hash((self.perm, self.sign))
 
     @property
     def mat(self):
@@ -95,10 +60,9 @@ class GroupElement:
 
     def __mul__(self, o):
         gp, gs = self.perm, self.sign
-        return GroupElement.signed_permutation(
-            [gp[k] for k in o.perm],
-            [s * gs[k] for k, s in zip(o.perm, o.sign)],
-            self.det * o.det)
+        return GroupElement([gp[k] for k in o.perm],
+                            [s * gs[k] for k, s in zip(o.perm, o.sign)],
+                            self.det * o.det)
 
     def inverse(self):
         d = len(self.perm)
@@ -107,7 +71,7 @@ class GroupElement:
         for j, (p, s) in enumerate(zip(self.perm, self.sign)):
             perm[p] = j
             sign[p] = s
-        return GroupElement.signed_permutation(perm, sign, self.det)
+        return GroupElement(perm, sign, self.det)
 
     def apply_exp(self, exps):
         """Image of the monomial with exponent vector `exps`: (new_exps, sign).
@@ -128,21 +92,29 @@ class GroupElement:
         return f"GroupElement(perm={self.perm}, sign={self.sign})"
 
 
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+def reflection(alpha):
+    """s_alpha for a root alpha = +-e_i or +-(e_i + sigma e_j), sigma = +-1.
 
-
-def reflection_matrix(alpha, coroot):
-    """s_alpha = I - coroot * alpha^T in the orthonormal coordinates."""
-    d = len(alpha)
-    return tuple(
-        tuple((1 if i == j else 0) - coroot[i] * alpha[j] for j in range(d))
-        for i in range(d)
-    )
+    s_alpha(y) = y - <y, alpha^vee> alpha flips the sign at i for
+    alpha = +-e_i, and for alpha = +-(e_i + sigma e_j) maps e_i to
+    -sigma e_j and e_j to -sigma e_i; either way det = -1.
+    """
+    nz = [j for j, a in enumerate(alpha) if a]
+    if not nz or len(nz) > 2 or any(alpha[j] not in (1, -1) for j in nz):
+        raise ValueError(f"root {alpha} is not +-e_i or +-(e_i +- e_j)")
+    perm = list(range(len(alpha)))
+    sign = [1] * len(alpha)
+    if len(nz) == 1:
+        sign[nz[0]] = -1
+    else:
+        i, j = nz
+        perm[i], perm[j] = j, i
+        sign[i] = sign[j] = -alpha[i] * alpha[j]
+    return GroupElement(perm, sign, -1)
 
 
 class RootDatum:
-    """Positive roots, coroots, reflections and orbit labels for W in O(d)."""
+    """Positive roots, reflections and orbit labels for W in O(d)."""
 
     def __init__(self, family, rank, ambient_dim, single_c=False,
                  group_bound=DEFAULT_GROUP_BOUND):
@@ -180,27 +152,15 @@ class RootDatum:
         self.rank = rank
         self.dim = d
         self.positive_roots = [tuple(r) for r in pos]
-        self.coroots = []
-        self.root_norms_sq = []
-        for alpha in self.positive_roots:
-            n2 = _dot(alpha, alpha)
-            self.root_norms_sq.append(n2)
-            self.coroots.append(tuple(Fraction(2 * a, n2) for a in alpha))
+        self.root_norms_sq = [sum(a * a for a in alpha)
+                              for alpha in self.positive_roots]
         if single_c:
             labels = [0] * len(labels)
         self.orbit_labels = list(labels)
         self.num_orbits = (max(labels) + 1) if labels else 0
-        self.reflections = [
-            GroupElement(reflection_matrix(a, cr))
-            for a, cr in zip(self.positive_roots, self.coroots)
-        ]
+        self.reflections = [reflection(a) for a in self.positive_roots]
         self.expected_order = group_order(family, rank)
         self.group_bound = group_bound
-        self._elements = None
-        self._index = None
-        self._mul_table = None
-        self._inv_table = None
-        self._classes = None
 
     @staticmethod
     def _e(i, d, si, j=None, sj=None):
@@ -211,96 +171,79 @@ class RootDatum:
         return tuple(v)
 
     # -- group enumeration ---------------------------------------------------
-    @property
-    def elements(self):
-        if self._elements is None:
-            self._enumerate()
-        return self._elements
+    # the breadth-first search starts at the identity, so it has index 0
+    identity_index = 0
 
-    def _enumerate(self):
-        gens = self.reflections
-        ident = self._identity()
+    @cached_property
+    def _index(self):
+        """{element: index}, in breadth-first order over the reflections."""
+        d = self.dim
+        ident = GroupElement(range(d), (1,) * d, 1)
         seen = {ident: 0}
-        order = [ident]
         frontier = [ident]
         while frontier:
             new = []
             for g in frontier:
-                for s in gens:
+                for s in self.reflections:
                     h = g * s
                     if h not in seen:
                         if len(seen) >= self.group_bound:
                             raise GroupBoundExceededError(
                                 f"group order exceeds bound {self.group_bound}")
-                        seen[h] = len(order)
-                        order.append(h)
+                        seen[h] = len(seen)
                         new.append(h)
             frontier = new
-        if len(order) != self.expected_order:
+        if len(seen) != self.expected_order:
             raise AssertionError(
-                f"enumerated {len(order)} elements, expected {self.expected_order}")
-        self._elements = order
-        self._index = seen
+                f"enumerated {len(seen)} elements, expected {self.expected_order}")
+        return seen
+
+    @cached_property
+    def elements(self):
+        return list(self._index)
 
     def index_of(self, g):
-        if self._index is None:
-            self._enumerate()
         return self._index[g]
 
-    @property
+    @cached_property
     def mul_table(self):
-        if self._mul_table is None:
-            els = self.elements
-            n = len(els)
-            idx = self._index
-            self._mul_table = [
-                [idx[els[i] * els[j]] for j in range(n)] for i in range(n)
-            ]
-            self._inv_table = [idx[g.inverse()] for g in els]
-        return self._mul_table
+        idx = self._index
+        els = self.elements
+        return [[idx[g * h] for h in els] for g in els]
 
-    @property
+    @cached_property
     def inv_table(self):
-        self.mul_table
-        return self._inv_table
-
-    @property
-    def identity_index(self):
-        return self.index_of(self._identity())
-
-    def _identity(self):
-        d = self.dim
-        return GroupElement.signed_permutation(range(d), (1,) * d, 1)
+        idx = self._index
+        return [idx[g.inverse()] for g in self.elements]
 
     def reflection_index(self, root_idx):
-        return self.index_of(self.reflections[root_idx])
+        return self._index[self.reflections[root_idx]]
 
     # -- structure ----------------------------------------------------------
     def conjugacy_classes(self):
         """Partition of element indices into conjugacy classes (sorted)."""
-        if self._classes is None:
-            tbl = self.mul_table
-            inv = self.inv_table
-            n = len(self.elements)
-            assigned = [None] * n
-            classes = []
-            for g in range(n):
-                if assigned[g] is not None:
-                    continue
-                cls = sorted({tbl[tbl[inv[w]][g]][w] for w in range(n)})
-                for h in cls:
-                    assigned[h] = len(classes)
-                classes.append(cls)
-            self._classes = classes
         return self._classes
+
+    @cached_property
+    def _classes(self):
+        tbl = self.mul_table
+        inv = self.inv_table
+        n = len(self.elements)
+        assigned = [None] * n
+        classes = []
+        for g in range(n):
+            if assigned[g] is not None:
+                continue
+            cls = sorted({tbl[tbl[inv[w]][g]][w] for w in range(n)})
+            for h in cls:
+                assigned[h] = len(classes)
+            classes.append(cls)
+        return classes
 
     def contains_minus_identity(self):
         """(found, element) with element = -I when present."""
         d = self.dim
-        minus = GroupElement.signed_permutation(range(d), (-1,) * d,
-                                                (-1) ** d)
-        if self._index is None:
-            self._enumerate()
+        minus = GroupElement(range(d), (-1,) * d, (-1) ** d)
         if minus in self._index:
             return True, minus
         return False, None

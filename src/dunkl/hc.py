@@ -133,17 +133,15 @@ class HCElement(SparseElement):
 
     # -- brackets ------------------------------------------------------------
     def gbracket(self, o):
-        """Graded bracket: anticommutator on odd*odd, commutator otherwise."""
-        out = self.alg.zero()
-        for p1, a in ((0, self.even_part()), (1, self.odd_part())):
-            if a.is_zero():
-                continue
-            for p2, b in ((0, o.even_part()), (1, o.odd_part())):
-                if b.is_zero():
-                    continue
-                out = out + (a.anticommutator(b) if p1 and p2
-                             else a.commutator(b))
-        return out
+        """Graded bracket: anticommutator on odd*odd, commutator otherwise.
+
+        Summed over parts, [a, b] = ab - b0 a - b1 a0 + b1 a1; no operand
+        is negated, since a product by a coefficient -1 costs field
+        multiplications that one by 1 does not.
+        """
+        b1 = o.odd_part()
+        return (self * o - o.even_part() * self - b1 * self.even_part()
+                + b1 * self.odd_part())
 
     # -- anti-involution -----------------------------------------------------
     def bullet(self):

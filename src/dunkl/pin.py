@@ -60,9 +60,8 @@ def _unit_mul(u, v):
 
 
 def _generator_unit(alpha, n2):
-    """The unit gamma(alpha / |alpha|) of the reflection at root alpha."""
-    if n2 not in (1, 2):
-        raise ValueError("unexpected root length")
+    """The unit gamma(alpha / |alpha|) of the reflection at root alpha,
+    whose squared norm n2 is 1 or 2 (`groups.reflection`)."""
     return n2 - 1, {1 << j: a for j, a in enumerate(alpha) if a}
 
 
@@ -91,6 +90,7 @@ class PinCover:
         self._lifts = [None] * self.n
         self._sigma_cache = {}
         self._classes = None
+        self._class_of = None
 
     def _build_units(self):
         units = [None] * self.n
@@ -200,16 +200,13 @@ class PinCover:
                     assigned[b] = len(classes)
                 classes.append(cls)
         self._classes = classes
+        self._class_of = assigned
         return classes
 
     def class_splits(self, g_idx):
         """True iff the two lifts of the W-class of g lie in distinct classes."""
         self.cover_classes()
-        cls_of = {}
-        for ci, cls in enumerate(self._classes):
-            for b in cls:
-                cls_of[b] = ci
-        return cls_of[(g_idx, 1)] != cls_of[(g_idx, -1)]
+        return self._class_of[(g_idx, 1)] != self._class_of[(g_idx, -1)]
 
     def split_class_report(self):
         """One entry per W-conjugacy class: (rep_idx, label, parity, splits)."""

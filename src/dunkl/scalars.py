@@ -277,26 +277,6 @@ class Scalar:
     def rational(q, nvars):
         return Scalar.from_coeff(Coeff(Fraction(q)), nvars)
 
-    @staticmethod
-    def i_unit(nvars):
-        return Scalar.from_coeff(C_I, nvars)
-
-    @staticmethod
-    def sqrt2(nvars):
-        return Scalar.from_coeff(C_R, nvars)
-
-    @staticmethod
-    def s_var(nvars):
-        return Scalar({(1,) + (0,) * (nvars - 1): C_ONE}, nvars)
-
-    @staticmethod
-    def c_var(k, nvars):
-        """Orbit parameter c_{k+1} (0-based index k)."""
-        if not 0 <= k < nvars - 1:
-            raise IndexError(f"orbit parameter index {k} out of range")
-        e = tuple(1 if j == k + 1 else 0 for j in range(nvars))
-        return Scalar({e: C_ONE}, nvars)
-
     # -- predicates ---------------------------------------------------------
     def is_zero(self):
         return not self.terms
@@ -446,11 +426,14 @@ class ScalarField:
         self.nvars = 1 + num_orbits
         self.zero = Scalar.rational(0, self.nvars)
         self.one = Scalar.rational(1, self.nvars)
-        self.i = Scalar.i_unit(self.nvars)
-        self.r = Scalar.sqrt2(self.nvars)
-        self.s = Scalar.s_var(self.nvars)
+        self.i = Scalar.from_coeff(C_I, self.nvars)
+        self.r = Scalar.from_coeff(C_R, self.nvars)
+        # the variables: exponent slot 0 is s, slot k + 1 is c_{k+1}
+        unit = [tuple(int(j == k) for j in range(self.nvars))
+                for k in range(self.nvars)]
+        self.s = Scalar({unit[0]: C_ONE}, self.nvars)
         self.t = self.s * self.s / Scalar.rational(2, self.nvars)
-        self.cs = [Scalar.c_var(k, self.nvars) for k in range(num_orbits)]
+        self.cs = [Scalar({e: C_ONE}, self.nvars) for e in unit[1:]]
 
     def rational(self, q):
         return Scalar.rational(q, self.nvars)

@@ -4,6 +4,8 @@ from dunkl.groups import RootDatum
 from dunkl.admissible import (CoverAlgebra, linearly_independent,
                               sn_partition_predictions)
 from dunkl.cli import _parse_partition_label
+from dunkl.clifford import reversion_sign
+from dunkl.pin import unit_ratio_sign
 
 
 def _cover(*args, **kwargs):
@@ -58,6 +60,36 @@ def test_bullet_on_cover_algebra_is_anti_involution():
     rhs = cov.mul(cov.bullet(b), cov.bullet(a))
     assert lhs == rhs
     assert cov.bullet(cov.bullet(a)) == a
+
+
+def _reference_bullet_signs(cov):
+    """tau(g) read off the Clifford lifts: star each {mask: Coeff} lift
+    and compare it with the lift of g^-1."""
+    pc, inv = cov.pin, cov.rd.inv_table
+    out = []
+    for g in range(cov.n):
+        starred = {m: cf.conj_i() if reversion_sign(m) > 0 else -cf.conj_i()
+                   for m, cf in pc.lift(g).items()}
+        out.append(unit_ratio_sign(starred, pc.lift(inv[g])))
+    return out
+
+
+# D5 (order 1920) agrees as well, but its multiplication table alone
+# takes over 10 s to build, so it is left out here
+@pytest.mark.parametrize("config", [("A", 2, 3), ("A", 3, 4), ("A", 4, 5),
+                                    ("A", 3, 5), ("B", 2, 2), ("B", 3, 3),
+                                    ("B", 4, 4), ("D", 4, 4), ("A1", 3, 3),
+                                    ("A1", 4, 4)])
+def test_bullet_signs_match_the_clifford_lifts(config):
+    cov = _cover(*config)
+    assert cov._bullet_signs == _reference_bullet_signs(cov)
+
+
+def test_admissible_basis_builds_no_clifford_lift():
+    cov = _cover("A", 4, 5)
+    cov.brute_force_epsilon_centre()
+    cov.admissible_basis()
+    assert all(u is None for u in cov.pin._lifts)
 
 
 def test_s4_even_dimension_admissible_is_exactly_3_1():

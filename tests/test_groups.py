@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from dunkl.groups import (RootDatum, GroupElement, parse_family,
+from dunkl.groups import (RootDatum, parse_family, reflection,
                           UnsupportedFamilyError, group_order)
 
 
@@ -107,8 +107,7 @@ def test_signed_permutations_agree_with_int_matrices(cfg):
     mats = [g.mat for g in els]
     for g, m in zip(els, mats):
         assert all(type(x) is int for row in m for x in row)
-        assert GroupElement(m) == g and hash(GroupElement(m)) == hash(g)
-        assert GroupElement(m).det == g.det == leibniz_det(m)
+        assert g.det == leibniz_det(m)
         assert g.inverse().mat == tuple(zip(*m))
         assert g.inverse().det == g.det
     for g, mg in zip(els, mats):
@@ -118,15 +117,36 @@ def test_signed_permutations_agree_with_int_matrices(cfg):
             assert gh.det == g.det * h.det
 
 
-def test_reflections_read_fraction_matrices():
-    # coroots are Fractions, so reflection matrices arrive with Fraction
-    # entries; the stored signs are ints
-    rd = RootDatum("B", 2, 2)
-    assert any(isinstance(x, Fraction) for cr in rd.coroots for x in cr)
-    for s in rd.reflections:
-        assert all(type(x) is int for x in s.sign)
+def reflection_matrix_reference(alpha):
+    """I - coroot * alpha^T, with coroot = 2 alpha / |alpha|^2 in Fractions."""
+    n2 = sum(a * a for a in alpha)
+    coroot = [Fraction(2 * a, n2) for a in alpha]
+    d = len(alpha)
+    return tuple(tuple((1 if i == j else 0) - coroot[i] * alpha[j]
+                       for j in range(d)) for i in range(d))
+
+
+@pytest.mark.parametrize("cfg", [("A", 2, 3), ("A", 3, 5), ("A", 4, 5),
+                                 ("B", 2, 4), ("B", 3, 3), ("B", 4, 4),
+                                 ("D", 4, 4), ("D", 5, 5), ("A1", 3, 3),
+                                 ("A1", 2, 4)])
+def test_reflections_match_the_matrix_reference(cfg):
+    rd = RootDatum(*cfg)
+    for alpha, s in zip(rd.positive_roots, rd.reflections):
+        m = reflection_matrix_reference(alpha)
+        assert s.mat == m
+        assert s.det == leibniz_det(m) == -1
+        assert all(type(x) is int for x in s.perm + s.sign)
+    # a root and its negative give the same reflection
+    for alpha in rd.positive_roots:
+        assert reflection(tuple(-a for a in alpha)) == reflection(alpha)
+
+
+@pytest.mark.parametrize("alpha", [(0, 0, 0), (2, 0, 0), (1, 2, 0),
+                                   (1, 1, 1), (1, -1, 1), (1, 0, -3)])
+def test_reflection_rejects_other_root_shapes(alpha):
     with pytest.raises(ValueError):
-        GroupElement(((1, 1), (0, 1)))
+        reflection(alpha)
 
 
 def test_group_order_formula():
