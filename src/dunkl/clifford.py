@@ -1,7 +1,8 @@
 """Clifford algebra C(V, B) on orthonormal generators e_1..e_d, e_j^2 = 1.
 
-Basis subsets are stored as bitmasks; multiplication of basis elements is
-a popcount-style sign computation plus xor.  `cunit_mul` multiplies two
+Basis subsets are stored as bitmasks; e_A e_B is the sign
+(-1)^{|P(A) & B|} times e_{A xor B}, with the mask P(A) of `sign_mask`
+computed once per left term of a product.  `cunit_mul` multiplies two
 {mask: value} sums, for the pin cocycle on ints as well as for
 `CliffordElement`, whose linear operations come from `sparse`.
 `reversion_sign` is the sign of the anti-involution on a basis element,
@@ -14,19 +15,25 @@ from __future__ import annotations
 from .sparse import SparseElement
 
 
-def basis_sign(a, b):
-    """Sign of e_A * e_B relative to e_{A xor B}, with e_j^2 = +1.
+def sign_mask(a):
+    """P(A) = xor of A >> k over k >= 1: e_A e_B = (-1)^{|P(A) & B|} e_{A^B}.
 
     Moving each e_j (j in B) left past the e_i (i in A, i > j) costs one
     sign each, so the sign is the parity of sum_{k>=1} |(A >> k) & B|;
-    xor-ing the terms keeps that parity.
+    & distributes over xor, which keeps that parity.  A product computes
+    P once per left term.
     """
-    acc = 0
+    p = 0
     a >>= 1
     while a:
-        acc ^= a & b
+        p ^= a
         a >>= 1
-    return -1 if acc.bit_count() & 1 else 1
+    return p
+
+
+def basis_sign(a, b):
+    """Sign of e_A * e_B relative to e_{A xor B}, with e_j^2 = +1."""
+    return -1 if (sign_mask(a) & b).bit_count() & 1 else 1
 
 
 def reversion_sign(mask):
@@ -45,10 +52,11 @@ def cunit_mul(u, v):
     # from a generator measured 1.24x slower (S5 units, Python 3.11).
     out = {}
     for ma, va in u.items():
+        pa = sign_mask(ma)
         for mb, vb in v.items():
             m = ma ^ mb
             w = va * vb
-            if basis_sign(ma, mb) < 0:
+            if (pa & mb).bit_count() & 1:
                 w = -w
             acc = out.get(m)
             acc = w if acc is None else acc + w

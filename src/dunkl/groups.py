@@ -8,6 +8,10 @@ the whole group action monomial-to-monomial.  An element is stored only
 as the int tuples (perm, sign) and its determinant: products and
 inverses compose permutations, and the element list, its index and the
 multiplication and inverse tables are derived once from the reflections.
+The breadth-first search that lists the elements also records each
+element's parent; the multiplication table multiplies elements only for
+the reflections' rows and builds every other row by int lookups in its
+parent's row.
 """
 
 from __future__ import annotations
@@ -175,28 +179,38 @@ class RootDatum:
     identity_index = 0
 
     @cached_property
-    def _index(self):
-        """{element: index}, in breadth-first order over the reflections."""
+    def _search(self):
+        """Breadth-first search over the reflections: ({element: index},
+        parents), where element i is element g times reflection r for
+        (g, r) = parents[i] and g < i; the identity has parent None."""
         d = self.dim
         ident = GroupElement(range(d), (1,) * d, 1)
         seen = {ident: 0}
+        parents = [None]
         frontier = [ident]
         while frontier:
             new = []
             for g in frontier:
-                for s in self.reflections:
+                gi = seen[g]
+                for r, s in enumerate(self.reflections):
                     h = g * s
                     if h not in seen:
                         if len(seen) >= self.group_bound:
                             raise GroupBoundExceededError(
                                 f"group order exceeds bound {self.group_bound}")
                         seen[h] = len(seen)
+                        parents.append((gi, r))
                         new.append(h)
             frontier = new
         if len(seen) != self.expected_order:
             raise AssertionError(
                 f"enumerated {len(seen)} elements, expected {self.expected_order}")
-        return seen
+        return seen, parents
+
+    @cached_property
+    def _index(self):
+        """{element: index}, in breadth-first order over the reflections."""
+        return self._search[0]
 
     @cached_property
     def elements(self):
@@ -207,9 +221,19 @@ class RootDatum:
 
     @cached_property
     def mul_table(self):
-        idx = self._index
+        """mul_table[g][h] is the index of g h.
+
+        Only the rows L_s[x] = index of s x of the reflections s multiply
+        elements; every other row is its breadth-first parent's row read
+        through one of them, row(g s)[x] = row(g)[L_s[x]].
+        """
+        idx, parents = self._search
         els = self.elements
-        return [[idx[g * h] for h in els] for g in els]
+        left = [[idx[s * x] for x in els] for s in self.reflections]
+        rows = [list(range(len(els)))]
+        for g, r in parents[1:]:
+            rows.append(list(map(rows[g].__getitem__, left[r])))
+        return rows
 
     @cached_property
     def inv_table(self):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .scalars import Scalar
 from .sparse import SparseElement, add_into
-from .clifford import basis_sign, mask_str, reversion_sign
+from .clifford import mask_str, reversion_sign, sign_mask
 from .cherednik import HAlgebra
 from .pin import PinCover
 
@@ -105,10 +105,11 @@ class HCElement(SparseElement):
 
         def terms():
             for (a1, b1, g1, m1), v1 in self.terms.items():
+                p1 = sign_mask(m1)
                 for (a2, b2, g2, m2), v2 in o.terms.items():
                     v12 = v1 * v2
                     m = m1 ^ m2
-                    if basis_sign(m1, m2) < 0:
+                    if (p1 & m2).bit_count() & 1:
                         v12 = -v12
                     for (xk, yk, gk), cf in term_mul((a1, b1, g1),
                                                      (a2, b2, g2)):
@@ -135,9 +136,7 @@ class HCElement(SparseElement):
     def gbracket(self, o):
         """Graded bracket: anticommutator on odd*odd, commutator otherwise.
 
-        Summed over parts, [a, b] = ab - b0 a - b1 a0 + b1 a1; no operand
-        is negated, since a product by a coefficient -1 costs field
-        multiplications that one by 1 does not.
+        Summed over parts, [a, b] = ab - b0 a - b1 a0 + b1 a1.
         """
         b1 = o.odd_part()
         return (self * o - o.even_part() * self - b1 * self.even_part()

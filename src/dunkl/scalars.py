@@ -16,8 +16,9 @@ Scalars are immutable, and the dict is already canonical: equal values
 have equal `terms` and equal hashes, and nothing is ever reduced.  `+`,
 `-` and `*` are `poly_add`, `poly_neg` and `poly_mul`; a product with a
 one-term factor shifts exponents and multiplies no field elements when
-that term's coefficient is 1.  A constant factor shifts nothing: a
-product by 1 shares the other operand's dict, and any other constant
+that term's coefficient is 1 or -1 (it negates the values for -1).  A
+constant factor shifts nothing: a product by 1 shares the other
+operand's dict, one by -1 negates its values, and any other constant
 scales its values without rebuilding its exponents.  Only a monomial is
 invertible here (its exponent is negated and its coefficient inverted):
 inverting, or dividing by, a scalar of more than one term raises
@@ -203,21 +204,33 @@ def poly_neg(p):
     return {e: -v for e, v in p.items()}
 
 
+# the canonical tuples of 1 and -1, which a product by a constant factor
+# tests without calling Coeff.__eq__
+_ONE_V = C_ONE._v
+_MINUS_ONE_V = Coeff(-1)._v
+
+
 def poly_mul(p, q):
     if len(q) == 1:
         p, q = q, p
     if len(p) == 1:
-        # a monomial times q: shift q's exponents, scale unless by 1; the
-        # field has no zero divisors, so no product is zero
+        # a monomial times q: shift q's exponents, scale unless by 1 or -1;
+        # the field has no zero divisors, so no product is zero
         (m, c), = p.items()
+        cv = c._v
         if not any(m):
             # a constant moves no exponent; q's dict is shared when c is 1,
             # which is safe because a Scalar's terms are never mutated
-            if c == C_ONE:
+            if cv == _ONE_V:
                 return q
+            if cv == _MINUS_ONE_V:
+                return poly_neg(q)
             return {e: v * c for e, v in q.items()}
-        if c == C_ONE:
+        if cv == _ONE_V:
             return {tuple(a + b for a, b in zip(e, m)): v
+                    for e, v in q.items()}
+        if cv == _MINUS_ONE_V:
+            return {tuple(a + b for a, b in zip(e, m)): -v
                     for e, v in q.items()}
         return {tuple(a + b for a, b in zip(e, m)): v * c
                 for e, v in q.items()}

@@ -74,12 +74,10 @@ def _reference_bullet_signs(cov):
     return out
 
 
-# D5 (order 1920) agrees as well, but its multiplication table alone
-# takes over 10 s to build, so it is left out here
 @pytest.mark.parametrize("config", [("A", 2, 3), ("A", 3, 4), ("A", 4, 5),
                                     ("A", 3, 5), ("B", 2, 2), ("B", 3, 3),
                                     ("B", 4, 4), ("D", 4, 4), ("A1", 3, 3),
-                                    ("A1", 4, 4)])
+                                    ("A1", 4, 4), ("D", 5, 5)])
 def test_bullet_signs_match_the_clifford_lifts(config):
     cov = _cover(*config)
     assert cov._bullet_signs == _reference_bullet_signs(cov)

@@ -4,7 +4,7 @@ import pytest
 
 from dunkl.scalars import ScalarField
 from dunkl.clifford import (CliffordElement, basis_sign, pseudo_scalar,
-                            mask_str)
+                            mask_str, sign_mask)
 
 F = ScalarField(0)
 
@@ -45,6 +45,25 @@ def test_basis_sign_oracle():
                 v = prod.terms[amask ^ bmask]
                 expect = F.one if basis_sign(amask, bmask) > 0 else -F.one
                 assert v == expect
+
+
+def shift_loop_sign(a, b):
+    """Reference: parity of sum_{k>=1} |(A >> k) & B|, one shift at a time."""
+    count = 0
+    a >>= 1
+    while a:
+        count += (a & b).bit_count()
+        a >>= 1
+    return -1 if count % 2 else 1
+
+
+def test_sign_mask_matches_the_shift_loop():
+    for a in range(1 << 7):
+        p = sign_mask(a)
+        for b in range(1 << 7):
+            expect = shift_loop_sign(a, b)
+            assert basis_sign(a, b) == expect
+            assert (-1 if (p & b).bit_count() & 1 else 1) == expect
 
 
 def test_star_is_conjugate_linear_anti_involution():

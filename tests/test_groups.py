@@ -82,6 +82,16 @@ def test_mul_and_inv_tables():
         assert rd.mul_table[g][rd.inv_table[g]] == rd.identity_index
 
 
+@pytest.mark.parametrize("cfg", [("A", 4, 5), ("A", 3, 5), ("B", 4, 4),
+                                 ("D", 4, 4), ("A1", 4, 4)])
+def test_mul_table_matches_direct_products(cfg):
+    # reference: the index of every product g * h of GroupElements
+    rd = RootDatum(*cfg)
+    els = rd.elements
+    idx = {g: i for i, g in enumerate(els)}
+    assert rd.mul_table == [[idx[g * h] for h in els] for g in els]
+
+
 def int_mat_mul(a, b):
     d = len(a)
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(d))

@@ -477,3 +477,17 @@ def test_product_by_one_makes_no_field_products(coeff_products):
     assert left == x and right == x
     # the scalars are immutable, so the product may share x's terms
     assert left.terms is x.terms and right.terms is x.terms
+
+
+def test_product_by_minus_one_makes_no_field_products(coeff_products):
+    x = F2.rational(3) * F2.s * F2.cs[0] + F2.i * F2.cs[1] - F2.r / F2.s
+    minus_one = -F2.one
+    minus_s = -F2.s
+    with coeff_products() as made:
+        products = [minus_one * x, x * minus_one, minus_s * x, x * minus_s]
+    assert made == []
+    assert products[0] == products[1] == Scalar(
+        _ref_poly_mul(x.terms, minus_one.terms), x.nvars)
+    assert products[2] == products[3] == Scalar(
+        _ref_poly_mul(x.terms, minus_s.terms), x.nvars)
+    assert products[0] == -x
