@@ -25,8 +25,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .groups import (RootDatum, parse_family, group_order,
-                     UnsupportedFamilyError, GroupBoundExceededError)
+from .groups import (RootDatum, parse_family, UnsupportedFamilyError,
+                     GroupBoundExceededError)
 from .cherednik import filtration_check
 from .hc import HCAlgebra
 from .osp import OspRealisation
@@ -65,9 +65,14 @@ class RunConfig:
         fam, a1_rank = parse_family(family)
         if fam == "A1":
             if a1_rank is not None:
+                if rank not in (None, a1_rank):
+                    raise ConfigError(f"--rank {rank} contradicts {family}")
                 rank = a1_rank
             if rank is None:
                 raise ConfigError("A1 product needs a rank (A1^d or --rank)")
+            if ambient not in (None, rank):
+                raise ConfigError(f"--ambient {ambient} differs from the "
+                                  f"rank {rank} of an A1 product")
             ambient = rank
         if rank is None:
             raise ConfigError("--rank is required")
@@ -82,7 +87,9 @@ class RunConfig:
         for s in suites:
             if s not in SUITES:
                 raise ConfigError(f"unknown suite {s!r}")
-        order = group_order(fam, rank)
+        # builds the roots and reflections only; the elements are lazy
+        self.rd = RootDatum(fam, rank, ambient, single_c=single_c)
+        order = self.rd.expected_order
         if order * order > MUL_TABLE_CAP:
             raise ConfigError(
                 f"|W| = {order} needs a {order}x{order} multiplication "
@@ -94,6 +101,11 @@ class RunConfig:
                     f"--max-degree {max_degree} on dimension {ambient} gives "
                     f"spinor matrices of size {dim}, over the limit of "
                     f"{SPINOR_DIM_CAP}")
+        names = ["s"] + [f"c{k + 1}" for k in range(self.rd.num_orbits)]
+        for name in sorted(specialize or ()):
+            if name not in names:
+                raise ConfigError(f"unknown parameter {name!r}: this run's "
+                                  f"parameters are {', '.join(names)}")
         self.family = fam
         self.rank = rank
         self.ambient = ambient
@@ -131,8 +143,6 @@ def parse_specialize(text):
             raise ConfigError(f"bad specialization entry {part!r}")
         name, _, val = part.partition("=")
         name = name.strip()
-        if name != "s" and not (name.startswith("c") and name[1:].isdigit()):
-            raise ConfigError(f"unknown parameter {name!r}")
         try:
             out[name] = Fraction(val.strip())
         except (ValueError, ZeroDivisionError):
@@ -147,8 +157,7 @@ class Context:
 
     def __init__(self, config: RunConfig):
         self.config = config
-        self.rd = RootDatum(config.family, config.rank, config.ambient,
-                            single_c=config.single_c)
+        self.rd = config.rd
 
     @functools.cached_property
     def alg(self):

@@ -9,9 +9,10 @@ as the int tuples (perm, sign) and its determinant: products and
 inverses compose permutations, and the element list, its index and the
 multiplication and inverse tables are derived once from the reflections.
 The breadth-first search that lists the elements also records each
-element's parent; the multiplication table multiplies elements only for
-the reflections' rows and builds every other row by int lookups in its
-parent's row.
+element's parent (`parents`); the multiplication table builds every row
+but the reflections' by int lookups in its parent's row, and the pin
+cover builds every lift from its parent's.  A group of order above
+`GROUP_BOUND` is refused when its root datum is built.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import cached_property
 from itertools import combinations
 from math import factorial
 
-DEFAULT_GROUP_BOUND = 100_000
+GROUP_BOUND = 100_000
 
 
 class UnsupportedFamilyError(ValueError):
@@ -120,8 +121,7 @@ def reflection(alpha):
 class RootDatum:
     """Positive roots, reflections and orbit labels for W in O(d)."""
 
-    def __init__(self, family, rank, ambient_dim, single_c=False,
-                 group_bound=DEFAULT_GROUP_BOUND):
+    def __init__(self, family, rank, ambient_dim, single_c=False):
         family = family.upper()
         if family.startswith("A1"):
             family = "A1"
@@ -164,7 +164,9 @@ class RootDatum:
         self.num_orbits = (max(labels) + 1) if labels else 0
         self.reflections = [reflection(a) for a in self.positive_roots]
         self.expected_order = group_order(family, rank)
-        self.group_bound = group_bound
+        if self.expected_order > GROUP_BOUND:
+            raise GroupBoundExceededError(
+                f"|W| = {self.expected_order} exceeds the bound {GROUP_BOUND}")
 
     @staticmethod
     def _e(i, d, si, j=None, sj=None):
@@ -180,9 +182,8 @@ class RootDatum:
 
     @cached_property
     def _search(self):
-        """Breadth-first search over the reflections: ({element: index},
-        parents), where element i is element g times reflection r for
-        (g, r) = parents[i] and g < i; the identity has parent None."""
+        """Breadth-first search over the reflections: the map {element:
+        index} and the list `parents`."""
         d = self.dim
         ident = GroupElement(range(d), (1,) * d, 1)
         seen = {ident: 0}
@@ -195,9 +196,6 @@ class RootDatum:
                 for r, s in enumerate(self.reflections):
                     h = g * s
                     if h not in seen:
-                        if len(seen) >= self.group_bound:
-                            raise GroupBoundExceededError(
-                                f"group order exceeds bound {self.group_bound}")
                         seen[h] = len(seen)
                         parents.append((gi, r))
                         new.append(h)
@@ -211,6 +209,12 @@ class RootDatum:
     def _index(self):
         """{element: index}, in breadth-first order over the reflections."""
         return self._search[0]
+
+    @cached_property
+    def parents(self):
+        """The breadth-first tree: element i is element g times reflection
+        r for (g, r) = parents[i], with g < i; the identity has None."""
+        return self._search[1]
 
     @cached_property
     def elements(self):
@@ -227,11 +231,11 @@ class RootDatum:
         elements; every other row is its breadth-first parent's row read
         through one of them, row(g s)[x] = row(g)[L_s[x]].
         """
-        idx, parents = self._search
+        idx = self._index
         els = self.elements
         left = [[idx[s * x] for x in els] for s in self.reflections]
         rows = [list(range(len(els)))]
-        for g, r in parents[1:]:
+        for g, r in self.parents[1:]:
             rows.append(list(map(rows[g].__getitem__, left[r])))
         return rows
 

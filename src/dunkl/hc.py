@@ -72,13 +72,6 @@ class HCAlgebra:
         z = self.h.zero_exp
         return HCElement(self, {(z, z, self.h.id_idx, mask): self.field.one})
 
-    def clifford_unit(self, unit):
-        """Embed a {mask: Coeff} Clifford unit."""
-        z = self.h.zero_exp
-        return HCElement(self, {
-            (z, z, self.h.id_idx, m): Scalar.from_coeff(cf, self.field.nvars)
-            for m, cf in unit.items()})
-
     def rho(self, pair):
         """Diagonal embedding of a cover element (g, eps): eps * g (x) u(g)."""
         g, eps = pair

@@ -2,8 +2,9 @@
 
 Each reflection s_alpha lifts to the unit vector gamma(alpha/|alpha|) in
 C(V); products of these form a group of order 2|W| covering W.  We fix a
-canonical lift u(w) for every w (first product found by BFS over the
-reflection generators), so the cover is the set of pairs (w, eps) with
+canonical lift u(w) for every w along the group's breadth-first tree
+`RootDatum.parents`: u(identity) = 1 and u(h) = u(g) gamma_r for
+parents[h] = (g, r).  The cover is then the set of pairs (w, eps) with
 
     (g, eps) * (h, delta) = (g h, eps delta sigma(g, h)),
     u(g) u(h) = sigma(g, h) u(g h),  sigma(g, h) in {+1, -1}.
@@ -82,33 +83,15 @@ class PinCover:
         self.rd = rd
         self.n = len(rd.elements)
         self.id_idx = rd.identity_index
-        self._gen_units = [_generator_unit(alpha, n2) for alpha, n2
-                           in zip(rd.positive_roots, rd.root_norms_sq)]
-        # lifts of the reflection generators: gamma(alpha / |alpha|)
-        self.gen_lifts = [_coeff_unit(u) for u in self._gen_units]
-        self._units = self._build_units()
+        gens = [_generator_unit(alpha, n2) for alpha, n2
+                in zip(rd.positive_roots, rd.root_norms_sq)]
+        self._units = [(0, {0: 1})]
+        for g, r in rd.parents[1:]:
+            self._units.append(_unit_mul(self._units[g], gens[r]))
         self._lifts = [None] * self.n
         self._sigma_cache = {}
         self._classes = None
         self._class_of = None
-
-    def _build_units(self):
-        units = [None] * self.n
-        units[self.id_idx] = (0, {0: 1})
-        tbl = self.rd.mul_table
-        frontier = [self.id_idx]
-        while frontier:
-            new = []
-            for g in frontier:
-                ug = units[g]
-                for r_idx, gen in enumerate(self._gen_units):
-                    h = tbl[g][self.rd.reflection_index(r_idx)]
-                    if units[h] is None:
-                        units[h] = _unit_mul(ug, gen)
-                        new.append(h)
-            frontier = new
-        assert all(u is not None for u in units)
-        return units
 
     def lift(self, g_idx):
         """Canonical Clifford unit over g, as {mask: Coeff}."""

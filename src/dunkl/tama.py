@@ -75,9 +75,8 @@ class Tama:
             n2 = rd.root_norms_sq[r_idx]
             if n2 == 2:
                 coeff = coeff * F.r * self._half   # <y_j, alpha>/|alpha|
-            term = (alg.group(rd.reflection_index(r_idx))
-                    * alg.clifford_unit(alg.pin.gen_lifts[r_idx]))
-            out = out + term.scale(alg.h.c_root[r_idx] * coeff)
+            out = out + alg.rho_reflection(r_idx).scale(
+                alg.h.c_root[r_idx] * coeff)
         self._ocheck[j] = out
         return out
 

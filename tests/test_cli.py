@@ -35,6 +35,36 @@ def test_bad_specialize_exits_2(capsys):
                  "--specialize", "q=2"]) == 2
 
 
+def test_root_datum_errors_exit_2(capsys):
+    # type A of rank 3 needs 4 coordinates
+    assert main(["--family", "A", "--rank", "3", "--ambient", "2",
+                 "--suite", "osp"]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["s=2,c0=1", "s=2,c3=1/3", "c2=1", "c=1"])
+def test_specialize_names_only_this_runs_parameters(capsys, spec):
+    # B2 has the orbits c1, c2; --single-c leaves c1 alone
+    argv = ["--family", "B", "--rank", "2", "--suite", "osp",
+            "--specialize", spec]
+    if spec == "c2=1":
+        argv.append("--single-c")
+    assert main(argv) == 2
+    assert "unknown parameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "A1^3", "--rank", "5"],
+    ["--family", "A1^3", "--ambient", "7"],
+    ["--family", "A1", "--rank", "3", "--ambient", "4"],
+])
+def test_a1_product_refuses_a_contradicting_rank_or_ambient(capsys, argv):
+    assert main(argv + ["--suite", "osp"]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    cfg = RunConfig("A1^3", 3, 3, ["osp"])
+    assert (cfg.rank, cfg.ambient) == (3, 3)
+
+
 def test_parse_specialize():
     from fractions import Fraction
     out = parse_specialize("s=2, c1=1/3")

@@ -4,7 +4,8 @@ from itertools import permutations
 import pytest
 
 from dunkl.groups import (RootDatum, parse_family, reflection,
-                          UnsupportedFamilyError, group_order)
+                          UnsupportedFamilyError, GroupBoundExceededError,
+                          group_order)
 
 
 def test_group_orders():
@@ -90,6 +91,28 @@ def test_mul_table_matches_direct_products(cfg):
     els = rd.elements
     idx = {g: i for i, g in enumerate(els)}
     assert rd.mul_table == [[idx[g * h] for h in els] for g in els]
+
+
+@pytest.mark.parametrize("cfg", [("A", 4, 5), ("A", 3, 5), ("B", 4, 4),
+                                 ("D", 4, 4), ("A1", 4, 4)])
+def test_parents_form_the_breadth_first_tree(cfg):
+    rd = RootDatum(*cfg)
+    els = rd.elements
+    assert rd.parents[rd.identity_index] is None
+    depth = [0]
+    for i, (g, r) in enumerate(rd.parents[1:], 1):
+        assert g < i
+        assert rd.mul_table[g][rd.reflection_index(r)] == i
+        assert els[g] * rd.reflections[r] == els[i]
+        depth.append(depth[g] + 1)
+    # breadth-first: no element is listed before one nearer the identity
+    assert depth == sorted(depth)
+
+
+def test_group_bound_is_checked_at_construction():
+    # |S_10| = 3,628,800: refused before any element is enumerated
+    with pytest.raises(GroupBoundExceededError):
+        RootDatum("A", 9, 10)
 
 
 def int_mat_mul(a, b):

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from dunkl.groups import RootDatum
-from dunkl.pin import PinCover, cunit_mul, unit_ratio_sign
+from dunkl.pin import (PinCover, cunit_mul, unit_ratio_sign, _unit_mul,
+                       _generator_unit)
 from dunkl.scalars import Coeff, C_ONE
 
 _HALF_R = Coeff(0, 0, Fraction(1, 2))   # 1/sqrt2 = r/2
@@ -126,7 +127,8 @@ def test_integer_units_match_coeff_reference(group):
     rd = RootDatum(*group)
     pc = PinCover(rd)
     gens, ref = _reference_lifts(rd)
-    assert pc.gen_lifts == gens
+    assert [pc.lift(rd.reflection_index(r))
+            for r in range(len(rd.reflections))] == gens
     n = len(rd.elements)
     for g in range(n):
         assert pc.lift(g) == ref[g]
@@ -135,6 +137,17 @@ def test_integer_units_match_coeff_reference(group):
         for h in range(n):
             prod = cunit_mul(ref[g], ref[h])
             assert pc.sigma(g, h) == unit_ratio_sign(prod, ref[tbl[g][h]])
+
+
+@pytest.mark.parametrize("group", [("A", 4, 5), ("A", 3, 5), ("B", 4, 4),
+                                   ("D", 4, 4), ("A1", 4, 4)])
+def test_units_follow_the_breadth_first_tree(group):
+    rd = RootDatum(*group)
+    pc = PinCover(rd)
+    assert pc._units[rd.identity_index] == (0, {0: 1})
+    for h, (g, r) in enumerate(rd.parents[1:], 1):
+        gen = _generator_unit(rd.positive_roots[r], rd.root_norms_sq[r])
+        assert pc._units[h] == _unit_mul(pc._units[g], gen)
 
 
 def test_cover_classes_make_no_field_products(coeff_products):

@@ -3,6 +3,10 @@ from itertools import combinations
 
 import pytest
 
+from conftest import stack
+from dunkl.hc import HCElement
+from dunkl.scalars import Coeff, Scalar
+
 
 def test_generators_match_projection_small(a14):
     tm = a14.tama
@@ -138,3 +142,36 @@ def test_covariance_under_reflections(s3):
     for r_idx in range(len(s3.rd.positive_roots)):
         assert tm.covariance_residual(r_idx, (1, 2)).is_zero()
         assert tm.covariance_residual(r_idx, (1, 2, 3)).is_zero()
+
+
+def _ocheck_reference(alg, j):
+    """Ocheck_j as sum_r -c_r <y_j, alpha_r>/|alpha_r| s_r * gamma_r: the
+    group element times the Clifford vector gamma(alpha_r / |alpha_r|),
+    built here from the root."""
+    rd, F = alg.rd, alg.field
+    z = alg.h.zero_exp
+    half_r = Coeff(0, 0, Fraction(1, 2))             # 1/sqrt2 = r/2
+    out = alg.zero()
+    for r_idx, alpha in enumerate(rd.positive_roots):
+        if not alpha[j - 1]:
+            continue
+        short = rd.root_norms_sq[r_idx] == 1
+        gamma = HCElement(alg, {
+            (z, z, alg.h.id_idx, 1 << k): Scalar.from_coeff(
+                Coeff(a) if short else (half_r if a > 0 else -half_r),
+                F.nvars)
+            for k, a in enumerate(alpha) if a})
+        coeff = F.rational(-alpha[j - 1])
+        if not short:
+            coeff = coeff * F.r * F.rational(Fraction(1, 2))
+        term = alg.group(rd.reflection_index(r_idx)) * gamma
+        out = out + term.scale(alg.h.c_root[r_idx] * coeff)
+    return out
+
+
+@pytest.mark.parametrize("group", [("B", 2, 2), ("A", 3, 4), ("A1", 3, 3)],
+                         ids=["B2", "A_r3", "A1^3"])
+def test_ocheck_matches_group_times_clifford_vector(group):
+    ctx = stack(*group)
+    for j in range(1, ctx.rd.dim + 1):
+        assert ctx.tama.ocheck(j) == _ocheck_reference(ctx.alg, j)
