@@ -61,8 +61,6 @@ def test_specialize_names_only_this_runs_parameters(capsys, spec):
 def test_a1_product_refuses_a_contradicting_rank_or_ambient(capsys, argv):
     assert main(argv + ["--suite", "osp"]) == 2
     assert "configuration error:" in capsys.readouterr().err
-    cfg = RunConfig("A1^3", 3, 3, ["osp"])
-    assert (cfg.rank, cfg.ambient) == (3, 3)
 
 
 def test_parse_specialize():
@@ -79,6 +77,8 @@ def test_config_defaults():
     cfg = RunConfig("A", 2, None, ["osp"])
     assert cfg.ambient == 3
     cfg = RunConfig("A1^4", None, None, ["osp"])
+    assert cfg.rank == 4 and cfg.ambient == 4
+    cfg = RunConfig("A1^4", 4, 4, ["osp"])
     assert cfg.rank == 4 and cfg.ambient == 4
     with pytest.raises(ConfigError):
         RunConfig("A", None, None, ["osp"])
