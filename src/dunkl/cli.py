@@ -25,8 +25,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .groups import (RootDatum, parse_family, UnsupportedFamilyError,
-                     GroupBoundExceededError)
+from .groups import (RootDatum, parse_family, group_order,
+                     UnsupportedFamilyError, GroupBoundExceededError)
 from .cherednik import filtration_check
 from .hc import HCAlgebra
 from .osp import OspRealisation
@@ -87,13 +87,14 @@ class RunConfig:
         for s in suites:
             if s not in SUITES:
                 raise ConfigError(f"unknown suite {s!r}")
+        # the order is not printed: for a large rank it has thousands of
+        # digits, more than int-to-str converts
+        if group_order(fam, rank) ** 2 > MUL_TABLE_CAP:
+            raise ConfigError(
+                f"the |W| x |W| multiplication table of {fam} rank {rank} is "
+                f"over the limit of {MUL_TABLE_CAP} entries")
         # builds the roots and reflections only; the elements are lazy
         self.rd = RootDatum(fam, rank, ambient, single_c=single_c)
-        order = self.rd.expected_order
-        if order * order > MUL_TABLE_CAP:
-            raise ConfigError(
-                f"|W| = {order} needs a {order}x{order} multiplication "
-                f"table, over the limit of {MUL_TABLE_CAP} entries")
         if "cohomology" in suites:
             dim = spinor_dim(ambient, max_degree)
             if dim > SPINOR_DIM_CAP:

@@ -12,7 +12,7 @@ The breadth-first search that lists the elements also records each
 element's parent (`parents`); the multiplication table builds every row
 but the reflections' by int lookups in its parent's row, and the pin
 cover builds every lift from its parent's.  A group of order above
-`GROUP_BOUND` is refused when its root datum is built.
+`GROUP_BOUND` is refused before its roots are built.
 """
 
 from __future__ import annotations
@@ -127,6 +127,12 @@ class RootDatum:
             family = "A1"
         if family not in ("A", "B", "D", "A1"):
             raise UnsupportedFamilyError(f"unsupported family {family!r}")
+        # checked before any root is built: a large rank would otherwise
+        # allocate its roots and reflections first
+        self.expected_order = group_order(family, rank)
+        if self.expected_order > GROUP_BOUND:
+            raise GroupBoundExceededError(
+                f"|W| of {family} rank {rank} exceeds the bound {GROUP_BOUND}")
         d = ambient_dim
         if family == "A":
             if d < rank + 1:
@@ -163,10 +169,6 @@ class RootDatum:
         self.orbit_labels = list(labels)
         self.num_orbits = (max(labels) + 1) if labels else 0
         self.reflections = [reflection(a) for a in self.positive_roots]
-        self.expected_order = group_order(family, rank)
-        if self.expected_order > GROUP_BOUND:
-            raise GroupBoundExceededError(
-                f"|W| = {self.expected_order} exceeds the bound {GROUP_BOUND}")
 
     @staticmethod
     def _e(i, d, si, j=None, sj=None):

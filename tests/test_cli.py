@@ -344,6 +344,12 @@ def test_resource_guard_rejects_large_groups(capsys):
         RunConfig("B", 6, None, ["osp"])
     assert main(["--family", "B", "--rank", "6", "--suite", "osp"]) == 2
     assert str(MUL_TABLE_CAP) in capsys.readouterr().err
+    # refused before the root datum is built: rank 2000 would need about
+    # two million roots, and B8 is over the root datum's own bound
+    for argv in (["--family", "A", "--rank", "2000"],
+                 ["--family", "B", "--rank", "8"]):
+        assert main(argv + ["--suite", "osp"]) == 2
+        assert str(MUL_TABLE_CAP) in capsys.readouterr().err
 
 
 def test_resource_guard_rejects_large_spinor_matrices(capsys):

@@ -113,6 +113,9 @@ def test_group_bound_is_checked_at_construction():
     # |S_10| = 3,628,800: refused before any element is enumerated
     with pytest.raises(GroupBoundExceededError):
         RootDatum("A", 9, 10)
+    # rank 2000 would need about two million roots of 2001 coordinates
+    with pytest.raises(GroupBoundExceededError):
+        RootDatum("A", 2000, 2001)
 
 
 def int_mat_mul(a, b):

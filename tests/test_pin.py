@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 
 from dunkl.groups import RootDatum
-from dunkl.pin import (PinCover, cunit_mul, unit_ratio_sign, _unit_mul,
-                       _generator_unit)
+from dunkl.pin import PinCover, cunit_mul, unit_ratio_sign
 from dunkl.scalars import Coeff, C_ONE
 
 _HALF_R = Coeff(0, 0, Fraction(1, 2))   # 1/sqrt2 = r/2
@@ -122,7 +121,8 @@ def test_cover_class_count_consistency():
 
 
 @pytest.mark.parametrize("group", [("B", 3, 3), ("D", 4, 4), ("A", 3, 4),
-                                   ("A1", 3, 3)])
+                                   ("A1", 3, 3), ("A", 4, 5), ("A", 3, 5),
+                                   ("B", 4, 4), ("A1", 4, 4)])
 def test_integer_units_match_coeff_reference(group):
     rd = RootDatum(*group)
     pc = PinCover(rd)
@@ -137,17 +137,6 @@ def test_integer_units_match_coeff_reference(group):
         for h in range(n):
             prod = cunit_mul(ref[g], ref[h])
             assert pc.sigma(g, h) == unit_ratio_sign(prod, ref[tbl[g][h]])
-
-
-@pytest.mark.parametrize("group", [("A", 4, 5), ("A", 3, 5), ("B", 4, 4),
-                                   ("D", 4, 4), ("A1", 4, 4)])
-def test_units_follow_the_breadth_first_tree(group):
-    rd = RootDatum(*group)
-    pc = PinCover(rd)
-    assert pc._units[rd.identity_index] == (0, {0: 1})
-    for h, (g, r) in enumerate(rd.parents[1:], 1):
-        gen = _generator_unit(rd.positive_roots[r], rd.root_norms_sq[r])
-        assert pc._units[h] == _unit_mul(pc._units[g], gen)
 
 
 def test_cover_classes_make_no_field_products(coeff_products):
