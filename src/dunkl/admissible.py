@@ -13,11 +13,11 @@ epsilon-centre is the solution space of
     a * rho(w~) = epsilon(rho(w~)) * rho(w~) * a   for all w~,
 
 which in coordinates pairs a_{w g w^-1} with a_g up to an explicit sign;
-the solver walks these sign chains per conjugacy class and reports the
-classes where the chain is consistent.  Products, bullets and class sums
-accumulate through `sparse.add_into`; `linearly_independent` passes the
-sparse vectors as they are to `polyspinor.rank_coeff`, the one
-elimination.
+the solver walks these sign chains with `RootDatum.conjugation_orbit`,
+once per conjugacy class, and reports the classes where the chain is
+consistent.  Products, bullets and class sums accumulate through
+`sparse.add_into`; `linearly_independent` passes the sparse vectors as
+they are to `polyspinor.rank_coeff`, the one elimination.
 """
 
 from __future__ import annotations
@@ -117,42 +117,23 @@ class CoverAlgebra:
         """Basis of the epsilon-centre by solving the commutation system.
 
         a rho(s) = eps(s) rho(s) a forces, in coordinates,
-        a_{s g s^-1} = eps(s) sigma(s, g) sigma(s g s^-1, s) a_g; we
-        propagate these identifications per class and keep the consistent
-        ones.  Returns (basis, per-class-consistency) where each basis
-        vector is supported on one W-conjugacy class.
+        a_{s g s^-1} = eps(s) sigma(s, g) sigma(s g s^-1, s) a_g; one
+        `conjugation_orbit` per class propagates these identifications,
+        and the consistent classes are kept.  Returns (basis,
+        per-class-consistency) where each basis vector is supported on one
+        W-conjugacy class.
         """
-        tbl = self.rd.mul_table
-        inv = self.rd.inv_table
         pc = self.pin
-        gens = sorted({self.rd.reflection_index(r)
-                       for r in range(len(self.rd.positive_roots))})
+
+        def step(s, g):
+            return pc.epsilon(s) * pc.conj_sign(s, g)
         basis = []
         consistency = []
         for cls in self.rd.conjugacy_classes():
-            rep = cls[0]
-            sign = {rep: 1}
-            frontier = [rep]
-            consistent = True
-            while frontier and consistent:
-                new = []
-                for g in frontier:
-                    for s in gens:
-                        h = tbl[tbl[s][g]][inv[s]]
-                        sgn = (pc.epsilon(s) * pc.conj_sign(s, g) * sign[g])
-                        if h in sign:
-                            if sign[h] != sgn:
-                                consistent = False
-                                break
-                        else:
-                            sign[h] = sgn
-                            new.append(h)
-                    if not consistent:
-                        break
-                frontier = new
-            consistency.append((rep, consistent))
+            signs, consistent = self.rd.conjugation_orbit(cls[0], step)
+            consistency.append((cls[0], consistent))
             if consistent:
-                basis.append({g: Coeff(sg) for g, sg in sign.items()})
+                basis.append({g: Coeff(sg) for g, sg in signs.items()})
         # every returned vector must pass the direct product check
         for v in basis:
             assert self.is_epsilon_central(v)

@@ -31,11 +31,6 @@ def sign_mask(a):
     return p
 
 
-def basis_sign(a, b):
-    """Sign of e_A * e_B relative to e_{A xor B}, with e_j^2 = +1."""
-    return -1 if (sign_mask(a) & b).bit_count() & 1 else 1
-
-
 def reversion_sign(mask):
     """Sign of e_A -> (-1)^{|A|} reversed(e_A): (-1)^{k(k+1)/2}, k = |A|."""
     k = mask.bit_count()

@@ -11,8 +11,11 @@ multiplication and inverse tables are derived once from the reflections.
 The breadth-first search that lists the elements also records each
 element's parent (`parents`); the multiplication table builds every row
 but the reflections' by int lookups in its parent's row, and the pin
-cover builds every lift from its parent's.  A group of order above
-`GROUP_BOUND` is refused before its roots are built.
+cover builds every lift from its parent's.  `conjugation_orbit` is the
+one walk of a conjugacy class, under conjugation by the reflections, and
+may carry a sign along its edges: it lists the classes here, the split
+classes of the pin cover and the sign chains of the epsilon-centre.  A
+group of order above `GROUP_BOUND` is refused before its roots are built.
 """
 
 from __future__ import annotations
@@ -250,24 +253,48 @@ class RootDatum:
         return self._index[self.reflections[root_idx]]
 
     # -- structure ----------------------------------------------------------
+    def conjugation_orbit(self, g, step=None):
+        """Breadth-first walk of the conjugacy class of g under h -> s h s,
+        over the reflections s, which generate W.
+
+        Returns (signs, consistent).  signs maps each element reached to
+        the product of step(s, h) over the edges h -> s h s of its walk
+        from g (every sign is 1 without a step).  The walk stops with
+        consistent False at the first element reached with two different
+        signs; a consistent walk has reached the whole class.  Only the
+        reflections' rows of `mul_table` are read: s h s = (s (s h)^-1)^-1.
+        """
+        tbl, inv = self.mul_table, self.inv_table
+        rows = [(s, tbl[s]) for s in map(self.index_of, self.reflections)]
+        signs = {g: 1}
+        frontier = [g]
+        while frontier:
+            new = []
+            for h in frontier:
+                for s, row in rows:
+                    k = inv[row[inv[row[h]]]]
+                    sign = signs[h] if step is None else signs[h] * step(s, h)
+                    if k not in signs:
+                        signs[k] = sign
+                        new.append(k)
+                    elif signs[k] != sign:
+                        return signs, False
+            frontier = new
+        return signs, True
+
     def conjugacy_classes(self):
         """Partition of element indices into conjugacy classes (sorted)."""
         return self._classes
 
     @cached_property
     def _classes(self):
-        tbl = self.mul_table
-        inv = self.inv_table
-        n = len(self.elements)
-        assigned = [None] * n
         classes = []
-        for g in range(n):
-            if assigned[g] is not None:
-                continue
-            cls = sorted({tbl[tbl[inv[w]][g]][w] for w in range(n)})
-            for h in cls:
-                assigned[h] = len(classes)
-            classes.append(cls)
+        assigned = set()
+        for g in range(len(self.elements)):
+            if g not in assigned:
+                cls = sorted(self.conjugation_orbit(g)[0])
+                assigned.update(cls)
+                classes.append(cls)
         return classes
 
     def contains_minus_identity(self):

@@ -9,7 +9,10 @@ parents[h] = (g, r).  The cover is then the set of pairs (w, eps) with
     (g, eps) * (h, delta) = (g h, eps delta sigma(g, h)),
     u(g) u(h) = sigma(g, h) u(g h),  sigma(g, h) in {+1, -1}.
 
-theta = (id, -1) is the central element of order two.
+theta = (id, -1) is the central element of order two.  The cover's
+classes come from one walk per W-class (`RootDatum.conjugation_orbit`)
+carrying the sign of u(s) u(h) u(s)^-1 against u(s h s): the class of g
+splits exactly when that sign chain is consistent.
 
 Every root has squared norm 1 or 2 and entries in {0, 1, -1}, so every
 lift is 2^(-k/2) times an integer combination of basis blades.  A unit
@@ -90,8 +93,6 @@ class PinCover:
             self._units.append(_unit_mul(self._units[g], gens[r]))
         self._lifts = [None] * self.n
         self._sigma_cache = {}
-        self._classes = None
-        self._class_of = None
 
     def lift(self, g_idx):
         """Canonical Clifford unit over g, as {mask: Coeff}."""
@@ -161,35 +162,25 @@ class PinCover:
 
     # -- conjugacy classes of the cover --------------------------------------
     def cover_classes(self):
-        """Conjugacy classes of the double cover as lists of pairs."""
-        if self._classes is not None:
-            return self._classes
-        inv = self.rd.inv_table
-        tbl = self.rd.mul_table
-        assigned = {}
+        """Conjugacy classes of the double cover as lists of pairs.
+
+        The central theta and the reflection lifts generate the cover, so
+        a consistent walk gives the classes {(h, sign[h])} and {(h,
+        -sign[h])}; otherwise (h, 1) and (h, -1) are conjugate.
+        """
         classes = []
-        for g in range(self.n):
-            for e in (1, -1):
-                a = (g, e)
-                if a in assigned:
-                    continue
-                orbit = set()
-                for w in range(self.n):
-                    h = tbl[tbl[w][g]][inv[w]]
-                    orbit.add((h, e * self.conj_sign(w, g)))
-                # theta is central: conjugating by (w, -1) gives the same set
-                cls = sorted(orbit)
-                for b in cls:
-                    assigned[b] = len(classes)
-                classes.append(cls)
-        self._classes = classes
-        self._class_of = assigned
+        for cls in self.rd.conjugacy_classes():
+            signs, splits = self.rd.conjugation_orbit(cls[0], self.conj_sign)
+            if splits:
+                classes.append(sorted(signs.items()))
+                classes.append(sorted((h, -e) for h, e in signs.items()))
+            else:
+                classes.append([(h, e) for h in cls for e in (-1, 1)])
         return classes
 
     def class_splits(self, g_idx):
         """True iff the two lifts of the W-class of g lie in distinct classes."""
-        self.cover_classes()
-        return self._class_of[(g_idx, 1)] != self._class_of[(g_idx, -1)]
+        return self.rd.conjugation_orbit(g_idx, self.conj_sign)[1]
 
     def split_class_report(self):
         """One entry per W-conjugacy class: (rep_idx, label, parity, splits)."""

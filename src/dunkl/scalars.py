@@ -211,7 +211,10 @@ _MINUS_ONE_V = Coeff(-1)._v
 
 
 def poly_mul(p, q):
-    if len(q) == 1:
+    # p becomes the one-term factor; of two, the one whose coefficient is
+    # 1 or -1, so that the product only moves exponents
+    if len(q) == 1 and (len(p) > 1 or next(iter(q.values()))._v
+                        in (_ONE_V, _MINUS_ONE_V)):
         p, q = q, p
     if len(p) == 1:
         # a monomial times q: shift q's exponents, scale unless by 1 or -1;

@@ -6,6 +6,7 @@ from dunkl.admissible import (CoverAlgebra, linearly_independent,
 from dunkl.cli import _parse_partition_label
 from dunkl.clifford import reversion_sign
 from dunkl.pin import unit_ratio_sign
+from dunkl.scalars import Coeff
 
 
 def _cover(*args, **kwargs):
@@ -38,6 +39,44 @@ def test_epsilon_centre_elements_are_central():
     cov = _cover("A1", 3, 3)
     for v in cov.brute_force_epsilon_centre()[0]:
         assert cov.is_epsilon_central(v)
+
+
+def _reference_epsilon_centre(cov):
+    """The sign chains a_{s g s} = eps(s) conj_sign(s, g) a_g, propagated
+    frontier by frontier over the sorted reflections."""
+    tbl, inv, pc = cov.rd.mul_table, cov.rd.inv_table, cov.pin
+    gens = sorted({cov.rd.reflection_index(r)
+                   for r in range(len(cov.rd.positive_roots))})
+    basis, consistency = [], []
+    for cls in cov.rd.conjugacy_classes():
+        rep = cls[0]
+        sign = {rep: 1}
+        frontier = [rep]
+        consistent = True
+        while frontier and consistent:
+            new = []
+            for g in frontier:
+                for s in gens:
+                    h = tbl[tbl[s][g]][inv[s]]
+                    sgn = pc.epsilon(s) * pc.conj_sign(s, g) * sign[g]
+                    if h not in sign:
+                        sign[h] = sgn
+                        new.append(h)
+                    elif sign[h] != sgn:
+                        consistent = False
+            frontier = new
+        consistency.append((rep, consistent))
+        if consistent:
+            basis.append({g: Coeff(sg) for g, sg in sign.items()})
+    return basis, consistency
+
+
+@pytest.mark.parametrize("config", [("A", 2, 3), ("A", 3, 4), ("A", 4, 5),
+                                    ("A", 3, 5), ("B", 3, 3), ("B", 4, 4),
+                                    ("D", 4, 4), ("A1", 3, 3)])
+def test_epsilon_centre_matches_the_frontier_sign_chains(config):
+    cov = _cover(*config)
+    assert cov.brute_force_epsilon_centre() == _reference_epsilon_centre(cov)
 
 
 def test_class_sums_are_conjugation_stable():

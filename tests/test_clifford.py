@@ -3,8 +3,8 @@ from itertools import combinations
 import pytest
 
 from dunkl.scalars import ScalarField
-from dunkl.clifford import (CliffordElement, basis_sign, pseudo_scalar,
-                            mask_str, sign_mask)
+from dunkl.clifford import (CliffordElement, pseudo_scalar, mask_str,
+                            sign_mask)
 
 F = ScalarField(0)
 
@@ -25,7 +25,8 @@ def test_generator_relations():
 
 def test_basis_sign_oracle():
     # independent oracle: multiply generators one by one, so that only
-    # products by a single generator are formed
+    # products by a single generator are formed, and compare with the
+    # one-shot blade product, whose sign comes from sign_mask
     for d in (4, 6):
         blades = []
         for mask in range(1 << d):
@@ -42,9 +43,7 @@ def test_basis_sign_oracle():
                     if bmask & (1 << (j - 1)):
                         prod = prod * gen(d, j)
                 assert set(prod.terms) == {amask ^ bmask}
-                v = prod.terms[amask ^ bmask]
-                expect = F.one if basis_sign(amask, bmask) > 0 else -F.one
-                assert v == expect
+                assert prod == ea * blades[bmask]
 
 
 def shift_loop_sign(a, b):
@@ -62,7 +61,6 @@ def test_sign_mask_matches_the_shift_loop():
         p = sign_mask(a)
         for b in range(1 << 7):
             expect = shift_loop_sign(a, b)
-            assert basis_sign(a, b) == expect
             assert (-1 if (p & b).bit_count() & 1 else 1) == expect
 
 

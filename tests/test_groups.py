@@ -109,6 +109,40 @@ def test_parents_form_the_breadth_first_tree(cfg):
     assert depth == sorted(depth)
 
 
+def _reference_classes(rd):
+    """The class of g as {w^-1 g w} over every w, by table lookups."""
+    tbl, inv = rd.mul_table, rd.inv_table
+    n = len(rd.elements)
+    assigned = [None] * n
+    classes = []
+    for g in range(n):
+        if assigned[g] is not None:
+            continue
+        cls = sorted({tbl[tbl[inv[w]][g]][w] for w in range(n)})
+        for h in cls:
+            assigned[h] = len(classes)
+        classes.append(cls)
+    return classes
+
+
+@pytest.mark.parametrize("cfg", [("A", 2, 3), ("A", 3, 4), ("A", 4, 5),
+                                 ("A", 3, 5), ("B", 3, 3), ("B", 4, 4),
+                                 ("D", 4, 4), ("A1", 3, 3)])
+def test_classes_match_the_all_conjugator_loop(cfg):
+    rd = RootDatum(*cfg)
+    assert rd.conjugacy_classes() == _reference_classes(rd)
+
+
+def test_conjugation_orbit_stops_at_a_sign_clash():
+    rd = RootDatum("A", 2, 3)
+    s = rd.reflection_index(0)
+    # s s s = s: the edge from s to itself carries -1, a clash
+    assert rd.conjugation_orbit(s, lambda r, h: -1)[1] is False
+    signs, consistent = rd.conjugation_orbit(s, lambda r, h: 1)
+    assert consistent and sorted(signs) == sorted(
+        rd.reflection_index(r) for r in range(3))
+
+
 def test_group_bound_is_checked_at_construction():
     # |S_10| = 3,628,800: refused before any element is enumerated
     with pytest.raises(GroupBoundExceededError):

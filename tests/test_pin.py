@@ -139,6 +139,35 @@ def test_integer_units_match_coeff_reference(group):
             assert pc.sigma(g, h) == unit_ratio_sign(prod, ref[tbl[g][h]])
 
 
+def _reference_cover_classes(pc):
+    """Cover classes with every w in W as a conjugator, and each pair's
+    class index."""
+    tbl, inv = pc.rd.mul_table, pc.rd.inv_table
+    assigned = {}
+    classes = []
+    for g in range(pc.n):
+        for e in (1, -1):
+            if (g, e) in assigned:
+                continue
+            cls = sorted({(tbl[tbl[w][g]][inv[w]], e * pc.conj_sign(w, g))
+                          for w in range(pc.n)})
+            for b in cls:
+                assigned[b] = len(classes)
+            classes.append(cls)
+    return classes, assigned
+
+
+@pytest.mark.parametrize("group", [("A", 2, 3), ("A", 3, 4), ("A", 4, 5),
+                                   ("A", 3, 5), ("B", 3, 3), ("B", 4, 4),
+                                   ("D", 4, 4), ("A1", 3, 3)])
+def test_cover_classes_match_the_all_conjugator_loop(group):
+    pc = PinCover(RootDatum(*group))
+    classes, class_of = _reference_cover_classes(pc)
+    assert pc.cover_classes() == classes
+    for g in range(pc.n):
+        assert pc.class_splits(g) == (class_of[(g, 1)] != class_of[(g, -1)])
+
+
 def test_cover_classes_make_no_field_products(coeff_products):
     with coeff_products() as made:
         classes = PinCover(RootDatum("A", 4, 5)).cover_classes()

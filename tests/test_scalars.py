@@ -491,3 +491,17 @@ def test_product_by_minus_one_makes_no_field_products(coeff_products):
     assert products[2] == products[3] == Scalar(
         _ref_poly_mul(x.terms, minus_s.terms), x.nvars)
     assert products[0] == -x
+
+
+def test_one_term_product_by_plus_or_minus_one_makes_no_field_products(
+        coeff_products):
+    # both factors have one term: the +-1 factor is the one that moves
+    # exponents, on whichever side it stands
+    y = F2.rational(3) * F2.s * F2.cs[0]
+    units = [F2.one, -F2.one, F2.s, -F2.s]
+    with coeff_products() as made:
+        products = [(u * y, y * u) for u in units]
+    assert made == []
+    for u, (left, right) in zip(units, products):
+        assert left == right == Scalar(_ref_poly_mul(u.terms, y.terms),
+                                       y.nvars)
