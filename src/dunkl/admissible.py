@@ -4,8 +4,10 @@ Elements of rho(C W~) are stored as coordinate vectors {g_idx: Coeff}
 relative to the basis {rho(g, +1) : g in W} of canonical lifts; this makes
 all cover-algebra computations pure Q(i, sqrt2) linear algebra driven by
 the cocycle sigma of the pin cover.  The bullet sends rho(g, +1) to
-tau(g) rho(g^-1, +1), with tau(g) = (-1)^{|g~|} sigma(g, g^-1) read off
-the cocycle, so no Clifford lift is built.
+tau(g) rho(g^-1, +1), with tau(g) = (-1)^{|g~|} sigma(g, g^-1) and
+sigma(g, g^-1) read off the reversion of one term of u(g)
+(`PinCover.inv`), so no Clifford lift or unit product is built.
+Conjugation signs come from the blade action (`PinCover.conj_sign`).
 
 epsilon(rho(w~)) is 1 when d is odd and (-1)^{|w~|} when d is even.  The
 epsilon-centre is the solution space of
@@ -61,11 +63,11 @@ class CoverAlgebra:
 
         u(g) is a product of |g~| real unit vectors v, each with
         v^bullet = -v and v^2 = 1, so u(g)^bullet = (-1)^{|g~|} u(g)^-1
-        = (-1)^{|g~|} sigma(g, g^-1) u(g^-1).
+        = (-1)^{|g~|} sigma(g, g^-1) u(g^-1).  u(g)^-1 is the reversion
+        of u(g), and `PinCover.inv` reads sigma(g, g^-1) off it.
         """
         pc = self.pin
-        inv = self.rd.inv_table
-        return [-pc.sigma(g, inv[g]) if pc.parity(g) else pc.sigma(g, inv[g])
+        return [-pc.inv((g, 1))[1] if pc.parity(g) else pc.inv((g, 1))[1]
                 for g in range(self.n)]
 
     def bullet(self, a):

@@ -14,6 +14,14 @@ classes come from one walk per W-class (`RootDatum.conjugation_orbit`)
 carrying the sign of u(s) u(h) u(s)^-1 against u(s h s): the class of g
 splits exactly when that sign chain is consistent.
 
+That sign needs no unit product.  For a unit vector gamma,
+gamma v gamma = -s_gamma(v), so Ad(u(w)) acts on V as det(w) w, and on
+a blade as a signed permutation (`conj_sign`); one term of u(g), mapped
+to a blade of u(w g w^-1), fixes the sign.  Likewise u(g)^-1 is the
+reversion of u(g), so sigma(g, g^-1) is one reversed term against
+u(g^-1) (`inv`).  `sigma` itself forms the full product and compares
+every term.
+
 Every root has squared norm 1 or 2 and entries in {0, 1, -1}, so every
 lift is 2^(-k/2) times an integer combination of basis blades.  A unit
 is stored as the pair (k, n): n is a {mask: int} dict, not all of whose
@@ -51,6 +59,20 @@ def unit_ratio_sign(u, v):
         elif eps != s:
             raise ValueError("inconsistent proportionality sign")
     return eps
+
+
+def _term_sign(u, v, m, y):
+    """Sign eps with v = eps * u', for a unit u' with the k and term count
+    of u whose term at mask m is y; raises ValueError where v cannot be
+    such a multiple."""
+    if u[0] != v[0] or len(u[1]) != len(v[1]):
+        raise ValueError("units are not proportional")
+    x = v[1].get(m)
+    if x == y:
+        return 1
+    if x == -y:
+        return -1
+    raise ValueError("units are not proportional by a sign")
 
 
 def _unit_mul(u, v):
@@ -139,9 +161,19 @@ class PinCover:
         return (self.rd.mul_table[g][h], e1 * e2 * self.sigma(g, h))
 
     def inv(self, a):
+        """a^-1 = (g^-1, eps * sigma(g, g^-1)) for a = (g, eps).
+
+        u(g)^-1 is the reversion of u(g), (-1)^{|A|(|A|-1)/2} on e_A, and
+        u(g^-1) = sigma(g, g^-1) u(g)^-1: one reversed term of u(g)
+        against u(g^-1) gives the sign.
+        """
         g, e = a
         gi = self.rd.inv_table[g]
-        return (gi, e * self.sigma(g, gi))
+        unit = self._units[g]
+        m, x = next(iter(unit[1].items()))
+        j = m.bit_count()
+        y = -x if j * (j - 1) // 2 % 2 else x
+        return (gi, e * _term_sign(unit, self._units[gi], m, y))
 
     def elements(self):
         return [(g, e) for g in range(self.n) for e in (1, -1)]
@@ -151,14 +183,33 @@ class PinCover:
         return self.mul(self.mul(w, a), self.inv(w))
 
     def conj_sign(self, w_idx, g_idx):
-        """Sign eps with u(w) u(g) u(w)^{-1} = eps * u(w g w^{-1})."""
-        tbl = self.rd.mul_table
-        inv = self.rd.inv_table
-        wi = inv[w_idx]
-        # sigma(w, g) * sigma(wg, w^{-1}) * sigma(w, w^{-1})^{-1}
-        return (self.sigma(w_idx, g_idx)
-                * self.sigma(tbl[w_idx][g_idx], wi)
-                * self.sigma(w_idx, wi))
+        """Sign eps with u(w) u(g) u(w)^{-1} = eps * u(w g w^{-1}).
+
+        Ad(u(w)) is det(w) w on V, so on a blade, with (perm, sign) of w,
+
+            Ad(u(w)) e_A = det(w)^{|A|} prod_{a in A} sign[a]
+                           * (sign of sorting perm(A)) * e_{perm(A)}.
+
+        One term (m, x) of u(g) is mapped so and read off u(w g w^{-1}),
+        in O(d) with no unit product.
+        """
+        rd = self.rd
+        w = rd.elements[w_idx]
+        unit = self._units[g_idx]
+        m, x = next(iter(unit[1].items()))
+        odd = w.det < 0 and m.bit_count() & 1
+        image = 0
+        a = 0
+        while m >> a:
+            if m >> a & 1:
+                p = w.perm[a]
+                # e_p moves left past the images above p placed so far
+                odd ^= (w.sign[a] < 0) ^ (image >> p).bit_count() & 1
+                image |= 1 << p
+            a += 1
+        tbl = rd.mul_table
+        target = self._units[tbl[tbl[w_idx][g_idx]][rd.inv_table[w_idx]]]
+        return _term_sign(unit, target, image, -x if odd else x)
 
     # -- conjugacy classes of the cover --------------------------------------
     def cover_classes(self):

@@ -1,3 +1,5 @@
+import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -91,6 +93,99 @@ def test_conj_sign_matches_direct_unit_conjugation():
             target = pc.lift(tbl[tbl[w][g]][inv[w]])
             direct = unit_ratio_sign(prod, target) * extra
             assert direct == pc.conj_sign(w, g)
+
+
+def _sigma_by_product(pc, g, h):
+    """sigma(g, h) from `cunit_mul` on the integer units: the product of
+    the int parts of u(g) and u(h) is a multiple of the int part of u(gh)
+    by +-2^j, and sigma is the sign of that factor."""
+    prod = cunit_mul(pc._units[g][1], pc._units[h][1])
+    target = pc._units[pc.rd.mul_table[g][h]][1]
+    assert set(prod) == set(target)
+    m = next(iter(target))
+    ratio = Fraction(prod[m], target[m])
+    assert all(prod[k] == ratio * x for k, x in target.items())
+    return 1 if ratio > 0 else -1
+
+
+_SIGN_GROUPS = [("A", 2, 3), ("A", 3, 4), ("A", 4, 5), ("A", 3, 5),
+                ("B", 3, 3), ("D", 4, 4), ("A1", 3, 3), ("B", 4, 4)]
+
+
+@pytest.mark.parametrize("group", _SIGN_GROUPS)
+def test_conj_sign_matches_the_three_sigma_products(group):
+    # the unit-product form sigma(w, g) sigma(wg, w^-1) sigma(w, w^-1) on
+    # every pair; B4 (147,456 pairs) on a fixed sample of 4,000.  Both
+    # first factors range over all pairs, so each product is formed once.
+    rd = RootDatum(*group)
+    pc = PinCover(rd)
+    tbl, inv = rd.mul_table, rd.inv_table
+    n = pc.n
+    pairs = [(w, g) for w in range(n) for g in range(n)]
+    if group == ("B", 4, 4):
+        pairs = random.Random(17).sample(pairs, 4000)
+    sigma = functools.cache(lambda g, h: _sigma_by_product(pc, g, h))
+    for w, g in pairs:
+        ref = sigma(w, g) * sigma(tbl[w][g], inv[w]) * sigma(w, inv[w])
+        assert pc.conj_sign(w, g) == ref, (w, g)
+
+
+@pytest.mark.parametrize("group", _SIGN_GROUPS)
+def test_inverse_sign_matches_the_unit_product(group):
+    rd = RootDatum(*group)
+    pc = PinCover(rd)
+    inv = rd.inv_table
+    for g in range(pc.n):
+        for e in (1, -1):
+            assert pc.inv((g, e)) == (inv[g], e * _sigma_by_product(pc, g, inv[g]))
+
+
+def _unit_corruptions(unit, m):
+    """The unit with its k shifted, with its term at mask m dropped, and
+    with that term's magnitude doubled."""
+    k, n = unit
+    yield k + 1, n
+    yield k - 2, n
+    yield k, {mm: x for mm, x in n.items() if mm != m}
+    yield k, {**n, m: 2 * n[m]}
+
+
+def test_conj_sign_rejects_a_corrupted_target_unit():
+    rd = RootDatum("B", 3, 3)
+    tbl, inv = rd.mul_table, rd.inv_table
+    pc = PinCover(rd)
+    # a pair with several terms in u(g) and w g w^-1 != g
+    w, g = next((w, g) for g in range(pc.n) if len(pc._units[g][1]) > 2
+                for w in range(pc.n) if tbl[tbl[w][g]][inv[w]] != g)
+    target = tbl[tbl[w][g]][inv[w]]
+    # the blade that conj_sign reads: the image of u(g)'s first term
+    el = rd.elements[w]
+    a = next(iter(pc._units[g][1]))
+    image = sum(1 << el.perm[j] for j in range(rd.dim) if a >> j & 1)
+    assert image in pc._units[target][1]
+    good = pc._units[target]
+    for bad in _unit_corruptions(good, image):
+        pc._units[target] = bad
+        with pytest.raises(ValueError):
+            pc.conj_sign(w, g)
+    pc._units[target] = good
+    pc.conj_sign(w, g)
+
+
+def test_inverse_sign_rejects_a_corrupted_inverse_unit():
+    rd = RootDatum("B", 3, 3)
+    pc = PinCover(rd)
+    inv = rd.inv_table
+    g = next(g for g in range(pc.n)
+             if len(pc._units[g][1]) > 2 and inv[g] != g)
+    good = pc._units[inv[g]]
+    # the blade read: u(g)'s first term, reversed in place
+    for bad in _unit_corruptions(good, next(iter(pc._units[g][1]))):
+        pc._units[inv[g]] = bad
+        with pytest.raises(ValueError):
+            pc.inv((g, 1))
+    pc._units[inv[g]] = good
+    pc.inv((g, 1))
 
 
 def test_s4_split_classes():
