@@ -137,7 +137,8 @@ def test_inverse_sign_matches_the_unit_product(group):
     inv = rd.inv_table
     for g in range(pc.n):
         for e in (1, -1):
-            assert pc.inv((g, e)) == (inv[g], e * _sigma_by_product(pc, g, inv[g]))
+            sigma = _sigma_by_product(pc, g, inv[g])
+            assert pc.inv((g, e)) == (inv[g], e * sigma)
 
 
 def _unit_corruptions(unit, m):
