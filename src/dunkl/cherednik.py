@@ -6,7 +6,9 @@ commutation formula
 
     [y, p] = t d_y(p) - sum_{alpha>0} c(alpha) <alpha, y> (p - s_alpha p)/alpha s_alpha
 
-with all divided differences computed by exact polynomial division.  The
+with all divided differences computed by exact polynomial division.  A
+divided difference (p - s_alpha p)/alpha depends on no parameter, so it is
+computed over Coeff and scaled by the root's Scalar factor afterwards.  The
 straightening of y^b x^a is memoised per algebra, and so is the product
 of each pair of PBW monomials (`term_mul`): the H and H (x) C products
 meet the same pair many times over, and each is multiplied once.  Sums
@@ -17,7 +19,7 @@ on one monomial, shared with the bullet of `hc`.
 
 from __future__ import annotations
 
-from .scalars import Scalar, ScalarField
+from .scalars import Coeff, C_ONE, Scalar, ScalarField
 from .sparse import SparseElement, add_into
 from .groups import RootDatum
 
@@ -123,21 +125,22 @@ class HAlgebra:
                 continue
             g = self.rd.reflection_index(r_idx)
             factor = -(self.c_root[r_idx] * F.rational(ai))
-            add_into(out, (((e, g), v * factor) for e, v in dd.items()))
+            add_into(out, (((e, g), Scalar.from_coeff(v, F.nvars) * factor)
+                           for e, v in dd.items()))
         self._ycomm_memo[key] = out
         return out
 
     def _divided_difference(self, cexp, alpha, s):
-        """(x^c - s(x^c)) / alpha as {xexp: Scalar}; exact by construction."""
-        F = self.field
+        """(x^c - s(x^c)) / alpha as {xexp: Coeff}; parameter-free, and
+        exact by construction."""
         img, sgn = s.apply_exp(cexp)
         if img == cexp:
             if sgn == 1:
                 return {}
-            num = {cexp: F.rational(2)}
+            num = {cexp: Coeff(2)}
         else:
-            num = {cexp: F.one, img: F.rational(-sgn)}
-        lin = {self._unit_exp(j + 1): F.rational(a)
+            num = {cexp: C_ONE, img: Coeff(-sgn)}
+        lin = {self._unit_exp(j + 1): Coeff(a)
                for j, a in enumerate(alpha) if a}
         return _xpoly_divexact(num, lin)
 
@@ -221,7 +224,10 @@ def _bump(e, j):
 
 
 def _xpoly_divexact(num, lin):
-    """Divide an x-polynomial by a linear form, requiring zero remainder."""
+    """Divide an x-polynomial by a linear form, requiring zero remainder.
+
+    Values may be of any field type (the divided differences use Coeff).
+    """
     # leading variable of the linear form under lex order
     lead = max(lin)
     lc_inv = lin[lead].inv()

@@ -10,12 +10,17 @@ Matrices are returned dense as lists of lists, row-major, acting on
 column vectors indexed by (monomial, spinor) pairs with monomials in
 graded-lex order.  `SpinorRep` fixes their entry ring once per context:
 Coeff when every parameter is rational, Scalar otherwise.  One sparse
-assembly, `matrix_of`, builds them: the spinor matrix of each Clifford
-mask is monomial (one unit i^k per row), so only its nonzero entries
-are visited, and entries accumulate through `sparse.add_into` in a
-{(row, col): value} map that is densified once.  `matrix_of_coeff` is
-`matrix_of` guarded to rational contexts.  `_mat_mul_coeff` is the one
-matrix product, over Coeff or Scalar, and skips zero factors.
+assembly, `matrix_of`, builds them from two per-rep memos.  The
+polynomial part of a term reads `SpinorRep.word`, the Dunkl word
+y^b x^e acting on 1, computed once per (b, e) and shared with the Gram
+matrices of `HermitianForm`; it is the one place a Dunkl word is
+applied.  The spinor matrix of each Clifford mask is monomial (one unit
+i^k per row); its nonzero entries, lifted into the entry ring, are kept
+once per mask, and only they are visited.  Entries accumulate through
+`sparse.add_into` in a {(row, col): value} map that is densified once.
+`matrix_of_coeff` is `matrix_of` guarded to rational contexts.
+`_mat_mul_coeff` is the one matrix product, over Coeff or Scalar, and
+skips zero factors.
 
 One exact elimination, `_rref`, a sparse Gauss-Jordan reduction on
 {col: Coeff} rows, serves `rank_coeff`, `kernel_basis_coeff`,
@@ -121,6 +126,8 @@ class SpinorRep:
         self.spin = spinor_matrices(self.d)
         self.spin_dim = 1 << (self.d // 2)
         self._bases = {}
+        self._words = {}
+        self._spin = {}
         if alg.h.rational:
             self.lift, self.value = _same, Scalar.constant_value
         else:
@@ -141,18 +148,51 @@ class SpinorRep:
         return len(self.basis(degree)) * self.spin_dim
 
     def _spin_entries(self, mask):
-        """Nonzero entries (row, col, i^k) of the spinor matrix of e_mask.
+        """Nonzero entries (row, col, i^k) of the spinor matrix of e_mask,
+        lifted into the rep's ring; memoised per mask.
 
         A product of the e_j matrices is monomial: one unit i^k per row.
         """
+        out = self._spin.get(mask)
+        if out is not None:
+            return out
         m = None
         for j in range(self.d):
             if mask & (1 << j):
                 m = self.spin[j] if m is None else _mat_mul_coeff(m, self.spin[j])
         if m is None:
-            return [(i, i, C_ONE) for i in range(self.spin_dim)]
-        return [(si, sj, v) for si, row in enumerate(m)
-                for sj, v in enumerate(row) if not v.is_zero()]
+            out = [(i, i, self.one) for i in range(self.spin_dim)]
+        else:
+            out = [(si, sj, self.lift(v)) for si, row in enumerate(m)
+                   for sj, v in enumerate(row) if not v.is_zero()]
+        self._spin[mask] = out
+        return out
+
+    def word(self, yexp, xexp):
+        """y^yexp x^xexp acting on 1, as {monomial: entry} in the rep's ring.
+
+        Memoised per rep; callers must not mutate the result.  As in
+        `HAlgebra.straighten`, y_i of the first nonzero slot i acts first,
+        through the commutator [y_i, x^xexp] (each w acts on 1 as 1), and
+        the rest of the word then acts on each resulting monomial; so all
+        of y_1 acts before y_2.
+        """
+        key = (yexp, xexp)
+        out = self._words.get(key)
+        if out is not None:
+            return out
+        if not any(yexp):
+            out = {xexp: self.one}
+        else:
+            i = next(k for k, v in enumerate(yexp) if v)
+            rest = yexp[:i] + (yexp[i] - 1,) + yexp[i + 1:]
+            out = {}
+            for (e, _g), u in self.alg.h.ycomm(i, xexp).items():
+                u = self.value(u)
+                add_into(out, ((e2, u * v)
+                               for e2, v in self.word(rest, e).items()))
+        self._words[key] = out
+        return out
 
     def _apply_poly_part(self, xexp, yexp, g_idx, mono):
         """Action of x^a y^b w on the monomial x^mono.
@@ -161,9 +201,9 @@ class SpinorRep:
         substitutes, y^b applies Dunkl operators, x^a multiplies.
         """
         img, sgn = self.alg.h._elems[g_idx].apply_exp(mono)
-        polys = _dunkl_word(self.alg.h, yexp,
-                           {img: self.one if sgn > 0 else -self.one},
-                           self.value)
+        polys = self.word(yexp, img)
+        if sgn < 0:
+            polys = {e: -v for e, v in polys.items()}
         if any(xexp):
             polys = {tuple(a + b for a, b in zip(e, xexp)): v
                      for e, v in polys.items()}
@@ -192,8 +232,7 @@ class SpinorRep:
         acc = {}
         for (a, b, g, mask), coeff in elem.terms.items():
             coeff = self.value(coeff)
-            spin = [(si, sj, self.lift(v))
-                    for si, sj, v in self._spin_entries(mask)]
+            spin = self._spin_entries(mask)
             for ci, mono in enumerate(src):
                 for e, v in self._apply_poly_part(a, b, g, mono).items():
                     ri = dst_index.get(e)
@@ -219,22 +258,6 @@ class SpinorRep:
 
 def _same(v):
     return v
-
-
-def _dunkl_word(h, yexp, polys, value):
-    """Apply the Dunkl operators y^yexp to the polynomial {xexp: entry}.
-
-    Each y_i acts through the memoised commutator [y_i, x^e] of `h`;
-    `value` maps its Scalar coefficients into the ring of the entries.
-    """
-    for i in range(h.dim):
-        for _ in range(yexp[i]):
-            polys = add_into({}, ((e2, v * value(u))
-                                  for e, v in polys.items()
-                                  for (e2, _g), u in h.ycomm(i, e).items()))
-            if not polys:
-                return polys
-    return polys
 
 
 # -- exact linear algebra over Coeff ----------------------------------------
@@ -386,9 +409,7 @@ class HermitianForm:
     def _pair(self, aexp, bexp):
         """Constant term of the Dunkl word y^a applied to x^b."""
         rep = self.rep
-        polys = _dunkl_word(rep.alg.h, aexp, {tuple(bexp): rep.one},
-                            rep.value)
-        return polys.get((0,) * rep.d, rep.zero)
+        return rep.word(aexp, bexp).get(rep.alg.h.zero_exp, rep.zero)
 
     def adjointness_check(self, degree):
         """Per-generator report of G pi(eta) = pi(eta_bullet)^{conj T} G.

@@ -5,9 +5,11 @@ import pytest
 
 from dunkl.groups import RootDatum
 from dunkl.cherednik import (HAlgebra, dunkl_commutator, filtration_check,
-                             _kill_c, _min_c_degree)
-from dunkl.scalars import ScalarField
+                             _bump, _kill_c, _min_c_degree)
+from dunkl.scalars import C_ONE, Coeff, ScalarField
+from dunkl.sparse import add_into
 from dunkl.hc import HCAlgebra
+from dunkl.polyspinor import monomial_basis
 
 
 def test_rank_one_commutator():
@@ -227,3 +229,39 @@ def test_memoised_products_repeat_exactly(group, make, pair):
     assert len(memo) == size      # the repeat made no new entry
     fa, fb = pair(make(rd))
     assert (fa * fb).terms == first.terms
+
+
+def _times_linear(p, form):
+    """The product of {exponent: Coeff} and {coordinate: Fraction}."""
+    return add_into({}, ((_bump(e, j), v * Coeff(a))
+                         for e, v in p.items() for j, a in form.items()))
+
+
+@pytest.mark.parametrize("group", [("B", 3, 3), ("D", 4, 4), ("A", 3, 4),
+                                   ("A1", 3, 3)],
+                         ids=["B3", "D4", "A3", "A1^3"])
+def test_divided_difference_times_root_is_the_difference(group):
+    # alpha * (x^c - s_alpha x^c)/alpha == x^c - (s_alpha x)^c, with the
+    # coordinates of s_alpha x = x - 2 <alpha, x>/<alpha, alpha> alpha
+    # expanded from the root alone
+    rd = RootDatum(*group)
+    h = HAlgebra(rd)
+    d = rd.dim
+    for alpha, s in zip(rd.positive_roots, rd.reflections):
+        norm = sum(a * a for a in alpha)
+        lin = {j: a for j, a in enumerate(alpha) if a}
+        image = []
+        for j in range(d):
+            row = {k: Fraction((j == k) * norm - 2 * alpha[j] * alpha[k],
+                               norm) for k in range(d)}
+            image.append({k: a for k, a in row.items() if a})
+        for c in (c for k in range(4) for c in monomial_basis(d, k)):
+            dd = h._divided_difference(c, alpha, s)
+            assert all(type(v) is Coeff for v in dd.values())
+            reflected = {(0,) * d: C_ONE}
+            for form, k in zip(image, c):
+                for _ in range(k):
+                    reflected = _times_linear(reflected, form)
+            expect = add_into({c: C_ONE},
+                              ((e, -v) for e, v in reflected.items()))
+            assert _times_linear(dd, lin) == expect

@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dunkl.cherednik import HAlgebra
 from dunkl.groups import RootDatum
 from dunkl.hc import HCAlgebra
 from dunkl.osp import OspRealisation
@@ -14,6 +15,7 @@ from dunkl.polyspinor import (spinor_matrices, monomial_basis, SpinorRep,
                               image_basis_coeff, intersection_dim,
                               _mat_mul_coeff, _rref)
 from dunkl.scalars import C_ONE, C_ZERO, C_R, Coeff, Scalar
+from dunkl.sparse import add_into
 
 
 def test_spinor_matrix_clifford_relations():
@@ -150,6 +152,59 @@ def test_matrix_of_coeff_matches_matrix_of(name):
     sym_form, rat_form = HermitianForm(sym), HermitianForm(rat)
     for k in range(3):
         assert rat_form.gram(k) == at_point(sym_form.gram(k))
+
+
+_WORD_CASES = {
+    "B2-rational": (("B", 2, 2), SPECIALISED["B2"][1]),
+    "A2-symbolic": (("A", 2, 3), None),
+    "A1^3-symbolic": (("A1", 3, 3), None),
+}
+
+
+def _exponents(d, top):
+    return [e for k in range(top + 1) for e in monomial_basis(d, k)]
+
+
+def _word_oracle(rep, yexp, xexp):
+    """y^yexp x^xexp acting on 1, read off its PBW form x^a y^b w: a term
+    with b nonzero kills 1, and w fixes it."""
+    return add_into({}, ((a, rep.value(v)) for (a, b, _g), v
+                         in rep.alg.h.straighten(yexp, xexp).items()
+                         if not any(b)))
+
+
+@pytest.mark.parametrize("name", sorted(_WORD_CASES))
+def test_word_matches_straightening(name):
+    rd_args, spec = _WORD_CASES[name]
+    rep = SpinorRep(HCAlgebra(RootDatum(*rd_args), specialize=spec))
+    form = HermitianForm(rep)
+    zero = (0,) * rep.d
+    for b in _exponents(rep.d, 2):
+        for e in _exponents(rep.d, 3):
+            expect = _word_oracle(rep, b, e)
+            assert rep.word(b, e) == expect
+            assert form._pair(b, e) == expect.get(zero, rep.zero)
+
+
+@pytest.mark.parametrize("name", sorted(SPECIALISED))
+def test_repeated_matrix_of_reads_the_memos(name, monkeypatch):
+    rd_args, spec = SPECIALISED[name]
+    rep = SpinorRep(HCAlgebra(RootDatum(*rd_args), specialize=spec))
+    elems = _probe_elements(rep.alg)
+    first = [rep.matrix_of(elem, k) for elem in elems for k in range(3)]
+    words, spins = len(rep._words), len(rep._spin)
+    assert words and spins
+    calls = []
+    ycomm = HAlgebra.ycomm
+
+    def counting(self, i, cexp):
+        calls.append((i, cexp))
+        return ycomm(self, i, cexp)
+    monkeypatch.setattr(HAlgebra, "ycomm", counting)
+    assert [rep.matrix_of(elem, k) for elem in elems
+            for k in range(3)] == first
+    assert not calls
+    assert (len(rep._words), len(rep._spin)) == (words, spins)
 
 
 def test_matrix_ring_follows_the_context():
