@@ -11,15 +11,17 @@ divided difference (p - s_alpha p)/alpha depends on no parameter, so it is
 computed over Coeff and scaled by the root's Scalar factor afterwards.  The
 straightening of y^b x^a is memoised per algebra, and so is the product
 of each pair of PBW monomials (`term_mul`): the H and H (x) C products
-meet the same pair many times over, and each is multiplied once.  Sums
-accumulate through `sparse.add_into`, and `HElement` takes its linear
-operations from `sparse.SparseElement`; `HAlgebra.star_key` is the star
-on one monomial, shared with the bullet of `hc`.
+meet the same pair many times over, and each is multiplied once.  A
+`term_mul` coefficient that is the field's shared one costs those
+products no further scalar product.  Sums accumulate through
+`sparse.add_into`, and `HElement` takes its linear operations from
+`sparse.SparseElement`; `HAlgebra.star_key` is the star on one monomial,
+shared with the bullet of `hc`.
 """
 
 from __future__ import annotations
 
-from .scalars import Coeff, C_ONE, Scalar, ScalarField
+from .scalars import Coeff, C_ONE, Scalar, ScalarField, unpack
 from .sparse import SparseElement, add_into
 from .groups import RootDatum
 
@@ -223,6 +225,9 @@ def _bump(e, j):
     return e[:j] + (e[j] + 1,) + e[j + 1:]
 
 
+_UNITS = (C_ONE, -C_ONE)
+
+
 def _xpoly_divexact(num, lin):
     """Divide an x-polynomial by a linear form, requiring zero remainder.
 
@@ -230,7 +235,10 @@ def _xpoly_divexact(num, lin):
     """
     # leading variable of the linear form under lex order
     lead = max(lin)
-    lc_inv = lin[lead].inv()
+    lc = lin[lead]
+    # 1 and -1 are their own inverses; every root of A, B, D and A1^n
+    # leads with one of them
+    lc_inv = lc if lc in _UNITS else lc.inv()
     rem = dict(num)
     quo = {}
     while rem:
@@ -255,13 +263,14 @@ class HElement(SparseElement):
     def __mul__(self, o):
         self._chk(o)
         term_mul = self.alg.term_mul
+        one = self.alg.field.one
 
         def terms():
             for k1, v1 in self.terms.items():
                 for k2, v2 in o.terms.items():
                     v12 = v1 * v2
                     for k, cf in term_mul(k1, k2):
-                        yield k, v12 * cf
+                        yield k, v12 if cf is one else v12 * cf
         return self._new(add_into({}, terms()))
 
     def star(self):
@@ -316,15 +325,15 @@ def filtration_check(alg: HAlgebra, xi: HElement, eta: HElement):
 
 
 def _c_in_denominator(sc: Scalar) -> bool:
-    return any(x < 0 for e in sc.terms for x in e[1:])
+    return any(x < 0 for e in sc.terms for x in unpack(e, sc.nvars)[1:])
 
 
 def _kill_c(sc: Scalar) -> Scalar:
     """Set every orbit parameter to zero."""
     if _c_in_denominator(sc):
         raise ZeroDivisionError("denominator vanishes at c = 0")
-    return Scalar({e: v for e, v in sc.terms.items() if not any(e[1:])},
-                  sc.nvars)
+    return Scalar({e: v for e, v in sc.terms.items()
+                   if not any(unpack(e, sc.nvars)[1:])}, sc.nvars)
 
 
 def _min_c_degree(sc: Scalar) -> int:
@@ -332,4 +341,4 @@ def _min_c_degree(sc: Scalar) -> int:
         raise ValueError("denominator involves orbit parameters")
     if not sc.terms:
         return 0
-    return min(sum(e[1:]) for e in sc.terms)
+    return min(sum(unpack(e, sc.nvars)[1:]) for e in sc.terms)

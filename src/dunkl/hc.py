@@ -4,6 +4,10 @@ Elements are Scalar-weighted sums of PBW monomials x^a y^b w tensored
 with Clifford basis elements e_A; the two factors commute.  The Z2-grading
 used by the graded bracket is the Clifford parity |A| mod 2.
 
+The product multiplies each pair of terms once: the Clifford sign picks
+v1 or -v1 (negated once per left term), and a coefficient of `term_mul`
+that is the field's shared one costs no further scalar product.
+
 The conjugate-linear anti-involution `bullet` acts as the Cherednik star
 (w -> w^{-1}, x_i <-> y_i, `HAlgebra.star_key`) on the first factor and as
 e_A -> (-1)^{|A|} reversed(e_A) (`clifford.reversion_sign`) on the second.
@@ -95,18 +99,21 @@ class HCElement(SparseElement):
     def __mul__(self, o):
         self._chk(o)
         term_mul = self.alg.h.term_mul
+        one = self.alg.field.one
+        right = [((a2, b2, g2), m2, v2)
+                 for (a2, b2, g2, m2), v2 in o.terms.items()]
 
         def terms():
             for (a1, b1, g1, m1), v1 in self.terms.items():
+                k1 = (a1, b1, g1)
                 p1 = sign_mask(m1)
-                for (a2, b2, g2, m2), v2 in o.terms.items():
-                    v12 = v1 * v2
+                n1 = -v1
+                for k2, m2, v2 in right:
+                    # the Clifford sign of e_m1 e_m2 picks v1 or -v1
+                    v12 = (n1 if (p1 & m2).bit_count() & 1 else v1) * v2
                     m = m1 ^ m2
-                    if (p1 & m2).bit_count() & 1:
-                        v12 = -v12
-                    for (xk, yk, gk), cf in term_mul((a1, b1, g1),
-                                                     (a2, b2, g2)):
-                        yield (xk, yk, gk, m), v12 * cf
+                    for (xk, yk, gk), cf in term_mul(k1, k2):
+                        yield (xk, yk, gk, m), v12 if cf is one else v12 * cf
         return self._new(add_into({}, terms()))
 
     # -- grading -------------------------------------------------------------

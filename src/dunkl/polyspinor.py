@@ -16,8 +16,10 @@ y^b x^e acting on 1, computed once per (b, e) and shared with the Gram
 matrices of `HermitianForm`; it is the one place a Dunkl word is
 applied.  The spinor matrix of each Clifford mask is monomial (one unit
 i^k per row); its nonzero entries, lifted into the entry ring, are kept
-once per mask, and only they are visited.  Entries accumulate through
-`sparse.add_into` in a {(row, col): value} map that is densified once.
+once per mask, and only they are visited; an entry 1 or -1 keeps or
+negates the value it meets, and only an entry +-i multiplies it.
+Entries accumulate through `sparse.add_into` in a {(row, col): value}
+map that is densified once.
 `matrix_of_coeff` is `matrix_of` guarded to rational contexts.
 `_mat_mul_coeff` is the one matrix product, over Coeff or Scalar, and
 skips zero factors.
@@ -136,6 +138,7 @@ class SpinorRep:
                                      _same)
         self.zero = self.lift(C_ZERO)
         self.one = self.lift(C_ONE)
+        self._minus_one = self.lift(-C_ONE)
 
     def basis(self, degree):
         b = self._bases.get(degree)
@@ -152,6 +155,8 @@ class SpinorRep:
         lifted into the rep's ring; memoised per mask.
 
         A product of the e_j matrices is monomial: one unit i^k per row.
+        The entries 1 and -1 are the rep's shared `one` and `_minus_one`,
+        which `matrix_of` applies without a product.
         """
         out = self._spin.get(mask)
         if out is not None:
@@ -163,7 +168,9 @@ class SpinorRep:
         if m is None:
             out = [(i, i, self.one) for i in range(self.spin_dim)]
         else:
-            out = [(si, sj, self.lift(v)) for si, row in enumerate(m)
+            units = {C_ONE: self.one, -C_ONE: self._minus_one}
+            out = [(si, sj, units[v] if v in units else self.lift(v))
+                   for si, row in enumerate(m)
                    for sj, v in enumerate(row) if not v.is_zero()]
         self._spin[mask] = out
         return out
@@ -229,6 +236,7 @@ class SpinorRep:
         dst = self.basis(out_degree)
         dst_index = {m: i for i, m in enumerate(dst)}
         sd = self.spin_dim
+        one, minus_one = self.one, self._minus_one
         acc = {}
         for (a, b, g, mask), coeff in elem.terms.items():
             coeff = self.value(coeff)
@@ -239,7 +247,9 @@ class SpinorRep:
                     if ri is None:
                         raise AssertionError("degree bookkeeping failure")
                     cv = coeff * v
-                    add_into(acc, (((ri * sd + si, ci * sd + sj), cv * u)
+                    add_into(acc, (((ri * sd + si, ci * sd + sj),
+                                    cv if u is one else
+                                    -cv if u is minus_one else cv * u)
                                    for si, sj, u in spin))
         mat = [[self.zero] * (len(src) * sd) for _ in range(len(dst) * sd)]
         for (r, c), v in acc.items():

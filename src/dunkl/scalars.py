@@ -6,11 +6,29 @@ one positive int denominator, with the gcd of the five ints equal to 1
 and zero stored as 0/1; its arithmetic uses int operations only.
 On top of it, a Scalar is a sparse Laurent polynomial in the deformation
 variables (s first, then the orbit parameters c_1..c_m): a dict
-{exponent tuple: Coeff} whose exponents may be negative and whose values
+{packed exponent: Coeff} whose exponents may be negative and whose values
 are never zero.  The constructions divide only by s, t = s^2/2 and t^2,
 so these scalars are closed under every operation the verifier makes,
 and the conventions t = s^2/2 and sqrt(2t) = s make every square root
 needed downstream exact.
+
+An exponent vector (e_0, .., e_m) is packed into the one int
+sum_k e_k * 2^(W*k), W = 16 bits a slot, after Monagan and Pearce's
+packed exponent vectors.  Each slot is a balanced digit in
+[-2^(W-1), 2^(W-1)), so the packing is linear: the exponent of a product
+of monomials is the sum of the packed ints, the inverse of a monomial
+has the negated int, and the constant monomial is 0.  `pack` refuses a
+slot outside that range; a sum whose slot leaves it would carry into the
+next slot unnoticed.  No scalar of the verifier comes near the bound of
+2^15 = 32768.  Each y that straightening moves past an x removes both
+and yields at most one factor t = s^2/2 or c_k, so an exponent is at
+most about the (x, y)-degree of the elements multiplied, and the checks
+divide only by s, t and t^2.  Those degrees are small and capped
+(`--max-degree`, the spinor dimension cap): measured, A r3
+osp+centre, D r4 osp, A1^6 relations, and A1^4 and B r3 with every
+suite at degree 3 reach no exponent above 6 in absolute value.  Only code that reads a single slot (`substitute`,
+`substitute_s`, `str`, the variables of `ScalarField`, and the c-degree
+helpers of `cherednik`) calls `unpack`.
 
 Scalars are immutable, and the dict is already canonical: equal values
 have equal `terms` and equal hashes, and nothing is ever reduced.  `+`,
@@ -23,7 +41,8 @@ scales its values without rebuilding its exponents.  Only a monomial is
 invertible here (its exponent is negated and its coefficient inverted):
 inverting, or dividing by, a scalar of more than one term raises
 NonMonomialDenominatorError.  `str` prints the lowest-terms numerator
-over the monic monomial denominator that `_reduce` splits off.
+over the monic monomial denominator that `_reduce` splits off; `_reduce`
+and `poly_gcd` work on dicts keyed by exponent tuples.
 """
 
 from __future__ import annotations
@@ -193,7 +212,38 @@ def _i_power(n):
 
 
 # ---------------------------------------------------------------------------
-# sparse Laurent polynomials: dict {exponent tuple: Coeff}, no zero values
+# packed exponents
+# ---------------------------------------------------------------------------
+
+W = 16                    # bits of one exponent slot
+_HALF = 1 << (W - 1)
+_MASK = (1 << W) - 1
+
+
+def pack(exps):
+    """The int sum_k exps[k] * 2^(W*k); each slot in [-2^(W-1), 2^(W-1))."""
+    key = 0
+    for k in reversed(exps):
+        if not -_HALF <= k < _HALF:
+            raise ValueError(f"exponent {k} does not fit a {W}-bit slot")
+        key = (key << W) + k
+    return key
+
+
+def unpack(key, n):
+    """The n slots of a packed exponent, as a tuple."""
+    out = []
+    for _ in range(n):
+        k = ((key + _HALF) & _MASK) - _HALF
+        out.append(k)
+        key = (key - k) >> W
+    if key:
+        raise ValueError(f"packed exponent has more than {n} slots")
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# sparse Laurent polynomials: dict {packed exponent: Coeff}, no zero values
 # ---------------------------------------------------------------------------
 
 def poly_add(p, q):
@@ -221,7 +271,7 @@ def poly_mul(p, q):
         # the field has no zero divisors, so no product is zero
         (m, c), = p.items()
         cv = c._v
-        if not any(m):
+        if not m:
             # a constant moves no exponent; q's dict is shared when c is 1,
             # which is safe because a Scalar's terms are never mutated
             if cv == _ONE_V:
@@ -230,14 +280,11 @@ def poly_mul(p, q):
                 return poly_neg(q)
             return {e: v * c for e, v in q.items()}
         if cv == _ONE_V:
-            return {tuple(a + b for a, b in zip(e, m)): v
-                    for e, v in q.items()}
+            return {e + m: v for e, v in q.items()}
         if cv == _MINUS_ONE_V:
-            return {tuple(a + b for a, b in zip(e, m)): -v
-                    for e, v in q.items()}
-        return {tuple(a + b for a, b in zip(e, m)): v * c
-                for e, v in q.items()}
-    return add_into({}, ((tuple(a + b for a, b in zip(e1, e2)), v1 * v2)
+            return {e + m: -v for e, v in q.items()}
+        return {e + m: v * c for e, v in q.items()}
+    return add_into({}, ((e1 + e2, v1 * v2)
                          for e1, v1 in p.items() for e2, v2 in q.items()))
 
 
@@ -254,7 +301,8 @@ def poly_gcd(p, q):
 
     The divisors of a monomial are monomials, so the gcd is x^m with m the
     componentwise minimum of q's exponent and every exponent of p.  A q
-    of any other length raises NonMonomialDenominatorError.
+    of any other length raises NonMonomialDenominatorError.  Both are
+    keyed by exponent tuples, as `_reduce` passes them.
     """
     if len(q) != 1:
         raise NonMonomialDenominatorError(
@@ -272,7 +320,7 @@ def poly_gcd(p, q):
 class Scalar:
     """Element of Q(i, sqrt2)(s, c_1..c_m) with a monomial denominator.
 
-    `terms` is {exponent tuple: Coeff}; exponents may be negative and no
+    `terms` is {packed exponent: Coeff}; exponents may be negative and no
     value is zero.  nvars = 1 + number of orbit parameters; exponent slot
     0 is s.
     """
@@ -287,7 +335,7 @@ class Scalar:
     # -- constructors -------------------------------------------------------
     @staticmethod
     def from_coeff(cf, nvars):
-        return Scalar({} if cf.is_zero() else {(0,) * nvars: cf}, nvars)
+        return Scalar({} if cf.is_zero() else {0: cf}, nvars)
 
     @staticmethod
     def rational(q, nvars):
@@ -301,12 +349,12 @@ class Scalar:
         return bool(self.terms)
 
     def is_constant(self):
-        return not any(any(e) for e in self.terms)
+        return not any(self.terms)
 
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("not a constant scalar")
-        return self.terms.get((0,) * self.nvars, C_ZERO)
+        return self.terms.get(0, C_ZERO)
 
     # -- arithmetic ---------------------------------------------------------
     def _chk(self, o):
@@ -340,7 +388,7 @@ class Scalar:
             raise NonMonomialDenominatorError(
                 f"denominator with {len(self.terms)} terms is not a monomial")
         (e, c), = self.terms.items()
-        return Scalar({tuple(-a for a in e): c if c == C_ONE else c.inv()},
+        return Scalar({-e: c if c == C_ONE else c.inv()},
                       self.nvars)
 
     def conjugate(self):
@@ -359,7 +407,7 @@ class Scalar:
         acc = C_ZERO
         for e, v in self.terms.items():
             f = _F1
-            for x, k in zip(vals, e):
+            for x, k in zip(vals, unpack(e, self.nvars)):
                 if k < 0 and not x:
                     raise ZeroDivisionError(
                         "denominator vanishes at substitution point")
@@ -379,7 +427,11 @@ class Scalar:
                     powers[k] = power(k + 1) * cf.inv()
             return powers[k]
 
-        return Scalar(add_into({}, (((0,) + e[1:], v * power(e[0]))
+        def term(e, v):
+            k = unpack(e, self.nvars)[0]
+            return e - k, v * power(k)
+
+        return Scalar(add_into({}, (term(e, v)
                                     for e, v in self.terms.items())),
                       self.nvars)
 
@@ -395,7 +447,8 @@ class Scalar:
         return self._hash
 
     def __str__(self):
-        num, den = _reduce(self.terms, self.nvars)
+        num, den = _reduce({unpack(e, self.nvars): v
+                            for e, v in self.terms.items()}, self.nvars)
         ns = _poly_str(num, self.nvars)
         if not any(den):
             return ns
@@ -445,7 +498,7 @@ class ScalarField:
         self.i = Scalar.from_coeff(C_I, self.nvars)
         self.r = Scalar.from_coeff(C_R, self.nvars)
         # the variables: exponent slot 0 is s, slot k + 1 is c_{k+1}
-        unit = [tuple(int(j == k) for j in range(self.nvars))
+        unit = [pack([int(j == k) for j in range(self.nvars)])
                 for k in range(self.nvars)]
         self.s = Scalar({unit[0]: C_ONE}, self.nvars)
         self.t = self.s * self.s / Scalar.rational(2, self.nvars)

@@ -265,3 +265,26 @@ def test_divided_difference_times_root_is_the_difference(group):
             expect = add_into({c: C_ONE},
                               ((e, -v) for e, v in reflected.items()))
             assert _times_linear(dd, lin) == expect
+
+
+@pytest.mark.parametrize("group", [("B", 2, 2), ("D", 4, 4)],
+                         ids=["B2", "D4"])
+def test_divided_differences_by_unit_led_roots_invert_nothing(
+        group, monkeypatch):
+    # every root of B and D leads with 1 or -1, its own inverse
+    rd = RootDatum(*group)
+    h = HAlgebra(rd)
+    calls = []
+    inv = Coeff.inv
+
+    def counting_inv(self):
+        calls.append(self)
+        return inv(self)
+
+    monkeypatch.setattr(Coeff, "inv", counting_inv)
+    made = 0
+    for alpha, s in zip(rd.positive_roots, rd.reflections):
+        for c in (c for k in range(4) for c in monomial_basis(rd.dim, k)):
+            made += bool(h._divided_difference(c, alpha, s))
+    assert made
+    assert calls == []

@@ -7,7 +7,8 @@ from dunkl import scalars
 from dunkl.cli import Runner
 from dunkl.sparse import add_into
 from dunkl.scalars import (Coeff, Scalar, ScalarField, C_ZERO, C_ONE, C_I,
-                           C_R, NonMonomialDenominatorError, _i_power)
+                           C_R, NonMonomialDenominatorError, _i_power, pack,
+                           unpack)
 
 rats = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 7))
 coeffs = st.builds(Coeff, rats, rats, rats, rats)
@@ -255,15 +256,25 @@ def test_non_monomial_denominator_raises(F):
     assert "NonMonomialDenominatorError" in rec["witness"]
 
 
+def _tuple_terms(x):
+    """The terms of a Scalar keyed by exponent tuples."""
+    return {unpack(e, x.nvars): v for e, v in x.terms.items()}
+
+
+def _packed(terms):
+    """Terms keyed by exponent tuples, keyed by packed exponents."""
+    return {pack(e): v for e, v in terms.items()}
+
+
 def test_poly_gcd_of_polynomial_and_monomial(F):
     s, c1 = F.s, F.cs[0]
-    p = (s * s * c1 + s * c1 * c1).terms
-    assert scalars.poly_gcd(p, (s * s * s).terms) == {(1, 0, 0): C_ONE}
-    assert scalars.poly_gcd(p, (F.rational(3) * s * c1).terms) == \
+    p = _tuple_terms(s * s * c1 + s * c1 * c1)
+    assert scalars.poly_gcd(p, _tuple_terms(s * s * s)) == {(1, 0, 0): C_ONE}
+    assert scalars.poly_gcd(p, _tuple_terms(F.rational(3) * s * c1)) == \
         {(1, 1, 0): C_ONE}
-    assert scalars.poly_gcd({}, (F.rational(2) * c1).terms) == \
+    assert scalars.poly_gcd({}, _tuple_terms(F.rational(2) * c1)) == \
         {(0, 1, 0): C_ONE}
-    assert scalars.poly_gcd(p, F.one.terms) == {(0, 0, 0): C_ONE}
+    assert scalars.poly_gcd(p, _tuple_terms(F.one)) == {(0, 0, 0): C_ONE}
 
 
 def test_scalar_str_is_deterministic(F):
@@ -285,8 +296,8 @@ def _poly(nvars):
 def test_unit_denominator_ops_are_canonical(p, q):
     # sums, differences and products store no zero value, and the same
     # value reached two ways has equal terms and hash
-    x = Scalar(p, 3)
-    y = Scalar(q, 3)
+    x = Scalar(_packed(p), 3)
+    y = Scalar(_packed(q), 3)
     for z in (x + y, x - y, x * y, -x):
         assert all(not v.is_zero() for v in z.terms.values())
     for a, b in ((x + y, y + x), (x * y, y * x), ((x - y) + y, x),
@@ -313,9 +324,9 @@ def test_polynomial_sums_and_products_never_reduce(F, monkeypatch):
 def test_monomial_denominator_still_reduces(F):
     # s^-1 * s cancels to the constant 1, stored as one term
     inv_s = F.one / F.s
-    assert inv_s.terms == {(-1, 0, 0): C_ONE}
+    assert _tuple_terms(inv_s) == {(-1, 0, 0): C_ONE}
     assert inv_s * F.s == F.one
-    assert (inv_s * F.s).terms == {(0, 0, 0): C_ONE}
+    assert _tuple_terms(inv_s * F.s) == {(0, 0, 0): C_ONE}
     assert (inv_s + inv_s) * F.s == F.rational(2)
 
 
@@ -443,7 +454,7 @@ _laurent_terms = st.dictionaries(
 @given(_laurent_terms)
 @settings(max_examples=100, deadline=None)
 def test_str_prints_numerator_over_monomial_denominator(terms):
-    assert str(Scalar(terms, 3)) == _ref_str(terms)
+    assert str(Scalar(_packed(terms), 3)) == _ref_str(terms)
 
 
 # -- products by a constant -------------------------------------------------------
@@ -454,6 +465,47 @@ def _ref_poly_mul(p, q):
                          for e1, v1 in p.items() for e2, v2 in q.items()))
 
 
+def _ref_mul(x, y):
+    """The packed terms of the Scalar x * y, by the reference product."""
+    return _packed(_ref_poly_mul(_tuple_terms(x), _tuple_terms(y)))
+
+
+@given(_laurent_terms, _laurent_terms)
+@settings(max_examples=100, deadline=None)
+def test_packed_poly_mul_matches_tuple_reference(p, q):
+    assert scalars.poly_mul(_packed(p), _packed(q)) == \
+        _packed(_ref_poly_mul(p, q))
+
+
+@pytest.mark.parametrize("exps", [
+    (0, 0, 0), (1, 0, 0), (0, 0, 1), (-1, 0, 0), (0, -3, 2), (-2, -2, -2),
+    (scalars._HALF - 1, 0, 0), (-scalars._HALF, 0, 0),
+    (0, scalars._HALF - 1, -scalars._HALF),
+    (-scalars._HALF, scalars._HALF - 1, -scalars._HALF)])
+def test_unpack_inverts_pack(exps):
+    assert unpack(pack(exps), 3) == exps
+    assert pack(exps) == sum(k << (scalars.W * j) for j, k in enumerate(exps))
+
+
+@pytest.mark.parametrize("exps", [
+    (scalars._HALF, 0, 0), (-scalars._HALF - 1, 0, 0),
+    (0, 0, scalars._HALF), (0, -scalars._HALF - 1, 0)])
+def test_pack_refuses_a_slot_past_its_bound(exps):
+    with pytest.raises(ValueError):
+        pack(exps)
+
+
+def test_packing_is_linear():
+    # products add exponents, inverses negate them, 0 is the constant
+    e, f = (2, -1, 0), (-3, 4, 1)
+    assert pack(e) + pack(f) == pack(tuple(a + b for a, b in zip(e, f)))
+    assert -pack(e) == pack(tuple(-a for a in e))
+    assert pack((0, 0, 0)) == 0
+    assert unpack(pack(e), 4) == e + (0,)
+    with pytest.raises(ValueError):
+        unpack(pack(e), 1)
+
+
 _CONSTANTS = [C_ONE, Coeff(-1), C_I, C_R, Coeff(Fraction(3, 7))]
 
 
@@ -461,7 +513,8 @@ _CONSTANTS = [C_ONE, Coeff(-1), C_I, C_R, Coeff(Fraction(3, 7))]
 @settings(max_examples=100, deadline=None)
 def test_constant_factor_matches_double_loop(terms, cf):
     const = {(0, 0, 0): cf}
-    expect = _ref_poly_mul(terms, const)
+    expect = _packed(_ref_poly_mul(terms, const))
+    terms, const = _packed(terms), _packed(const)
     for product in (scalars.poly_mul(terms, const),
                     scalars.poly_mul(const, terms)):
         assert product == expect
@@ -487,9 +540,9 @@ def test_product_by_minus_one_makes_no_field_products(coeff_products):
         products = [minus_one * x, x * minus_one, minus_s * x, x * minus_s]
     assert made == []
     assert products[0] == products[1] == Scalar(
-        _ref_poly_mul(x.terms, minus_one.terms), x.nvars)
+        _ref_mul(x, minus_one), x.nvars)
     assert products[2] == products[3] == Scalar(
-        _ref_poly_mul(x.terms, minus_s.terms), x.nvars)
+        _ref_mul(x, minus_s), x.nvars)
     assert products[0] == -x
 
 
@@ -503,5 +556,4 @@ def test_one_term_product_by_plus_or_minus_one_makes_no_field_products(
         products = [(u * y, y * u) for u in units]
     assert made == []
     for u, (left, right) in zip(units, products):
-        assert left == right == Scalar(_ref_poly_mul(u.terms, y.terms),
-                                       y.nvars)
+        assert left == right == Scalar(_ref_mul(u, y), y.nvars)
