@@ -61,7 +61,7 @@ def spinor_dim(d, degree):
 
 class RunConfig:
     def __init__(self, family, rank, ambient, suites, single_c=False,
-                 specialize=None, max_degree=4, out=None, jobs=1):
+                 specialize=None, max_degree=4, out=None):
         fam, a1_rank = parse_family(family)
         if fam == "A1":
             if a1_rank is not None:
@@ -82,8 +82,6 @@ class RunConfig:
             raise ConfigError("rank and ambient dimension must be positive")
         if max_degree < 0:
             raise ConfigError("--max-degree must be nonnegative")
-        if jobs <= 0:
-            raise ConfigError("--jobs must be positive")
         for s in suites:
             if s not in SUITES:
                 raise ConfigError(f"unknown suite {s!r}")
@@ -115,7 +113,6 @@ class RunConfig:
         self.specialize = specialize
         self.max_degree = max_degree
         self.out = out
-        self.jobs = jobs
 
     def echo(self):
         spec = None
@@ -129,7 +126,6 @@ class RunConfig:
             "single_c": self.single_c,
             "specialize": spec,
             "max_degree": self.max_degree,
-            "jobs": self.jobs,
         }
 
 
@@ -261,16 +257,14 @@ class Runner:
 # -- suites ------------------------------------------------------------------
 
 def suite_osp(ctx: Context, run: Runner):
-    alg = ctx.alg
-    F = alg.field
+    F = ctx.alg.field
     run.check("osp", "bracket-00", "osp12 defining relations", lambda: [
         (f"bracket-{idx:02d}", f"osp12-relation {name}", ok)
         for idx, (name, ok)
         in enumerate(ctx.osp.bracket_table_check().items())])
-    quarter = alg.scalar(F.rational(Fraction(1, 4)))
     run.check("osp", "scasimir-square", "scasimir squares to casimir + 1/4",
               lambda: ctx.osp.scasimir * ctx.osp.scasimir
-              - ctx.osp.Omega_osp - quarter)
+              - ctx.osp.Omega_quarter)
     if ctx.rd.dim <= 6:
         run.check("osp", "scasimir-gamma",
                   "scasimir times pseudo-scalar equals scaled top generator",
@@ -281,7 +275,7 @@ def suite_osp(ctx: Context, run: Runner):
     run.check("osp", "projection-scasimir",
               "P(scasimir) = -2(casimir + 1/4)",
               lambda: ctx.osp.project(ctx.osp.scasimir)
-              + (ctx.osp.Omega_osp + quarter).scale(F.rational(2)))
+              + ctx.osp.Omega_quarter.scale(F.rational(2)))
     run.check("osp", "projection-sl2-casimir",
               "P(sl2 casimir) = 3 casimir",
               lambda: ctx.osp.project(ctx.osp.Omega_sl2)
@@ -501,9 +495,6 @@ def suite_cohomology(ctx: Context, run: Runner):
     deg0 = min(2, max_deg)
     # values shared by several checks, built by the first check that needs
     # them; an exception while building one fails every check that needs it
-    dirac = functools.cache(lambda: ctx.tama.dirac())
-    casimir = functools.cache(lambda: ctx.osp.Omega_osp
-                              + alg.scalar(F.rational(Fraction(1, 4))))
     form = functools.cache(lambda: HermitianForm(ctx.rep))
     adjoint = functools.cache(lambda: form().adjointness_check(deg0))
     signs = functools.cache(lambda: [
@@ -548,8 +539,8 @@ def suite_cohomology(ctx: Context, run: Runner):
 
     def dirac_square(k):
         rep = ctx.rep
-        MD, _ = rep.matrix_of(dirac(), k)
-        MO, _ = rep.matrix_of(casimir(), k)
+        MD, _ = rep.matrix_of(ctx.tama.dirac(), k)
+        MO, _ = rep.matrix_of(ctx.osp.Omega_quarter, k)
         return first_failure([(f"degree {k} matrix identity fails",
                                _mat_mul_coeff(MD, MD, rep.zero) == MO)])
     for k in range(max_deg + 1):
@@ -559,7 +550,7 @@ def suite_cohomology(ctx: Context, run: Runner):
 
     def reflections():
         rep = ctx.rep
-        MD, _ = rep.matrix_of(dirac(), deg0)
+        MD, _ = rep.matrix_of(ctx.tama.dirac(), deg0)
         for r_idx in range(len(ctx.rd.positive_roots)):
             g = ctx.rd.reflection_index(r_idx)
             Mr, _ = rep.matrix_of(alg.rho((g, 1)), deg0)
@@ -608,7 +599,7 @@ def suite_cohomology(ctx: Context, run: Runner):
 
     def table():
         entries = _admissible_entries(ctx)
-        d_omega, omega_label = dirac(), None
+        d_omega, omega_label = ctx.tama.dirac(), None
         if entries:
             d_omega = d_omega + ctx.cover.to_hc(alg, entries[0]["adjusted"])
             omega_label = entries[0]["label"]
@@ -631,7 +622,7 @@ def suite_cohomology(ctx: Context, run: Runner):
         lams = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
                 Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(-3)]
         for lam in lams:
-            dw = dirac() + rho_w.scale(F.rational(lam))
+            dw = ctx.tama.dirac() + rho_w.scale(F.rational(lam))
             for k in range(deg0 + 1):
                 mat, _ = ctx.rep.matrix_of(dw, k)
                 if kernel_basis_coeff(mat):
@@ -728,9 +719,6 @@ def build_parser():
                    help="rational parameter values")
     p.add_argument("--max-degree", type=int, default=4)
     p.add_argument("--out", default=None, help="write the JSON report here")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for interface stability; checks share "
-                        "memoized state and run sequentially")
     return p
 
 
@@ -745,7 +733,7 @@ def config_from_args(args):
     specialize = parse_specialize(args.specialize) if args.specialize else None
     return RunConfig(args.family, args.rank, args.ambient, expanded,
                      single_c=args.single_c, specialize=specialize,
-                     max_degree=args.max_degree, out=args.out, jobs=args.jobs)
+                     max_degree=args.max_degree, out=args.out)
 
 
 def main(argv=None):

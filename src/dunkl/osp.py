@@ -10,6 +10,7 @@ Conventions (with s = sqrt(2t), t = s^2/2):
     Scasimir  S = F-F+ - F+F- - 1/2
     Omega_osp = H^2 + 2(E+E- + E-E+) - (F+F- - F-F+)
     Omega_sl2 = H^2 + 2(E+E- + E-E+)
+    Omega_quarter = Omega_osp + 1/4, which S^2 and D^2 equal
 
 The projection P = Id - ad(F-) ad(F+) (graded ad: ad(a)b = [[a, b]])
 maps onto the graded centraliser of the realisation.
@@ -68,6 +69,8 @@ class OspRealisation:
                           + (self.E_plus * self.E_minus
                              + self.E_minus * self.E_plus).scale(2))
         self.Omega_osp = self.Omega_sl2 - ffdiff
+        self.Omega_quarter = self.Omega_osp + alg.scalar(
+            F.rational(Fraction(1, 4)))
 
     def bracket_table_check(self):
         """Verify the six defining relations; returns {name: bool}."""

@@ -107,7 +107,6 @@ class PinCover:
     def __init__(self, rd: RootDatum):
         self.rd = rd
         self.n = len(rd.elements)
-        self.id_idx = rd.identity_index
         gens = [_generator_unit(alpha, n2) for alpha, n2
                 in zip(rd.positive_roots, rd.root_norms_sq)]
         self._units = [(0, {0: 1})]
@@ -148,14 +147,6 @@ class PinCover:
         return s
 
     # -- group structure on pairs (g_idx, eps) ------------------------------
-    @property
-    def identity(self):
-        return (self.id_idx, 1)
-
-    @property
-    def theta(self):
-        return (self.id_idx, -1)
-
     def mul(self, a, b):
         (g, e1), (h, e2) = a, b
         return (self.rd.mul_table[g][h], e1 * e2 * self.sigma(g, h))
@@ -174,9 +165,6 @@ class PinCover:
         j = m.bit_count()
         y = -x if j * (j - 1) // 2 % 2 else x
         return (gi, e * _term_sign(unit, self._units[gi], m, y))
-
-    def elements(self):
-        return [(g, e) for g in range(self.n) for e in (1, -1)]
 
     def conj(self, w, a):
         """w a w^{-1} for pairs."""

@@ -32,7 +32,8 @@ helpers of `cherednik`) calls `unpack`.
 
 Scalars are immutable, and the dict is already canonical: equal values
 have equal `terms` and equal hashes, and nothing is ever reduced.  `+`,
-`-` and `*` are `poly_add`, `poly_neg` and `poly_mul`; a product with a
+unary `-` and `*` are `poly_add`, `poly_neg` and `poly_mul`; a difference
+adds the negated terms of its right operand; a product with a
 one-term factor shifts exponents and multiplies no field elements when
 that term's coefficient is 1 or -1 (it negates the values for -1).  A
 constant factor shifts nothing: a product by 1 shares the other
@@ -366,7 +367,10 @@ class Scalar:
         return Scalar(poly_add(self.terms, o.terms), self.nvars)
 
     def __sub__(self, o):
-        return self + (-o)
+        self._chk(o)
+        return Scalar(add_into(dict(self.terms),
+                               ((e, -v) for e, v in o.terms.items())),
+                      self.nvars)
 
     def __neg__(self):
         return Scalar(poly_neg(self.terms), self.nvars)

@@ -70,7 +70,9 @@ class SparseElement:
         return self._new({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, o):
-        return self + (-o)
+        self._chk(o)
+        return self._new(add_into(dict(self.terms),
+                                  ((k, -v) for k, v in o.terms.items())))
 
     def scale(self, sc):
         """Multiply by a scalar; a rational number is embedded through the

@@ -56,6 +56,7 @@ class Tama:
         self._half = F.rational(Fraction(1, 2))
         self._ocheck = {}
         self._O = {}
+        self._dirac = None
 
     # -- one-index generators ------------------------------------------------
     def ocheck(self, j):
@@ -174,8 +175,10 @@ class Tama:
                                for m, v in g.terms.items()})
 
     def dirac(self):
-        """D = Gamma * Scasimir."""
-        return self.gamma_element() * self.osp.scasimir
+        """D = Gamma * Scasimir, built once."""
+        if self._dirac is None:
+            self._dirac = self.gamma_element() * self.osp.scasimir
+        return self._dirac
 
     def centre_candidates(self):
         """Candidate generators of the graded centre, with labels."""
@@ -377,23 +380,22 @@ class Tama:
     # -- Dirac / Vogan -------------------------------------------------------
     def dirac_checks(self, rho_omega: HCElement, eps_omega: int):
         """All Dirac-element identities for one admissible rho(omega)."""
-        alg = self.alg
-        F = alg.field
+        F = self.alg.field
         D = self.dirac()
-        quarter = alg.scalar(F.rational(Fraction(1, 4)))
+        casimir = self.osp.Omega_quarter
         Dw = D + rho_omega
         half_Dw = Dw.scale(F.rational(Fraction(1, 2)))
         a = half_Dw - rho_omega
+        rho_sq = rho_omega * rho_omega
         out = {}
         out["D_bullet"] = (D.bullet() - D).is_zero()
-        out["D_square"] = (D * D - self.osp.Omega_osp - quarter).is_zero()
+        out["D_square"] = (D * D - casimir).is_zero()
         out["Domega_bullet"] = (Dw.bullet() - Dw).is_zero()
-        rhs = (self.osp.Omega_osp + rho_omega * rho_omega
-               + (rho_omega * D).scale(F.rational(1 + eps_omega)) + quarter)
+        rhs = (casimir + rho_sq
+               + (rho_omega * D).scale(F.rational(1 + eps_omega)))
         out["Domega_square"] = (Dw * Dw - rhs).is_zero()
-        vogan = (Dw * a + a * Dw
-                 + rho_omega * rho_omega - quarter)
-        out["vogan_identity"] = (vogan - self.osp.Omega_osp).is_zero()
+        vogan = Dw * a + a * Dw + rho_sq
+        out["vogan_identity"] = (vogan - casimir).is_zero()
         return out
 
     def epsilon_commutation_residuals(self):

@@ -28,6 +28,10 @@ def test_unknown_suite_exits_2(capsys):
     assert main(["--family", "A1^2", "--suite", "nope"]) == 2
 
 
+def test_removed_jobs_option_exits_2(capsys):
+    assert main(["--family", "A1^2", "--suite", "osp", "--jobs", "1"]) == 2
+
+
 def test_bad_specialize_exits_2(capsys):
     assert main(["--family", "A1^2", "--suite", "osp",
                  "--specialize", "s=-1"]) == 2
@@ -121,27 +125,27 @@ def test_report_determinism():
 GOLDEN_REPORTS = (
     ("--family A1^4 --suite osp --suite relations --suite vogan "
      "--suite filtration", 0,
-     "1c492fd55b98d9043564f9f93aa1e901fcfb7612b7911d8e9cc67fd7e79a972a"),
+     "026617730d3304f3cf3433e861715b4326fe05f954f1aba69ad4189733c2462e"),
     ("--family B --rank 2 --suite all --specialize s=2,c1=1/3,c2=1/5 "
      "--max-degree 10", 0,
-     "75e89aa22f91ed2c7abb014ce4ce1e3f75cc7cb007287fcbe01301b23af48b9e"),
+     "2b91462a2d37c7c4989c8b9429f93462b042f8e09751de93db11e996fc3e5e72"),
     ("--family A --rank 4 --suite admissible", 0,
-     "52dd93ceced4a598299df301a0162be06ccc63ec35bf1050732b09fa2eb48e79"),
+     "196fe1ae61fd137cef9003be7bbb735ae20b7841ab0a8e90807f368d35aa38c1"),
     ("--family B --rank 2 --suite all --max-degree 2", 0,
-     "b3826ca94bc81052cffd703fcbaa7a41c80b6ab6e2da96ae9ea276e8807c264a"),
+     "ab7760993e454a3afb369dc57bd2292e9872625f4c472eecec23a1a9f470b2ac"),
     ("--family B --rank 2 --suite cohomology --specialize s=2,c1=1/3,c2=1/5 "
      "--max-degree 3", 0,
-     "33d6a20ff87df7249d255539fd7c393e4743e731688dca60b2f9bd7a1b5e3281"),
+     "5c49a87cc5010df54caa8ece6954aa8d419049958d2af9e0fc6fd9fdd831d8f1"),
     ("--family A1^3 --suite all --max-degree 2", 1,
-     "5cd118d40585bd1d08732702ee7b4822583f9a3c1bf2340c78b5f35d1666f6fb"),
+     "c4bc655924c3b104f594d85dac3ad029b083c24ca17ad061bb9de9ad2510ff41"),
     ("--family A --rank 2 --suite all --max-degree 2", 1,
-     "9ee8976244db232cc82803c8c60460a18ef21efafe14b4ab14f9b454131f021b"),
+     "dd46073308ecab4435904c639fb04b5da26e19b3b6a24e1d530ffde15b7f6934"),
     ("--family B --rank 3 --suite osp --suite centre --suite vogan", 1,
-     "ef532220b139ecde0753c006a53f2bb40bbc8bcd60ade96d6dabbf594fc66ded"),
+     "5590110a448c12ac80d4318df4cbaa451b6baed11c7f33a8607d86c7ea7aad11"),
     ("--family A1^2 --suite all --specialize s=1 --max-degree 3", 0,
-     "833a68f19a41c8718c730ab106fb1eb45cf3ae3c39c1876c7a4fe2002f727eab"),
+     "2712804bdc6b4912277fdd630fb1cf2f11192230f929b1f9a903c7d7f24943ca"),
     ("--family D --rank 4 --suite admissible", 0,
-     "4deef06148fc3c5fd2506f947961eb95f16f792f405dc276b70c20c9bdfe522a"),
+     "c0a3b5469278710bd58c601d9e20536e75be2178c62dd41c98b2b347fded349e"),
 )
 
 

@@ -11,8 +11,26 @@ from dunkl.scalars import Coeff, C_ONE
 _HALF_R = Coeff(0, 0, Fraction(1, 2))   # 1/sqrt2 = r/2
 
 
+def _bfs_lifts(rd, one, gens, mul):
+    """Lifts along the breadth-first walk over the reflections: u(1) = one
+    and u(g s_r) = mul(u(g), gens[r]) for the first g that reaches it."""
+    lifts = [None] * len(rd.elements)
+    lifts[rd.identity_index] = one
+    frontier = [rd.identity_index]
+    while frontier:
+        new = []
+        for g in frontier:
+            for r_idx, gen in enumerate(gens):
+                h = rd.mul_table[g][rd.reflection_index(r_idx)]
+                if lifts[h] is None:
+                    lifts[h] = mul(lifts[g], gen)
+                    new.append(h)
+        frontier = new
+    return lifts
+
+
 def _reference_lifts(rd):
-    """Canonical lifts over Q(i, sqrt2): the same BFS, with Coeff products.
+    """Canonical lifts over Q(i, sqrt2) from `Coeff` products.
 
     Returns (generator lifts, lifts), each as {mask: Coeff} dicts.
     """
@@ -24,19 +42,25 @@ def _reference_lifts(rd):
         else:
             gens.append({1 << k: _HALF_R if a > 0 else -_HALF_R
                          for k, a in enumerate(alpha) if a})
-    lifts = [None] * len(rd.elements)
-    lifts[rd.identity_index] = {0: C_ONE}
-    frontier = [rd.identity_index]
-    while frontier:
-        new = []
-        for g in frontier:
-            for r_idx, gen in enumerate(gens):
-                h = rd.mul_table[g][rd.reflection_index(r_idx)]
-                if lifts[h] is None:
-                    lifts[h] = cunit_mul(lifts[g], gen)
-                    new.append(h)
-        frontier = new
-    return gens, lifts
+    return gens, _bfs_lifts(rd, {0: C_ONE}, gens, cunit_mul)
+
+
+def _int_unit_mul(u, v):
+    """Product of units (k, n) = 2^(-k/2) sum_m n[m] e_m, halved while
+    k >= 2 and every value is even."""
+    k = u[0] + v[0]
+    n = cunit_mul(u[1], v[1])
+    while k >= 2 and not any(x % 2 for x in n.values()):
+        n = {m: x // 2 for m, x in n.items()}
+        k -= 2
+    return k, n
+
+
+def _reference_int_units(rd):
+    """The lifts of `_reference_lifts` as integer units (k, n)."""
+    gens = [(n2 - 1, {1 << j: a for j, a in enumerate(alpha) if a})
+            for alpha, n2 in zip(rd.positive_roots, rd.root_norms_sq)]
+    return _bfs_lifts(rd, (0, {0: 1}), gens, _int_unit_mul)
 
 
 def test_lift_units_square_to_plus_minus_one():
@@ -66,12 +90,13 @@ def test_cocycle_identity():
 def test_cover_group_axioms_on_pairs():
     rd = RootDatum("A1", 3, 3)
     pc = PinCover(rd)
-    els = pc.elements()
+    one, theta = (rd.identity_index, 1), (rd.identity_index, -1)
+    els = [(g, e) for g in range(pc.n) for e in (1, -1)]
     assert len(els) == 16
     for a in els:
-        assert pc.mul(a, pc.inv(a)) == pc.identity
-        assert pc.mul(pc.identity, a) == a
-        assert pc.mul(pc.theta, pc.theta) == pc.identity
+        assert pc.mul(a, pc.inv(a)) == one
+        assert pc.mul(one, a) == a
+        assert pc.mul(theta, theta) == one
 
 
 def test_parity_matches_determinant():
@@ -220,6 +245,9 @@ def test_cover_class_count_consistency():
                                    ("A1", 3, 3), ("A", 4, 5), ("A", 3, 5),
                                    ("B", 4, 4), ("A1", 4, 4)])
 def test_integer_units_match_coeff_reference(group):
+    # every lift against Coeff products; sigma on every pair against the
+    # integer-unit reference, and also against Coeff products below 100
+    # elements
     rd = RootDatum(*group)
     pc = PinCover(rd)
     gens, ref = _reference_lifts(rd)
@@ -228,11 +256,19 @@ def test_integer_units_match_coeff_reference(group):
     n = len(rd.elements)
     for g in range(n):
         assert pc.lift(g) == ref[g]
+    units = _reference_int_units(rd)
     tbl = rd.mul_table
     for g in range(n):
         for h in range(n):
-            prod = cunit_mul(ref[g], ref[h])
-            assert pc.sigma(g, h) == unit_ratio_sign(prod, ref[tbl[g][h]])
+            k, prod = _int_unit_mul(units[g], units[h])
+            k_gh, target = units[tbl[g][h]]
+            assert k == k_gh
+            sign = 1 if prod == target else -1
+            assert prod == {m: sign * x for m, x in target.items()}
+            assert pc.sigma(g, h) == sign
+            if n < 100:
+                prod = cunit_mul(ref[g], ref[h])
+                assert sign == unit_ratio_sign(prod, ref[tbl[g][h]])
 
 
 def _reference_cover_classes(pc):

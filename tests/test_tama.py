@@ -96,6 +96,25 @@ def test_dirac_squares_to_casimir(a13):
     D = tm.dirac()
     quarter = alg.scalar(alg.field.rational(Fraction(1, 4)))
     assert (D * D - a13.osp.Omega_osp - quarter).is_zero()
+    assert a13.osp.Omega_quarter == a13.osp.Omega_osp + quarter
+
+
+def test_dirac_is_built_once(a13):
+    assert a13.tama.dirac() is a13.tama.dirac()
+
+
+def test_dirac_checks_square_rho_omega_once(a13, monkeypatch):
+    rho = a13.alg.rho((a13.rd.reflection_index(0), 1))
+    squares = []
+    original = HCElement.__mul__
+
+    def counted(self, o):
+        if self is rho and o is rho:
+            squares.append(1)
+        return original(self, o)
+    monkeypatch.setattr(HCElement, "__mul__", counted)
+    a13.tama.dirac_checks(rho, 1)
+    assert len(squares) == 1
 
 
 def test_dirac_bullet_sign_tracks_dimension(a13, a14):
