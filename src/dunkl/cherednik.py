@@ -21,7 +21,8 @@ shared with the bullet of `hc`.
 
 from __future__ import annotations
 
-from .scalars import Coeff, C_ONE, Scalar, ScalarField, unpack
+from .scalars import (Coeff, C_ONE, Scalar, ScalarField, mul_coeff,
+                      unit_sign, unpack)
 from .sparse import SparseElement, add_into
 from .groups import RootDatum
 
@@ -225,20 +226,21 @@ def _bump(e, j):
     return e[:j] + (e[j] + 1,) + e[j + 1:]
 
 
-_UNITS = (C_ONE, -C_ONE)
-
-
 def _xpoly_divexact(num, lin):
     """Divide an x-polynomial by a linear form, requiring zero remainder.
 
-    Values may be of any field type (the divided differences use Coeff).
+    Values are Coeff; a factor 1 or -1 makes no field product
+    (`mul_coeff`).
     """
     # leading variable of the linear form under lex order
     lead = max(lin)
     lc = lin[lead]
     # 1 and -1 are their own inverses; every root of A, B, D and A1^n
     # leads with one of them
-    lc_inv = lc if lc in _UNITS else lc.inv()
+    lc_inv = lc if unit_sign(lc) else lc.inv()
+    # the form's other terms, negated: each step subtracts f x^de times
+    # the form from rem
+    rest = [(le, -lv) for le, lv in lin.items() if le != lead]
     rem = dict(num)
     quo = {}
     while rem:
@@ -248,10 +250,10 @@ def _xpoly_divexact(num, lin):
         if any(p < 0 for p in de):
             raise DividedDifferenceError("divided difference is not a polynomial")
         # the leading monomial e falls at every step, so de is new to quo
-        f = quo[de] = v * lc_inv
+        f = quo[de] = mul_coeff(v, lc_inv)
         # and the lead term of the linear form cancels e exactly
-        add_into(rem, ((tuple(p + q for p, q in zip(de, le)), -(f * lv))
-                       for le, lv in lin.items() if le != lead))
+        add_into(rem, ((tuple(p + q for p, q in zip(de, le)),
+                        mul_coeff(f, lv)) for le, lv in rest))
     return quo
 
 

@@ -155,6 +155,7 @@ class Context:
     def __init__(self, config: RunConfig):
         self.config = config
         self.rd = config.rd
+        self._rho_omega = {}
 
     @functools.cached_property
     def alg(self):
@@ -175,6 +176,15 @@ class Context:
     @functools.cached_property
     def rep(self):
         return SpinorRep(self.alg)
+
+    def rho_omega(self, entry):
+        """rho_omega of an admissible class (an `_admissible_entries`
+        entry), built once per class."""
+        out = self._rho_omega.get(entry["rep"])
+        if out is None:
+            out = self.cover.to_hc(self.alg, entry["adjusted"])
+            self._rho_omega[entry["rep"]] = out
+        return out
 
 
 def _verdict(result):
@@ -400,8 +410,7 @@ def suite_vogan(ctx: Context, run: Runner):
         out = []
         for entry in entries:
             label = entry["label"]
-            rho_omega = ctx.cover.to_hc(alg, entry["adjusted"])
-            results = ctx.tama.dirac_checks(rho_omega,
+            results = ctx.tama.dirac_checks(ctx.rho_omega(entry),
                                             alg.pin.epsilon(entry["rep"]))
             out += [(f"{key}-{label}",
                      f"dirac identity {key} for admissible class {label}", ok)
@@ -601,7 +610,7 @@ def suite_cohomology(ctx: Context, run: Runner):
         entries = _admissible_entries(ctx)
         d_omega, omega_label = ctx.tama.dirac(), None
         if entries:
-            d_omega = d_omega + ctx.cover.to_hc(alg, entries[0]["adjusted"])
+            d_omega = d_omega + ctx.rho_omega(entries[0])
             omega_label = entries[0]["label"]
         tab = cohomology_dims(ctx.rep, d_omega, range(max_deg + 1))
         # a positive-definite bullet-Hermitian form forces ker and im apart
@@ -617,7 +626,7 @@ def suite_cohomology(ctx: Context, run: Runner):
         if not entries:
             return "pass", None, {"found": None,
                                   "reason": "no admissible elements"}
-        rho_w = ctx.cover.to_hc(alg, entries[0]["adjusted"])
+        rho_w = ctx.rho_omega(entries[0])
         found = []
         lams = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
                 Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(-3)]

@@ -1,23 +1,33 @@
 """Tensor product of the Cherednik algebra with the Clifford algebra.
 
-Elements are Scalar-weighted sums of PBW monomials x^a y^b w tensored
-with Clifford basis elements e_A; the two factors commute.  The Z2-grading
-used by the graded bracket is the Clifford parity |A| mod 2.
+Elements are sums of PBW monomials x^a y^b w tensored with Clifford basis
+elements e_A; the two factors commute.  The Z2-grading used by the graded
+bracket is the Clifford parity |A| mod 2.
 
-The product multiplies each pair of terms once: the Clifford sign picks
-v1 or -v1 (negated once per left term), and a coefficient of `term_mul`
-that is the field's shared one costs no further scalar product.
+An element is stored flat, in one sparse level {(a, b, g, mask, e): Coeff}
+with e the packed exponent (`scalars.pack`) of a monomial in s, c_1..c_m;
+in a rational context every e is 0.  `HCElement(alg, {(a, b, g, mask):
+Scalar})` flattens its input and `scalars()` groups the terms back:
+Scalar is the type at this boundary, which `str`, `map_scalars` and the
+spinor matrices of a symbolic context read.
+
+The product is one loop over pairs of flat terms into `sparse.add_into`:
+an exponent product is an int add, and a factor 1 or -1 (tested on
+`Coeff._v`), or a `term_mul` coefficient that is the field's shared one,
+makes no field product; any other `term_mul` coefficient, a Scalar, is
+read term by term.  The linear operations (from `sparse.SparseElement`),
+`scale`, `bullet` and the parity parts act on the Coeffs directly.
 
 The conjugate-linear anti-involution `bullet` acts as the Cherednik star
 (w -> w^{-1}, x_i <-> y_i, `HAlgebra.star_key`) on the first factor and as
 e_A -> (-1)^{|A|} reversed(e_A) (`clifford.reversion_sign`) on the second.
-`HCElement` takes its linear operations from `sparse.SparseElement`, and
-its product accumulates through `sparse.add_into`.
 """
 
 from __future__ import annotations
 
-from .scalars import Scalar
+from numbers import Rational
+
+from .scalars import Scalar, mul_coeff, unit_sign
 from .sparse import SparseElement, add_into
 from .clifford import mask_str, reversion_sign, sign_mask
 from .cherednik import HAlgebra
@@ -94,43 +104,85 @@ class HCAlgebra:
 
 
 class HCElement(SparseElement):
+    """Element of H (x) C(V), built from {(a, b, g, mask): Scalar}."""
+
     __slots__ = ()
+
+    def __init__(self, alg, terms):
+        self.alg = alg
+        self.terms = {k + (e,): c for k, v in terms.items()
+                      for e, c in v.terms.items()}
+
+    def scalars(self):
+        """The terms grouped by basis key: {(a, b, g, mask): Scalar}."""
+        grouped = {}
+        for (a, b, g, m, e), c in self.terms.items():
+            grouped.setdefault((a, b, g, m), {})[e] = c
+        nvars = self.alg.field.nvars
+        return {k: Scalar(v, nvars) for k, v in grouped.items()}
 
     def __mul__(self, o):
         self._chk(o)
         term_mul = self.alg.h.term_mul
         one = self.alg.field.one
-        right = [((a2, b2, g2), m2, v2)
-                 for (a2, b2, g2, m2), v2 in o.terms.items()]
+        right = [((a2, b2, g2), m2, e2, c2, unit_sign(c2))
+                 for (a2, b2, g2, m2, e2), c2 in o.terms.items()]
 
         def terms():
-            for (a1, b1, g1, m1), v1 in self.terms.items():
+            for (a1, b1, g1, m1, e1), c1 in self.terms.items():
                 k1 = (a1, b1, g1)
                 p1 = sign_mask(m1)
-                n1 = -v1
-                for k2, m2, v2 in right:
-                    # the Clifford sign of e_m1 e_m2 picks v1 or -v1
-                    v12 = (n1 if (p1 & m2).bit_count() & 1 else v1) * v2
+                u1 = unit_sign(c1)
+                for k2, m2, e2, c2, u2 in right:
+                    # c1 * c2 with the Clifford sign of e_m1 e_m2, and no
+                    # field product when either factor is 1 or -1
+                    neg = (p1 & m2).bit_count() & 1
+                    if u2:
+                        c = -c1 if (u2 < 0) ^ neg else c1
+                    elif u1:
+                        c = -c2 if (u1 < 0) ^ neg else c2
+                    else:
+                        c = -(c1 * c2) if neg else c1 * c2
                     m = m1 ^ m2
+                    e = e1 + e2
                     for (xk, yk, gk), cf in term_mul(k1, k2):
-                        yield (xk, yk, gk, m), v12 if cf is one else v12 * cf
+                        if cf is one:
+                            yield (xk, yk, gk, m, e), c
+                        else:
+                            for ef, vf in cf.terms.items():
+                                yield (xk, yk, gk, m, e + ef), mul_coeff(c, vf)
         return self._new(add_into({}, terms()))
+
+    def scale(self, sc):
+        """Multiply by a scalar; a rational number is embedded through the
+        context's `field`."""
+        if isinstance(sc, Rational):
+            sc = self.alg.field.rational(sc)
+        out = {}
+        for e2, c2 in sc.terms.items():
+            add_into(out, (((a, b, g, m, e + e2), mul_coeff(c, c2))
+                           for (a, b, g, m, e), c in self.terms.items()))
+        return self._new(out)
+
+    def map_scalars(self, f):
+        return HCElement(self.alg, {k: f(v)
+                                    for k, v in self.scalars().items()})
 
     # -- grading -------------------------------------------------------------
     def parity(self):
         """Clifford Z2-degree if homogeneous, else None (0 for zero)."""
-        ps = {bin(m).count("1") % 2 for (_a, _b, _g, m) in self.terms}
+        ps = {k[3].bit_count() & 1 for k in self.terms}
         if not ps:
             return 0
         return ps.pop() if len(ps) == 1 else None
 
     def even_part(self):
         return self._new({k: v for k, v in self.terms.items()
-                          if bin(k[3]).count("1") % 2 == 0})
+                          if not k[3].bit_count() & 1})
 
     def odd_part(self):
         return self._new({k: v for k, v in self.terms.items()
-                          if bin(k[3]).count("1") % 2 == 1})
+                          if k[3].bit_count() & 1})
 
     # -- brackets ------------------------------------------------------------
     def gbracket(self, o):
@@ -146,13 +198,18 @@ class HCElement(SparseElement):
     def bullet(self):
         star_key = self.alg.h.star_key
 
-        def term(key, v):
-            a, b, g, m = key
+        def term(key, c):
+            a, b, g, m, e = key
             (a2, b2, gi), sgn = star_key(a, b, g)
-            v = v.conjugate()
-            return (a2, b2, gi, m), v if sgn * reversion_sign(m) > 0 else -v
-        return self._new(add_into({}, (term(k, v)
-                                       for k, v in self.terms.items())))
+            c = c.conj_i()
+            return (a2, b2, gi, m, e), c if sgn * reversion_sign(m) > 0 else -c
+        return self._new(add_into({}, (term(k, c)
+                                       for k, c in self.terms.items())))
+
+    def __str__(self):
+        return self._render(self.scalars())
+
+    __repr__ = __str__
 
     @staticmethod
     def _term(key, v):

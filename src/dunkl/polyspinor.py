@@ -15,11 +15,13 @@ polynomial part of a term reads `SpinorRep.word`, the Dunkl word
 y^b x^e acting on 1, computed once per (b, e) and shared with the Gram
 matrices of `HermitianForm`; it is the one place a Dunkl word is
 applied.  The spinor matrix of each Clifford mask is monomial (one unit
-i^k per row); its nonzero entries, lifted into the entry ring, are kept
-once per mask, and only they are visited; an entry 1 or -1 keeps or
-negates the value it meets, and only an entry +-i multiplies it.
-Entries accumulate through `sparse.add_into` in a {(row, col): value}
-map that is densified once.
+i^k per row); its nonzero entries are kept once per mask as the powers
+k, and only they are visited.  No entry makes a field product: 1 and -1
+keep or negate the value they meet, and +-i swaps its real and i parts
+with a sign (`mul_i_power`).  An element's terms are read flat, as
+Coeffs, in a rational context, and grouped into Scalars
+(`HCElement.scalars`) otherwise.  Entries accumulate through
+`sparse.add_into` in a {(row, col): value} map that is densified once.
 `matrix_of_coeff` is `matrix_of` guarded to rational contexts.
 `_mat_mul_coeff` is the one matrix product, over Coeff or Scalar, and
 skips zero factors.
@@ -35,9 +37,10 @@ they are.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
-from .scalars import Scalar, C_ONE, C_ZERO, C_I, _i_power
+from .scalars import Scalar, C_ONE, C_ZERO, C_I, _i_power, mul_coeff
 from .sparse import add_into
 from .hc import HCAlgebra, HCElement
 
@@ -45,6 +48,10 @@ _X = ((C_ZERO, C_ONE), (C_ONE, C_ZERO))
 _Y = ((C_ZERO, -C_I), (C_I, C_ZERO))
 _Z = ((C_ONE, C_ZERO), (C_ZERO, -C_ONE))
 _I2 = ((C_ONE, C_ZERO), (C_ZERO, C_ONE))
+
+
+# the power k of each unit i**k
+_UNIT_POWER = {_i_power(k): k for k in range(4)}
 
 
 def _kron(a, b):
@@ -118,8 +125,9 @@ class SpinorRep:
 
     The entry ring of every matrix is decided here, once: Coeff when s
     and every c_k are rational (`HAlgebra.rational`), Scalar otherwise.
-    `lift` embeds a Coeff (a spinor entry) into that ring and `value`
-    maps a Scalar of the algebra into it; `zero` and `one` are its units.
+    `value` maps a Scalar of the algebra into that ring; `zero` and
+    `one` are its units, and `mul` its product, which makes no field
+    product for a factor 1 or -1.
     """
 
     def __init__(self, alg: HCAlgebra):
@@ -131,14 +139,11 @@ class SpinorRep:
         self._words = {}
         self._spin = {}
         if alg.h.rational:
-            self.lift, self.value = _same, Scalar.constant_value
+            self.value, self.mul = Scalar.constant_value, mul_coeff
+            self.zero, self.one = C_ZERO, C_ONE
         else:
-            nvars = alg.field.nvars
-            self.lift, self.value = (lambda cf: Scalar.from_coeff(cf, nvars),
-                                     _same)
-        self.zero = self.lift(C_ZERO)
-        self.one = self.lift(C_ONE)
-        self._minus_one = self.lift(-C_ONE)
+            self.value, self.mul = _same, operator.mul
+            self.zero, self.one = alg.field.zero, alg.field.one
 
     def basis(self, degree):
         b = self._bases.get(degree)
@@ -151,12 +156,11 @@ class SpinorRep:
         return len(self.basis(degree)) * self.spin_dim
 
     def _spin_entries(self, mask):
-        """Nonzero entries (row, col, i^k) of the spinor matrix of e_mask,
-        lifted into the rep's ring; memoised per mask.
+        """Nonzero entries (row, col, k) of the spinor matrix of e_mask,
+        each entry being i**k; memoised per mask.
 
-        A product of the e_j matrices is monomial: one unit i^k per row.
-        The entries 1 and -1 are the rep's shared `one` and `_minus_one`,
-        which `matrix_of` applies without a product.
+        A product of the e_j matrices is monomial: one unit i^k per row,
+        which `matrix_of` applies without a field product.
         """
         out = self._spin.get(mask)
         if out is not None:
@@ -166,10 +170,9 @@ class SpinorRep:
             if mask & (1 << j):
                 m = self.spin[j] if m is None else _mat_mul_coeff(m, self.spin[j])
         if m is None:
-            out = [(i, i, self.one) for i in range(self.spin_dim)]
+            out = [(i, i, 0) for i in range(self.spin_dim)]
         else:
-            units = {C_ONE: self.one, -C_ONE: self._minus_one}
-            out = [(si, sj, units[v] if v in units else self.lift(v))
+            out = [(si, sj, _UNIT_POWER[v])
                    for si, row in enumerate(m)
                    for sj, v in enumerate(row) if not v.is_zero()]
         self._spin[mask] = out
@@ -194,9 +197,10 @@ class SpinorRep:
             i = next(k for k, v in enumerate(yexp) if v)
             rest = yexp[:i] + (yexp[i] - 1,) + yexp[i + 1:]
             out = {}
+            mul = self.mul
             for (e, _g), u in self.alg.h.ycomm(i, xexp).items():
                 u = self.value(u)
-                add_into(out, ((e2, u * v)
+                add_into(out, ((e2, mul(u, v))
                                for e2, v in self.word(rest, e).items()))
         self._words[key] = out
         return out
@@ -225,7 +229,8 @@ class SpinorRep:
         visiting only the nonzero spinor entries, and the matrix is
         densified once.
         """
-        shifts = {sum(a) - sum(b) for (a, b, _g, _m) in elem.terms}
+        terms = self._entries(elem)
+        shifts = {sum(a) - sum(b) for (a, b, _g, _m) in terms}
         if len(shifts) > 1:
             raise ValueError(f"degree-inhomogeneous element: shifts {sorted(shifts)}")
         shift = shifts.pop() if shifts else 0
@@ -236,25 +241,33 @@ class SpinorRep:
         dst = self.basis(out_degree)
         dst_index = {m: i for i, m in enumerate(dst)}
         sd = self.spin_dim
-        one, minus_one = self.one, self._minus_one
+        mul = self.mul
         acc = {}
-        for (a, b, g, mask), coeff in elem.terms.items():
-            coeff = self.value(coeff)
+        for (a, b, g, mask), coeff in terms.items():
             spin = self._spin_entries(mask)
             for ci, mono in enumerate(src):
                 for e, v in self._apply_poly_part(a, b, g, mono).items():
                     ri = dst_index.get(e)
                     if ri is None:
                         raise AssertionError("degree bookkeeping failure")
-                    cv = coeff * v
+                    cv = mul(coeff, v)
                     add_into(acc, (((ri * sd + si, ci * sd + sj),
-                                    cv if u is one else
-                                    -cv if u is minus_one else cv * u)
-                                   for si, sj, u in spin))
+                                    cv.mul_i_power(k) if k else cv)
+                                   for si, sj, k in spin))
         mat = [[self.zero] * (len(src) * sd) for _ in range(len(dst) * sd)]
         for (r, c), v in acc.items():
             mat[r][c] = v
         return mat, out_degree
+
+    def _entries(self, elem):
+        """The terms of an HCElement as {(a, b, g, mask): entry} in the
+        rep's ring: its flat Coeffs in a rational context, where every
+        exponent must be 0, and its grouped Scalars otherwise."""
+        if not self.alg.h.rational:
+            return elem.scalars()
+        if any(k[4] for k in elem.terms):
+            raise ValueError("not a constant scalar")
+        return {k[:4]: c for k, c in elem.terms.items()}
 
     def matrix_of_coeff(self, elem, degree):
         """`matrix_of`, whose entries are Coeff in a rational context.

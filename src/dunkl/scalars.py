@@ -44,6 +44,12 @@ inverting, or dividing by, a scalar of more than one term raises
 NonMonomialDenominatorError.  `str` prints the lowest-terms numerator
 over the monic monomial denominator that `_reduce` splits off; `_reduce`
 and `poly_gcd` work on dicts keyed by exponent tuples.
+
+An element of H (x) C(V) stores its Coeffs flat under their packed
+exponents (see `hc`); Scalar is the type at that boundary.  `unit_sign`
+and `mul_coeff` test a Coeff for 1 and -1 on its `_v`, so that such a
+factor makes no field product, and `Coeff.mul_i_power` multiplies by a
+power of i, as a spinor entry does, by swapping parts.
 """
 
 from __future__ import annotations
@@ -161,6 +167,17 @@ class Coeff:
             q * p,
         )
 
+    def mul_i_power(self, k):
+        """self * i**k: the real and i parts swap with a sign, and no field
+        product is made."""
+        a, b, c, d, q = self._v
+        k %= 4
+        if k == 1:
+            return _of((-b, a, -d, c, q))
+        if k == 3:
+            return _of((b, -a, d, -c, q))
+        return self if not k else _of((-a, -b, -c, -d, q))
+
     def conj_i(self):
         a, b, c, d, q = self._v
         return _of((a, -b, c, -d, q))
@@ -259,6 +276,27 @@ def poly_neg(p):
 # tests without calling Coeff.__eq__
 _ONE_V = C_ONE._v
 _MINUS_ONE_V = Coeff(-1)._v
+
+
+def unit_sign(c):
+    """1 or -1 when the Coeff c is that unit, else 0."""
+    v = c._v
+    return 1 if v == _ONE_V else -1 if v == _MINUS_ONE_V else 0
+
+
+def mul_coeff(c, d):
+    """c * d for Coeffs, with no field product when c or d is 1 or -1."""
+    v = d._v
+    if v == _ONE_V:
+        return c
+    if v == _MINUS_ONE_V:
+        return -c
+    v = c._v
+    if v == _ONE_V:
+        return d
+    if v == _MINUS_ONE_V:
+        return -d
+    return c * d
 
 
 def poly_mul(p, q):
@@ -393,6 +431,11 @@ class Scalar:
                 f"denominator with {len(self.terms)} terms is not a monomial")
         (e, c), = self.terms.items()
         return Scalar({-e: c if c == C_ONE else c.inv()},
+                      self.nvars)
+
+    def mul_i_power(self, k):
+        """self * i**k, with no field product (`Coeff.mul_i_power`)."""
+        return Scalar({e: v.mul_i_power(k) for e, v in self.terms.items()},
                       self.nvars)
 
     def conjugate(self):

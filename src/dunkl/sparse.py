@@ -2,12 +2,14 @@
 
 Everything the verifier computes is a finite sum over basis keys with
 nonzero values in a dict: a Laurent scalar {exponent: Coeff}, an element
-of H_{t,c} {(a, b, g): Scalar}, of H (x) C(V) {(a, b, g, mask): Scalar}
+of H_{t,c} {(a, b, g): Scalar}, of H (x) C(V) {(a, b, g, mask, e): Coeff}
+(flat: one level, with e the packed exponent of the scalar's monomial)
 or of C(V) {mask: value}, and a cover-algebra vector {g: Coeff}.
 `add_into` is the one loop that accumulates such a sum.  `SparseElement`
-holds the linear operations the element types share; `HElement`,
-`HCElement` and `CliffordElement` add their product, their involution
-and how a term prints.
+holds the linear operations the element types share, which act on the
+values whatever their type; `HElement`, `HCElement` and `CliffordElement`
+add their product, their involution and how a term prints, and
+`HCElement` its own `scale`, `map_scalars` and grouped printing.
 """
 
 from __future__ import annotations
@@ -99,7 +101,11 @@ class SparseElement:
         return self.alg == o.alg and self.terms == o.terms
 
     def __str__(self):
-        terms = sorted(self._term(k, v) for k, v in self.terms.items())
+        return self._render(self.terms)
+
+    def _render(self, terms):
+        """The terms {key: value} in `_term`'s order and text."""
+        terms = sorted(self._term(k, v) for k, v in terms.items())
         return " + ".join(text for _key, text in terms) or "0"
 
     __repr__ = __str__

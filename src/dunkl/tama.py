@@ -87,17 +87,22 @@ class Tama:
 
     # -- O with any number of distinct indices -------------------------------
     def O(self, idxs):
-        """O_{u_1...u_n}, skew multilinear; arbitrary distinct indices."""
+        """O_{u_1...u_n}, skew multilinear; arbitrary distinct indices.
+
+        Memoised per sorted index tuple and sign, so each O_A and its
+        negation are built once.
+        """
         idxs = tuple(idxs)
         if len(set(idxs)) != len(idxs):
             return self.alg.zero()
-        sorted_idx = tuple(sorted(idxs))
-        sgn = perm_sign(idxs)
-        base = self._O.get(sorted_idx)
-        if base is None:
-            base = self.O_closed_form(sorted_idx)
-            self._O[sorted_idx] = base
-        return base if sgn > 0 else -base
+        key = (tuple(sorted(idxs)), perm_sign(idxs))
+        out = self._O.get(key)
+        if out is None:
+            sorted_idx, sgn = key
+            out = (self.O_closed_form(sorted_idx) if sgn > 0
+                   else -self.O(sorted_idx))
+            self._O[key] = out
+        return out
 
     def O_closed_form(self, idxs):
         """The closed-form O_A expansion of the module docstring."""

@@ -5,7 +5,7 @@ import pytest
 
 from dunkl.groups import RootDatum
 from dunkl.cherednik import (HAlgebra, dunkl_commutator, filtration_check,
-                             _bump, _kill_c, _min_c_degree)
+                             _bump, _kill_c, _min_c_degree, _xpoly_divexact)
 from dunkl.scalars import C_ONE, Coeff, ScalarField
 from dunkl.sparse import add_into
 from dunkl.hc import HCAlgebra
@@ -288,3 +288,19 @@ def test_divided_differences_by_unit_led_roots_invert_nothing(
             made += bool(h._divided_difference(c, alpha, s))
     assert made
     assert calls == []
+
+
+def test_division_by_a_unit_linear_form_makes_no_field_products(
+        coeff_products):
+    # (x1^3 - x2^3) / (x1 - x2) = x1^2 + x1 x2 + x2^2: every quotient and
+    # remainder step multiplies by 1 or -1
+    num = {(3, 0): C_ONE, (0, 3): Coeff(-1)}
+    lin = {(1, 0): C_ONE, (0, 1): Coeff(-1)}
+    with coeff_products() as made:
+        quo = _xpoly_divexact(num, lin)
+    assert made == []
+    assert quo == {(2, 0): C_ONE, (1, 1): C_ONE, (0, 2): C_ONE}
+    # a leading coefficient 2 still divides exactly, through its inverse
+    assert _xpoly_divexact({(1, 0): Coeff(4), (0, 1): Coeff(2)},
+                           {(1, 0): Coeff(2), (0, 1): C_ONE}) == {
+        (0, 0): Coeff(2)}

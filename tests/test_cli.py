@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -222,6 +223,26 @@ def test_admissible_and_vogan_share_one_basis(monkeypatch):
     _rep, code = run_config(RunConfig("A", 3, None, ["admissible", "vogan"]))
     assert code == 0
     assert len(calls) == len(set(calls)) == 5    # the classes of S4
+
+
+def test_each_rho_omega_is_built_once(monkeypatch):
+    # vogan's deformations and cohomology's table and rescan read one
+    # rho_omega per admissible class
+    calls = []
+    original = CoverAlgebra.to_hc
+
+    def counted(self, alg, a):
+        calls.append(tuple(sorted(a.items())))
+        return original(self, alg, a)
+    monkeypatch.setattr(CoverAlgebra, "to_hc", counted)
+    rep, code = run_config(RunConfig(
+        "B", 2, None, ["vogan", "cohomology"], max_degree=1,
+        specialize={"s": 2, "c1": Fraction(1, 3), "c2": Fraction(1, 5)}))
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 2     # the two classes of B2
+    ran = {rec["check"] for rec in rep["checks"]
+           if rec["status"] == "pass"}
+    assert {"cohomology-table", "kernel-rescaling-scan"} <= ran
 
 
 @pytest.mark.parametrize("argv", [

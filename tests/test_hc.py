@@ -1,13 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import stack
-from dunkl.clifford import sign_mask
+from dunkl import hc
+from dunkl.clifford import mask_str, sign_mask
 from dunkl.groups import RootDatum
 from dunkl.hc import HCAlgebra, HCElement
-from dunkl.scalars import Scalar
+from dunkl.scalars import Coeff
 from dunkl.sparse import add_into
 
 
@@ -118,15 +120,15 @@ def test_random_monomial_products(group, data):
     assert a.bullet().bullet() == a
 
 
-# -- the product loop -------------------------------------------------------------
+# -- the flat product loop -------------------------------------------------------
 
 def _ref_product(a, b):
-    """a * b by a double loop over the terms: v1 * v2 * cf, signed by the
-    Clifford sign of e_m1 e_m2."""
+    """a * b by a double loop over the grouped terms (`scalars()`):
+    v1 * v2 * cf, signed by the Clifford sign of e_m1 e_m2."""
     term_mul = a.alg.h.term_mul
     out = {}
-    for (a1, b1, g1, m1), v1 in a.terms.items():
-        for (a2, b2, g2, m2), v2 in b.terms.items():
+    for (a1, b1, g1, m1), v1 in a.scalars().items():
+        for (a2, b2, g2, m2), v2 in b.scalars().items():
             odd = (sign_mask(m1) & m2).bit_count() & 1
             for (xk, yk, gk), cf in term_mul((a1, b1, g1), (a2, b2, g2)):
                 v = v1 * v2 * cf
@@ -134,11 +136,36 @@ def _ref_product(a, b):
     return HCElement(a.alg, out)
 
 
-def _seeded_element(alg, rng, size):
-    """A sum of `size` random symbolic PBW (x) Clifford monomials of
-    (x, y)-degree at most 3."""
+def _rational_b2():
+    return HCAlgebra(RootDatum("B", 2, 2), specialize={
+        "s": Fraction(2), "c1": Fraction(1, 3), "c2": Fraction(1, 5)})
+
+
+# the contexts of the product tests: symbolic B2, A1^3 and A r3, and B2
+# with every parameter rational
+_CONTEXTS = {
+    "B2": lambda: stack("B", 2, 2).alg,
+    "A1^3": lambda: stack("A1", 3, 3).alg,
+    "A r3": lambda: stack("A", 3, 4).alg,
+    "B2 rational": _rational_b2,
+}
+
+
+def _coeffs(alg):
+    """Scalars for seeded elements: constants in a rational context, Laurent
+    polynomials of one to three terms otherwise."""
     F = alg.field
-    coeffs = [F.one, -F.one, F.i, F.s, -F.cs[0], F.i * F.cs[-1] / F.s]
+    if alg.h.rational:
+        return [F.one, -F.one, F.i, F.r * F.rational(Fraction(1, 3)),
+                F.rational(Fraction(2, 5)) + F.i]
+    return [F.one, -F.one, F.i, F.s, -F.cs[0], F.i * F.cs[-1] / F.s,
+            F.s + F.rational(3) * F.cs[0], F.r - F.cs[-1] * F.s + F.i]
+
+
+def _seeded_element(alg, rng, size):
+    """A sum of `size` random PBW (x) Clifford monomials of (x, y)-degree at
+    most 3, as the nested {(a, b, g, mask): Scalar} and as an element."""
+    coeffs = _coeffs(alg)
     d = alg.dim
     terms = {}
     for _ in range(size):
@@ -148,46 +175,82 @@ def _seeded_element(alg, rng, size):
         key = (tuple(a), tuple(b), rng.randrange(len(alg.rd.elements)),
                rng.randrange(1 << d))
         terms[key] = rng.choice(coeffs)
-    return HCElement(alg, terms)
+    return terms, HCElement(alg, terms)
 
 
-@pytest.mark.parametrize("group", [("A1", 3, 3), ("B", 2, 2)],
-                         ids=["A1^3", "B2"])
+@pytest.mark.parametrize("context", list(_CONTEXTS))
 @pytest.mark.parametrize("seed", range(4))
-def test_product_matches_double_loop(group, seed):
-    alg = stack(*group).alg
+def test_product_matches_double_loop(context, seed):
+    alg = _CONTEXTS[context]()
     rng = random.Random(seed)
-    a = _seeded_element(alg, rng, 4)
-    b = _seeded_element(alg, rng, 4)
+    _, a = _seeded_element(alg, rng, 4)
+    _, b = _seeded_element(alg, rng, 4)
     assert a * b == _ref_product(a, b)
     assert b * a == _ref_product(b, a)
 
 
+def test_reference_test_catches_a_dropped_clifford_sign(monkeypatch):
+    # a flat loop that ignores the sign of e_m1 e_m2 must fail the
+    # comparison with the nested reference on some seeded pair
+    monkeypatch.setattr(hc, "sign_mask", lambda _m: 0)
+    failures = 0
+    for context in _CONTEXTS:
+        alg = _CONTEXTS[context]()
+        rng = random.Random(0)
+        _, a = _seeded_element(alg, rng, 4)
+        _, b = _seeded_element(alg, rng, 4)
+        failures += a * b != _ref_product(a, b)
+    assert failures
+
+
+@pytest.mark.parametrize("context", list(_CONTEXTS))
+def test_nested_terms_round_trip_through_the_flat_form(context):
+    alg = _CONTEXTS[context]()
+    nested, elem = _seeded_element(alg, random.Random(7), 6)
+    nested[next(iter(nested))] = alg.field.zero       # a zero is dropped
+    elem = HCElement(alg, nested)
+    want = {k: v for k, v in nested.items() if v}
+    assert elem.scalars() == want
+    assert HCElement(alg, elem.scalars()) == elem
+    # one flat term per monomial of each Scalar, keyed by its exponent
+    assert elem.terms == {k + (e,): c for k, v in want.items()
+                          for e, c in v.terms.items()}
+
+
+@pytest.mark.parametrize("context", list(_CONTEXTS))
+def test_str_is_the_nested_rendering(context):
+    alg = _CONTEXTS[context]()
+    nested, elem = _seeded_element(alg, random.Random(3), 6)
+    texts = sorted(((m, g, a, b), f"({v}) x^{a} y^{b} [w{g}] {mask_str(m)}")
+                   for (a, b, g, m), v in nested.items())
+    assert str(elem) == " + ".join(text for _key, text in texts)
+    assert str(alg.zero()) == "0"
+
+
 def test_product_with_unit_coefficients_multiplies_once_per_pair(
-        monkeypatch):
+        coeff_products):
     # x^a e_A times x^c w e_B straightens nothing: every term_mul
-    # coefficient is the field's shared one, and each pair of terms costs
-    # the one product v1 * v2
+    # coefficient is the field's shared one, so a pair of flat terms costs
+    # at most the one Coeff product c1 * c2, and none when c1 or c2 is 1
+    # or -1
     alg = stack("B", 2, 2).alg
     F = alg.field
     z, ident = alg.h.zero_exp, alg.h.id_idx
     a = HCElement(alg, {((1, 0), z, ident, 1): F.s,
                         ((0, 2), z, ident, 3): F.i,
-                        (z, z, ident, 2): -F.cs[0]})
+                        (z, z, ident, 2): -F.cs[0],
+                        ((0, 1), z, ident, 0): F.rational(3) * F.s + F.i})
     b = HCElement(alg, {((1, 1), z, 3, 1): F.cs[1],
-                        (z, z, 5, 2): F.one / F.s})
+                        (z, z, 5, 2): F.one / F.s,
+                        ((2, 0), z, 1, 3): F.r * F.cs[0]})
     term_mul = alg.h.term_mul
     assert all(cf is F.one for k1 in a.terms for k2 in b.terms
                for _k, cf in term_mul(k1[:3], k2[:3]))
-    calls = []
-    mul = Scalar.__mul__
-
-    def counting_mul(self, other):
-        calls.append(1)
-        return mul(self, other)
-
-    monkeypatch.setattr(Scalar, "__mul__", counting_mul)
-    product = a * b
-    assert len(calls) == len(a.terms) * len(b.terms)
-    monkeypatch.setattr(Scalar, "__mul__", mul)
+    units = (Coeff(1), Coeff(-1))
+    non_unit = sum(c1 not in units and c2 not in units
+                   for c1 in a.terms.values() for c2 in b.terms.values())
+    with coeff_products() as calls:
+        product = a * b
+    assert len(calls) == non_unit == 3
+    assert len(calls) < len(a.terms) * len(b.terms)
     assert product == _ref_product(a, b)

@@ -406,3 +406,19 @@ def test_leading_minor_signs_report_zero_minors():
     rep = SpinorRep(HCAlgebra(RootDatum("B", 2, 2)))
     assert HermitianForm(rep).leading_minor_signs(2, C_R, [1, 1]) \
         == [0, 0, 0, 0, 0, -1]
+
+
+def test_spinor_entries_make_no_field_products(coeff_products):
+    # the e_j of B2 act by the Pauli matrices X and Y, whose entries are
+    # 1 and +-i: applying them multiplies nothing
+    rep = SpinorRep(HCAlgebra(RootDatum("B", 2, 2), specialize={
+        "s": Fraction(2), "c1": Fraction(1, 3), "c2": Fraction(1, 5)}))
+    alg = rep.alg
+    sd, n = rep.spin_dim, len(rep.basis(1))
+    for j, spin in ((1, spinor_matrices(2)[0]), (2, spinor_matrices(2)[1])):
+        with coeff_products() as made:
+            mat, out = rep.matrix_of(alg.e(j), 1)
+        assert made == [] and out == 1
+        assert mat == [[spin[r % sd][c % sd] if r // sd == c // sd
+                        else C_ZERO for c in range(n * sd)]
+                       for r in range(n * sd)]

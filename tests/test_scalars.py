@@ -7,8 +7,8 @@ from dunkl import scalars
 from dunkl.cli import Runner
 from dunkl.sparse import add_into
 from dunkl.scalars import (Coeff, Scalar, ScalarField, C_ZERO, C_ONE, C_I,
-                           C_R, NonMonomialDenominatorError, _i_power, pack,
-                           unpack)
+                           C_R, NonMonomialDenominatorError, _i_power,
+                           mul_coeff, pack, unit_sign, unpack)
 
 rats = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 7))
 coeffs = st.builds(Coeff, rats, rats, rats, rats)
@@ -557,3 +557,30 @@ def test_one_term_product_by_plus_or_minus_one_makes_no_field_products(
     assert made == []
     for u, (left, right) in zip(units, products):
         assert left == right == Scalar(_ref_mul(u, y), y.nvars)
+
+
+@given(coeffs, st.integers(-5, 5))
+@settings(max_examples=100, deadline=None)
+def test_mul_i_power_is_the_product_by_a_power_of_i(c, k):
+    assert c.mul_i_power(k) == c * _i_power(k)
+    x = Scalar({0: c, pack([1, 0, 0]): C_R}, 3) if c else F2.s
+    assert x.mul_i_power(k) == x * Scalar.from_coeff(_i_power(k), 3)
+
+
+def test_mul_i_power_makes_no_field_products(coeff_products):
+    c = Coeff(Fraction(1, 3), 2, Fraction(-5, 7), 1)
+    with coeff_products() as made:
+        turned = [c.mul_i_power(k) for k in range(4)]
+    assert made == []
+    assert turned == [c, c * C_I, -c, c * Coeff(0, -1)]
+
+
+@pytest.mark.parametrize("c", _CONSTANTS + [Coeff(-1, 0, 2)])
+@pytest.mark.parametrize("d", _CONSTANTS + [Coeff(-1, 0, 2)])
+def test_mul_coeff_skips_only_unit_factors(c, d, coeff_products):
+    units = {C_ONE: 1, Coeff(-1): -1}
+    assert unit_sign(c) == units.get(c, 0)
+    with coeff_products() as made:
+        product = mul_coeff(c, d)
+    assert product == c * d
+    assert len(made) == (0 if unit_sign(c) or unit_sign(d) else 1)

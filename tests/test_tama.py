@@ -6,6 +6,7 @@ import pytest
 from conftest import stack
 from dunkl.hc import HCElement
 from dunkl.scalars import Coeff, Scalar
+from dunkl.tama import Tama
 
 
 def test_generators_match_projection_small(a14):
@@ -101,6 +102,24 @@ def test_dirac_squares_to_casimir(a13):
 
 def test_dirac_is_built_once(a13):
     assert a13.tama.dirac() is a13.tama.dirac()
+
+
+def test_each_generator_is_negated_once(a13, monkeypatch):
+    tm = Tama(a13.alg, a13.osp)
+    negations = []
+    original = HCElement.__neg__
+
+    def counted(self):
+        negations.append(1)
+        return original(self)
+    monkeypatch.setattr(HCElement, "__neg__", counted)
+    odd = [tm.O((2, 1)) for _ in range(3)] + [tm.O((1, 3, 2))
+                                              for _ in range(3)]
+    assert len(negations) == 2
+    assert odd[0] is odd[2] and odd[3] is odd[5]
+    monkeypatch.setattr(HCElement, "__neg__", original)
+    assert odd[0] == -tm.O((1, 2)) and odd[3] == -tm.O((1, 2, 3))
+    assert tm.O((3, 1, 2)) is tm.O((1, 2, 3))
 
 
 def test_dirac_checks_square_rho_omega_once(a13, monkeypatch):
