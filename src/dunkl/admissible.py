@@ -18,15 +18,18 @@ which in coordinates pairs a_{w g w^-1} with a_g up to an explicit sign;
 the solver walks these sign chains with `RootDatum.conjugation_orbit`,
 once per conjugacy class, and reports the classes where the chain is
 consistent.  Products, bullets and class sums accumulate through
-`sparse.add_into`; `linearly_independent` passes the sparse vectors as
-they are to `polyspinor.rank_coeff`, the one elimination.
+`sparse.add_into`; products and scalings multiply through
+`scalars.mul_coeff`, so a factor 1 or -1 (a generator rho(s~), an
+epsilon) makes no field product.  `linearly_independent` passes the
+sparse vectors as they are to `polyspinor.rank_coeff`, the one
+elimination.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .scalars import Coeff, C_ONE, C_I, _i_power, Scalar
+from .scalars import Coeff, C_ONE, C_I, _i_power, Scalar, mul_coeff
 from .sparse import add_into
 from .pin import PinCover
 from .groups import RootDatum
@@ -36,7 +39,7 @@ from .polyspinor import rank_coeff
 def vec_scale(a, cf):
     if cf.is_zero():
         return {}
-    return {g: v * cf for g, v in a.items()}
+    return {g: mul_coeff(v, cf) for g, v in a.items()}
 
 
 class CoverAlgebra:
@@ -53,7 +56,8 @@ class CoverAlgebra:
         """Product using rho(g) rho(h) = sigma(g, h) rho(gh)."""
         tbl = self.rd.mul_table
         sigma = self.pin.sigma
-        return add_into({}, ((tbl[g][h], u * v if sigma(g, h) > 0 else -(u * v))
+        return add_into({}, ((tbl[g][h], mul_coeff(u, v) if sigma(g, h) > 0
+                              else -mul_coeff(u, v))
                              for g, u in a.items() for h, v in b.items()))
 
     # -- bullet (conjugate-linear anti-involution) ---------------------------

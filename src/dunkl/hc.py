@@ -18,6 +18,14 @@ makes no field product; any other `term_mul` coefficient, a Scalar, is
 read term by term.  The linear operations (from `sparse.SparseElement`),
 `scale`, `bullet` and the parity parts act on the Coeffs directly.
 
+The brackets a b - tau b a (`commutator`, tau = 1; `anticommutator`,
+tau = -1; `gbracket`, tau = (-1)^{p1 p2} on the Clifford parities of
+each pair of terms) are one loop over the same pairs, forming both
+halves of a pair at once.  When `term_mul` returns one memoised result
+in both orders, the pair cancels if its two Clifford signs, tau
+included, differ, and is expanded once with its Coeff doubled if they
+agree; any other pair expands both halves.
+
 The conjugate-linear anti-involution `bullet` acts as the Cherednik star
 (w -> w^{-1}, x_i <-> y_i, `HAlgebra.star_key`) on the first factor and as
 e_A -> (-1)^{|A|} reversed(e_A) (`clifford.reversion_sign`) on the second.
@@ -103,6 +111,17 @@ class HCAlgebra:
         return self.rho((self.rd.reflection_index(r_idx), 1))
 
 
+def _expand(res, c, m, e, one):
+    """The flat terms of c * res (x) e_m at exponent e, for a `term_mul`
+    result res; a coefficient that is the field's `one` makes no product."""
+    for (xk, yk, gk), cf in res:
+        if cf is one:
+            yield (xk, yk, gk, m, e), c
+        else:
+            for ef, vf in cf.terms.items():
+                yield (xk, yk, gk, m, e + ef), mul_coeff(c, vf)
+
+
 class HCElement(SparseElement):
     """Element of H (x) C(V), built from {(a, b, g, mask): Scalar}."""
 
@@ -143,14 +162,8 @@ class HCElement(SparseElement):
                         c = -c2 if (u1 < 0) ^ neg else c2
                     else:
                         c = -(c1 * c2) if neg else c1 * c2
-                    m = m1 ^ m2
-                    e = e1 + e2
-                    for (xk, yk, gk), cf in term_mul(k1, k2):
-                        if cf is one:
-                            yield (xk, yk, gk, m, e), c
-                        else:
-                            for ef, vf in cf.terms.items():
-                                yield (xk, yk, gk, m, e + ef), mul_coeff(c, vf)
+                    yield from _expand(term_mul(k1, k2), c, m1 ^ m2, e1 + e2,
+                                       one)
         return self._new(add_into({}, terms()))
 
     def scale(self, sc):
@@ -185,14 +198,63 @@ class HCElement(SparseElement):
                           if k[3].bit_count() & 1})
 
     # -- brackets ------------------------------------------------------------
-    def gbracket(self, o):
-        """Graded bracket: anticommutator on odd*odd, commutator otherwise.
+    def commutator(self, o):
+        return self._bracket(o, 1, False)
 
-        Summed over parts, [a, b] = ab - b0 a - b1 a0 + b1 a1.
+    def anticommutator(self, o):
+        return self._bracket(o, -1, False)
+
+    def gbracket(self, o):
+        """Graded bracket: anticommutator on odd*odd, commutator otherwise."""
+        return self._bracket(o, 1, True)
+
+    def _bracket(self, o, sign, graded):
+        """a o - tau o a for a = self, in one pass over pairs of flat terms.
+
+        tau is `sign`, times (-1)^{p1 p2} on the two terms' Clifford
+        parities when `graded` is set.  Both halves of a pair share the
+        Coeff c1 c2, the key (m1 ^ m2, e1 + e2) and a Clifford sign each;
+        when `term_mul` returns one memoised tuple in both orders (equal
+        results are one object, `HAlgebra._shared`), the pair cancels if
+        the two signs differ and is expanded once, doubled, if not.
         """
-        b1 = o.odd_part()
-        return (self * o - o.even_part() * self - b1 * self.even_part()
-                + b1 * self.odd_part())
+        self._chk(o)
+        term_mul = self.alg.h.term_mul
+        one = self.alg.field.one
+        flip = sign > 0
+        right = [((a2, b2, g2), m2, sign_mask(m2),
+                  graded and m2.bit_count() & 1, e2, c2, unit_sign(c2))
+                 for (a2, b2, g2, m2, e2), c2 in o.terms.items()]
+
+        def terms():
+            for (a1, b1, g1, m1, e1), c1 in self.terms.items():
+                k1 = (a1, b1, g1)
+                p1 = sign_mask(m1)
+                q1 = graded and m1.bit_count() & 1
+                u1 = unit_sign(c1)
+                for k2, m2, p2, q2, e2, c2, u2 in right:
+                    # o a carries -tau and the sign of e_m2 e_m1
+                    neg1 = (p1 & m2).bit_count() & 1
+                    neg2 = flip ^ (p2 & m1).bit_count() & 1 ^ (q1 & q2)
+                    r12 = term_mul(k1, k2)
+                    r21 = term_mul(k2, k1)
+                    if r12 is r21 and neg1 != neg2:
+                        continue
+                    if u2:
+                        c = -c1 if u2 < 0 else c1
+                    elif u1:
+                        c = -c2 if u1 < 0 else c2
+                    else:
+                        c = c1 * c2
+                    m = m1 ^ m2
+                    e = e1 + e2
+                    if r12 is r21:
+                        c = c + c
+                        yield from _expand(r12, -c if neg1 else c, m, e, one)
+                    else:
+                        yield from _expand(r12, -c if neg1 else c, m, e, one)
+                        yield from _expand(r21, -c if neg2 else c, m, e, one)
+        return self._new(add_into({}, terms()))
 
     # -- anti-involution -----------------------------------------------------
     def bullet(self):

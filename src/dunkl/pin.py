@@ -30,8 +30,9 @@ adds the k's, multiplies the n's, and halves every value (taking 2 from
 k) while k >= 2 and every value is even.  For a unit sum_m n[m]^2 = 2^k,
 so k < 2 already forces an odd value, and two units that agree up to
 sign have the same k and n up to sign: the cocycle needs only integer
-arithmetic.  `PinCover.lift` converts a unit to {mask: Coeff} over
-Q(i, sqrt2) for the algebra layers.
+arithmetic.  `sigma(g, h)` needs no halving: it compares every term of
+n_g n_h with sigma 2^((k_g + k_h - k_gh)/2) n_gh.  `PinCover.lift`
+converts a unit to {mask: Coeff} over Q(i, sqrt2) for the algebra layers.
 """
 
 from __future__ import annotations
@@ -138,12 +139,20 @@ class PinCover:
         key = (g, h)
         s = self._sigma_cache.get(key)
         if s is None:
-            k, prod = _unit_mul(self._units[g], self._units[h])
+            (k_g, n_g), (k_h, n_h) = self._units[g], self._units[h]
             k_gh, n_gh = self._units[self.rd.mul_table[g][h]]
-            if k != k_gh:
+            # n_g n_h = sigma 2^(shift/2) n_gh, compared term by term
+            shift = k_g + k_h - k_gh
+            prod = cunit_mul(n_g, n_h)
+            if shift < 0 or shift % 2 or len(prod) != len(n_gh):
                 raise ValueError("units are not proportional")
-            s = unit_ratio_sign(prod, n_gh)
-            self._sigma_cache[key] = s
+            m0, x0 = next(iter(n_gh.items()))
+            f = 1 << shift // 2
+            if prod.get(m0) != f * x0:
+                f = -f
+            if any(prod.get(m) != f * x for m, x in n_gh.items()):
+                raise ValueError("units are not proportional by a sign")
+            s = self._sigma_cache[key] = 1 if f > 0 else -1
         return s
 
     # -- group structure on pairs (g_idx, eps) ------------------------------

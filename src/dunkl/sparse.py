@@ -9,7 +9,8 @@ or of C(V) {mask: value}, and a cover-algebra vector {g: Coeff}.
 holds the linear operations the element types share, which act on the
 values whatever their type; `HElement`, `HCElement` and `CliffordElement`
 add their product, their involution and how a term prints, and
-`HCElement` its own `scale`, `map_scalars` and grouped printing.
+`HCElement` its own `scale`, `map_scalars`, one-pass brackets and
+grouped printing.
 """
 
 from __future__ import annotations
@@ -88,9 +89,6 @@ class SparseElement:
 
     def commutator(self, o):
         return self * o - o * self
-
-    def anticommutator(self, o):
-        return self * o + o * self
 
     def is_zero(self):
         return not self.terms

@@ -399,7 +399,7 @@ class Tama:
         rhs = (casimir + rho_sq
                + (rho_omega * D).scale(F.rational(1 + eps_omega)))
         out["Domega_square"] = (Dw * Dw - rhs).is_zero()
-        vogan = Dw * a + a * Dw + rho_sq
+        vogan = Dw.anticommutator(a) + rho_sq
         out["vogan_identity"] = (vogan - casimir).is_zero()
         return out
 
@@ -410,8 +410,10 @@ class Tama:
         fails = []
         for g in range(len(alg.rd.elements)):
             r = alg.rho((g, 1))
-            eps = alg.pin.epsilon(g)
-            res = D * r - r.scale(alg.field.rational(eps)) * D
+            if alg.pin.epsilon(g) > 0:
+                res = D.commutator(r)
+            else:
+                res = D.anticommutator(r)
             if not res.is_zero():
                 fails.append(g)
         return fails

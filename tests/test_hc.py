@@ -254,3 +254,53 @@ def test_product_with_unit_coefficients_multiplies_once_per_pair(
     assert len(calls) == non_unit == 3
     assert len(calls) < len(a.terms) * len(b.terms)
     assert product == _ref_product(a, b)
+
+
+# -- the one-pass brackets -------------------------------------------------------
+
+def _ref_bracket(a, b, kind):
+    """The bracket `kind` of a and b from `_ref_product` expansions; the
+    graded one is ab - b0 a - b1 a0 + b1 a1 with b0, b1 the even and odd
+    parts of b."""
+    if kind == "gbracket":
+        b1 = b.odd_part()
+        return (_ref_product(a, b) - _ref_product(b.even_part(), a)
+                - _ref_product(b1, a.even_part())
+                + _ref_product(b1, a.odd_part()))
+    ab, ba = _ref_product(a, b), _ref_product(b, a)
+    return ab - ba if kind == "commutator" else ab + ba
+
+
+@pytest.mark.parametrize("context", list(_CONTEXTS))
+@pytest.mark.parametrize("seed", range(4))
+def test_brackets_match_the_reference_products(context, seed):
+    alg = _CONTEXTS[context]()
+    rng = random.Random(seed)
+    # the unit and e_1 make both elements of mixed parity, and commute
+    # with every PBW monomial, so that some pairs of terms have one
+    # term_mul result in both orders; so does a term shared by a and b
+    extra = alg.one() + alg.e(1).scale(alg.field.i)
+    _, a = _seeded_element(alg, rng, 4)
+    _, b = _seeded_element(alg, rng, 4)
+    a, b = a + extra, b + extra + a.odd_part()
+    assert a.parity() is None and b.parity() is None
+    for x, y in ((a, b), (b, a), (a, a)):
+        for kind in ("commutator", "anticommutator", "gbracket"):
+            assert getattr(x, kind)(y) == _ref_bracket(x, y, kind), kind
+
+
+def test_bracket_of_commuting_monomials_makes_no_product(coeff_products):
+    # pairs whose two orders give one term_mul result and whose Clifford
+    # signs cancel are skipped before their Coeffs are multiplied
+    alg = stack("B", 2, 2).alg
+    F = alg.field
+    x1, x2 = alg.x(1).scale(F.i * F.s), alg.x(2).scale(F.r * F.cs[0])
+    e12 = (alg.e(1) * alg.e(2)).scale(F.rational(3) * F.i)
+    x1y1 = (alg.x(1) * alg.y(1)).scale(F.r)
+    e1, e2 = alg.e(1).scale(F.i), alg.e(2).scale(F.r)
+    with coeff_products() as calls:
+        brackets = [x1.commutator(x2), x1.gbracket(x2), e12.commutator(x1y1),
+                    e12.gbracket(x1y1), e1.anticommutator(e2),
+                    e1.gbracket(e2), x1y1.commutator(x1y1)]
+    assert all(z.is_zero() for z in brackets)
+    assert calls == []
