@@ -205,18 +205,17 @@ class HCElement(SparseElement):
         return self._bracket(o, -1, False)
 
     def gbracket(self, o):
-        """Graded bracket: anticommutator on odd*odd, commutator otherwise."""
+        """Graded bracket, pair by pair of terms: a o - (-1)^{p1 p2} o a,
+        an anticommutator on odd*odd pairs and a commutator otherwise."""
         return self._bracket(o, 1, True)
 
     def _bracket(self, o, sign, graded):
-        """a o - tau o a for a = self, in one pass over pairs of flat terms.
+        """a o - tau o a for a = self, with tau = `sign`, times (-1)^{p1 p2}
+        on each pair's Clifford parities when `graded` is set.
 
-        tau is `sign`, times (-1)^{p1 p2} on the two terms' Clifford
-        parities when `graded` is set.  Both halves of a pair share the
-        Coeff c1 c2, the key (m1 ^ m2, e1 + e2) and a Clifford sign each;
-        when `term_mul` returns one memoised tuple in both orders (equal
-        results are one object, `HAlgebra._shared`), the pair cancels if
-        the two signs differ and is expanded once, doubled, if not.
+        Both halves of a pair share c1 c2 and the key (m1 ^ m2, e1 + e2).
+        Equal `term_mul` results are one object (`HAlgebra._shared`), so
+        `is` finds the pairs that cancel or double.
         """
         self._chk(o)
         term_mul = self.alg.h.term_mul
