@@ -6,14 +6,18 @@ commutation formula
 
     [y, p] = t d_y(p) - sum_{alpha>0} c(alpha) <alpha, y> (p - s_alpha p)/alpha s_alpha
 
-with all divided differences computed by exact polynomial division.  A
-divided difference (p - s_alpha p)/alpha depends on no parameter, so it is
-computed over Coeff and scaled by the root's Scalar factor afterwards.  The
-straightening of y^b x^a is memoised per algebra, and so is the product
-of each pair of PBW monomials (`term_mul`): the H and H (x) C products
-meet the same pair many times over, and each is multiplied once.  A
-`term_mul` coefficient that is the field's shared one costs those
-products no further scalar product.  Sums accumulate through
+with each divided difference (p - s_alpha p)/alpha of a monomial p taken
+in closed form: every root of A, B, D and A1^n is a e_i + b e_j or a e_i
+with a, b = +-1, and the quotient is a geometric sum of monomials in x_i
+and x_j (`HAlgebra._divided_difference`).  It depends on no parameter, so
+it is computed over Coeff; each root's factor -c_alpha alpha_i, and each
+t-term factor t k, is built once per algebra, and `ycomm` scales the
+quotient's Coeffs by it with no Scalar product.  The straightening of
+y^b x^a is memoised per algebra, and so is the product of each pair of
+PBW monomials (`term_mul`): the H and H (x) C products meet the same
+pair many times over, and each is multiplied once.  A `term_mul`
+coefficient that is the field's shared one costs those products no
+further scalar product.  Sums accumulate through
 `sparse.add_into`, and `HElement` takes its linear operations from
 `sparse.SparseElement`; `HAlgebra.star_key` is the star on one monomial,
 shared with the bullet of `hc`.
@@ -21,14 +25,14 @@ shared with the bullet of `hc`.
 
 from __future__ import annotations
 
-from .scalars import (Coeff, C_ONE, Scalar, ScalarField, mul_coeff,
-                      unit_sign, unpack)
+from .scalars import Coeff, C_ONE, Scalar, ScalarField, mul_coeff, unpack
 from .sparse import SparseElement, add_into
 from .groups import RootDatum
 
 
 class DividedDifferenceError(AssertionError):
-    """Nonzero remainder in a divided difference: internal inconsistency."""
+    """A root outside the shapes +-e_i and +-e_i +- e_j, whose divided
+    difference has no closed form here."""
 
 
 class HAlgebra:
@@ -61,6 +65,17 @@ class HAlgebra:
         self._inv = rd.inv_table
         self._straighten_memo = {}
         self._ycomm_memo = {}
+        self._t_multiples = {}
+        # per coordinate i: (alpha, s_alpha, its index, -c_alpha alpha_i as
+        # (exponent, Coeff) pairs) for each positive root with alpha_i != 0
+        self._root_factors = [
+            tuple((alpha, s, rd.reflection_index(r),
+                   tuple((e, mul_coeff(v, Coeff(-alpha[i])))
+                         for e, v in self.c_root[r].terms.items()))
+                  for r, (alpha, s) in enumerate(zip(rd.positive_roots,
+                                                     rd.reflections))
+                  if alpha[i])
+            for i in range(rd.dim)]
         self._term_memo = {}
         self._shared = {}
 
@@ -110,42 +125,69 @@ class HAlgebra:
         out = self._ycomm_memo.get(key)
         if out is not None:
             return out
-        F = self.field
         out = {}
         # t * d_{y_i}(x^c)
-        if cexp[i]:
-            e = list(cexp)
-            e[i] -= 1
-            out[(tuple(e), self.id_idx)] = self.t * F.rational(cexp[i])
+        k = cexp[i]
+        if k:
+            out[(_bump(cexp, i, -1), self.id_idx)] = self._t_times(k)
         # reflection terms
-        for r_idx, alpha in enumerate(self.rd.positive_roots):
-            ai = alpha[i]
-            if not ai:
-                continue
-            s = self.rd.reflections[r_idx]
-            dd = self._divided_difference(cexp, alpha, s)
-            if not dd:
-                continue
-            g = self.rd.reflection_index(r_idx)
-            factor = -(self.c_root[r_idx] * F.rational(ai))
-            add_into(out, (((e, g), Scalar.from_coeff(v, F.nvars) * factor)
-                           for e, v in dd.items()))
+        nvars = self.field.nvars
+        for alpha, s, g, factor in self._root_factors[i]:
+            add_into(out, (((e, g), Scalar({ef: mul_coeff(cf, v)
+                                            for ef, cf in factor}, nvars))
+                           for e, v in self._divided_difference(
+                               cexp, alpha, s).items()))
         self._ycomm_memo[key] = out
         return out
 
+    def _t_times(self, k):
+        """The Scalar t k for an int k, built once per algebra."""
+        out = self._t_multiples.get(k)
+        if out is None:
+            c = Coeff(k)
+            out = self._t_multiples[k] = Scalar(
+                {e: mul_coeff(v, c) for e, v in self.t.terms.items()},
+                self.field.nvars)
+        return out
+
     def _divided_difference(self, cexp, alpha, s):
-        """(x^c - s(x^c)) / alpha as {xexp: Coeff}; parameter-free, and
-        exact by construction."""
-        img, sgn = s.apply_exp(cexp)
-        if img == cexp:
-            if sgn == 1:
-                return {}
-            num = {cexp: Coeff(2)}
-        else:
-            num = {cexp: C_ONE, img: Coeff(-sgn)}
-        lin = {self._unit_exp(j + 1): Coeff(a)
-               for j, a in enumerate(alpha) if a}
-        return _xpoly_divexact(num, lin)
+        """(x^c - s(x^c)) / alpha as {xexp: Coeff}, in closed form.
+
+        For alpha = a e_i: 2a x^(c - e_i) when c_i is odd, else 0.  For
+        alpha = a e_i + b e_j (i < j), s maps x_i to sigma x_j and x_j to
+        sigma x_i with sigma = -ab; with p = c_i, q = c_j, n = |p - q|
+        and m = min(p, q) the quotient is
+
+            eps * sum_{k < n} sigma^k x_i^(m+n-1-k) x_j^(m+k)
+
+        (the other slots of c unchanged), eps = a if p >= q and
+        -a sigma^n otherwise.  Its terms come in descending lex order.
+        Any other root raises DividedDifferenceError.
+        """
+        nz = [j for j, a in enumerate(alpha) if a]
+        if not 0 < len(nz) <= 2 or any(alpha[j] not in (1, -1) for j in nz):
+            raise DividedDifferenceError(
+                f"root {alpha} is not +-e_i or +-e_i +- e_j")
+        i = nz[0]
+        a = alpha[i]
+        p = cexp[i]
+        if len(nz) == 1:
+            return {_bump(cexp, i, -1): Coeff(2 * a)} if p % 2 else {}
+        j = nz[1]
+        sigma = s.sign[i]
+        q = cexp[j]
+        n = abs(p - q)
+        m = min(p, q)
+        # -a sigma^n is a exactly when sigma = -1 and n is odd
+        eps = a if p >= q or (sigma < 0 and n % 2) else -a
+        e = list(cexp)
+        out = {}
+        for k in range(n):
+            e[i] = m + n - 1 - k
+            e[j] = m + k
+            out[tuple(e)] = _UNIT[eps]
+            eps *= sigma
+        return out
 
     def straighten(self, yexp, xexp):
         """y^yexp * x^xexp in PBW form: {(xexp', yexp', g_idx): Scalar}."""
@@ -221,40 +263,13 @@ class HAlgebra:
         return (a2, b2, gi), sg1 * sg2
 
 
-def _bump(e, j):
-    """The exponent tuple e with slot j raised by one."""
-    return e[:j] + (e[j] + 1,) + e[j + 1:]
+def _bump(e, j, by=1):
+    """The exponent tuple e with slot j raised by `by`."""
+    return e[:j] + (e[j] + by,) + e[j + 1:]
 
 
-def _xpoly_divexact(num, lin):
-    """Divide an x-polynomial by a linear form, requiring zero remainder.
-
-    Values are Coeff; a factor 1 or -1 makes no field product
-    (`mul_coeff`).
-    """
-    # leading variable of the linear form under lex order
-    lead = max(lin)
-    lc = lin[lead]
-    # 1 and -1 are their own inverses; every root of A, B, D and A1^n
-    # leads with one of them
-    lc_inv = lc if unit_sign(lc) else lc.inv()
-    # the form's other terms, negated: each step subtracts f x^de times
-    # the form from rem
-    rest = [(le, -lv) for le, lv in lin.items() if le != lead]
-    rem = dict(num)
-    quo = {}
-    while rem:
-        e = max(rem, key=lambda t: (sum(t), t))
-        v = rem.pop(e)
-        de = tuple(p - q for p, q in zip(e, lead))
-        if any(p < 0 for p in de):
-            raise DividedDifferenceError("divided difference is not a polynomial")
-        # the leading monomial e falls at every step, so de is new to quo
-        f = quo[de] = mul_coeff(v, lc_inv)
-        # and the lead term of the linear form cancels e exactly
-        add_into(rem, ((tuple(p + q for p, q in zip(de, le)),
-                        mul_coeff(f, lv)) for le, lv in rest))
-    return quo
+# the Coeffs 1 and -1, by their sign
+_UNIT = {1: C_ONE, -1: Coeff(-1)}
 
 
 class HElement(SparseElement):

@@ -215,7 +215,8 @@ class HCElement(SparseElement):
 
         Both halves of a pair share c1 c2 and the key (m1 ^ m2, e1 + e2).
         Equal `term_mul` results are one object (`HAlgebra._shared`), so
-        `is` finds the pairs that cancel or double.
+        `is` finds the pairs that cancel or double; a pair of equal PBW
+        keys calls `term_mul` once for both orders.
         """
         self._chk(o)
         term_mul = self.alg.h.term_mul
@@ -236,7 +237,7 @@ class HCElement(SparseElement):
                     neg1 = (p1 & m2).bit_count() & 1
                     neg2 = flip ^ (p2 & m1).bit_count() & 1 ^ (q1 & q2)
                     r12 = term_mul(k1, k2)
-                    r21 = term_mul(k2, k1)
+                    r21 = r12 if k1 == k2 else term_mul(k2, k1)
                     if r12 is r21 and neg1 != neg2:
                         continue
                     if u2:

@@ -10,21 +10,24 @@ Matrices are returned dense as lists of lists, row-major, acting on
 column vectors indexed by (monomial, spinor) pairs with monomials in
 graded-lex order.  `SpinorRep` fixes their entry ring once per context:
 Coeff when every parameter is rational, Scalar otherwise.  One sparse
-assembly, `matrix_of`, builds them from two per-rep memos.  The
-polynomial part of a term reads `SpinorRep.word`, the Dunkl word
-y^b x^e acting on 1, computed once per (b, e) and shared with the Gram
-matrices of `HermitianForm`; it is the one place a Dunkl word is
-applied.  The spinor matrix of each Clifford mask is monomial (one unit
-i^k per row); its nonzero entries are kept once per mask as the powers
-k, and only they are visited.  No entry makes a field product: 1 and -1
-keep or negate the value they meet, and +-i swaps its real and i parts
-with a sign (`mul_i_power`).  An element's terms are read flat, as
-Coeffs, in a rational context, and grouped into Scalars
-(`HCElement.scalars`) otherwise.  Entries accumulate through
-`sparse.add_into` in a {(row, col): value} map that is densified once.
-`matrix_of_coeff` is `matrix_of` guarded to rational contexts.
-`_mat_mul_coeff` is the one matrix product, over Coeff or Scalar, and
-skips zero factors.
+assembly, `matrix_of`, builds them from two per-rep memos.  It groups an
+element's terms by their polynomial part x^a y^b w and, per group and
+source monomial, reads `SpinorRep.word` once: the Dunkl word y^b x^e
+acting on 1, computed once per (b, e) and shared with the Gram matrices
+of `HermitianForm`; it is the one place a Dunkl word is applied, and it
+sums the commutator's terms over w before the rest of the word acts,
+since each w acts on 1 as 1.  Each (mask, entry) of the group adds its
+multiple of that word into the mask's own {(row, col): value} map
+through `sparse.add_into`.  The spinor matrix of each Clifford mask is
+monomial (one unit i^k per row); its nonzero entries are kept once per
+mask as the powers k, and are applied once per mask as the dense matrix
+is filled.  No spinor entry makes a field product: 1 and -1 keep or
+negate the value they meet, and +-i swaps its real and i parts with a
+sign (`mul_i_power`).  An element's terms are read flat, as Coeffs, in
+a rational context, and grouped into Scalars (`HCElement.scalars`)
+otherwise.  `matrix_of_coeff` is `matrix_of` guarded to rational
+contexts.  `_mat_mul_coeff` is the one matrix product, over Coeff or
+Scalar, and skips zero factors.
 
 One exact elimination, `_rref`, a sparse Gauss-Jordan reduction on
 {col: Coeff} rows, serves `rank_coeff`, `kernel_basis_coeff`,
@@ -183,9 +186,9 @@ class SpinorRep:
 
         Memoised per rep; callers must not mutate the result.  As in
         `HAlgebra.straighten`, y_i of the first nonzero slot i acts first,
-        through the commutator [y_i, x^xexp] (each w acts on 1 as 1), and
-        the rest of the word then acts on each resulting monomial; so all
-        of y_1 acts before y_2.
+        through the commutator [y_i, x^xexp], whose terms are summed over
+        w because each w acts on 1 as 1; the rest of the word then acts
+        on each resulting monomial, so all of y_1 acts before y_2.
         """
         key = (yexp, xexp)
         out = self._words.get(key)
@@ -196,41 +199,33 @@ class SpinorRep:
         else:
             i = next(k for k, v in enumerate(yexp) if v)
             rest = yexp[:i] + (yexp[i] - 1,) + yexp[i + 1:]
+            value = self.value
+            first = add_into({}, ((e, value(u)) for (e, _g), u
+                                  in self.alg.h.ycomm(i, xexp).items()))
             out = {}
             mul = self.mul
-            for (e, _g), u in self.alg.h.ycomm(i, xexp).items():
-                u = self.value(u)
+            for e, u in first.items():
                 add_into(out, ((e2, mul(u, v))
                                for e2, v in self.word(rest, e).items()))
         self._words[key] = out
         return out
-
-    def _apply_poly_part(self, xexp, yexp, g_idx, mono):
-        """Action of x^a y^b w on the monomial x^mono.
-
-        Returns {result_monomial: entry}, entries in the rep's ring; w
-        substitutes, y^b applies Dunkl operators, x^a multiplies.
-        """
-        img, sgn = self.alg.h._elems[g_idx].apply_exp(mono)
-        polys = self.word(yexp, img)
-        if sgn < 0:
-            polys = {e: -v for e, v in polys.items()}
-        if any(xexp):
-            polys = {tuple(a + b for a, b in zip(e, xexp)): v
-                     for e, v in polys.items()}
-        return polys
 
     def matrix_of(self, elem: HCElement, degree):
         """Matrix of `elem` from C[V]_degree (x) S to the shifted degree.
 
         All terms must shift the polynomial degree by the same amount;
         raises ValueError otherwise.  Returns (matrix, out_degree) with
-        entries in the rep's ring.  Entries are accumulated sparsely,
-        visiting only the nonzero spinor entries, and the matrix is
-        densified once.
+        entries in the rep's ring.
+
+        The terms are grouped by their polynomial part x^a y^b w.  For
+        each group and source monomial x^c, w substitutes, the Dunkl word
+        y^b acts (one `word` read) and x^a multiplies; each (mask, entry)
+        of the group then adds its multiple of the result into that
+        mask's sparse {(row, col): value} map.  Each mask's spinor
+        entries i^k are applied once, as the dense matrix is filled.
         """
-        terms = self._entries(elem)
-        shifts = {sum(a) - sum(b) for (a, b, _g, _m) in terms}
+        groups = self._groups(elem)
+        shifts = {sum(a) - sum(b) for (a, b, _g) in groups}
         if len(shifts) > 1:
             raise ValueError(f"degree-inhomogeneous element: shifts {sorted(shifts)}")
         shift = shifts.pop() if shifts else 0
@@ -240,34 +235,54 @@ class SpinorRep:
         src = self.basis(degree)
         dst = self.basis(out_degree)
         dst_index = {m: i for i, m in enumerate(dst)}
-        sd = self.spin_dim
+        elems = self.alg.h._elems
         mul = self.mul
-        acc = {}
-        for (a, b, g, mask), coeff in terms.items():
-            spin = self._spin_entries(mask)
+        accs = {}
+        for (a, b, g), masks in groups.items():
+            ge = elems[g]
             for ci, mono in enumerate(src):
-                for e, v in self._apply_poly_part(a, b, g, mono).items():
-                    ri = dst_index.get(e)
+                img, sgn = ge.apply_exp(mono)
+                rows = []
+                for e, v in self.word(b, img).items():
+                    ri = dst_index.get(tuple(p + q for p, q in zip(e, a)))
                     if ri is None:
                         raise AssertionError("degree bookkeeping failure")
-                    cv = mul(coeff, v)
-                    add_into(acc, (((ri * sd + si, ci * sd + sj),
-                                    cv.mul_i_power(k) if k else cv)
-                                   for si, sj, k in spin))
-        mat = [[self.zero] * (len(src) * sd) for _ in range(len(dst) * sd)]
-        for (r, c), v in acc.items():
-            mat[r][c] = v
+                    rows.append((ri, v))
+                for mask, coeff in masks:
+                    if sgn < 0:
+                        coeff = -coeff
+                    add_into(accs.setdefault(mask, {}),
+                             (((ri, ci), mul(coeff, v)) for ri, v in rows))
+        sd = self.spin_dim
+        zero = self.zero
+        mat = [[zero] * (len(src) * sd) for _ in range(len(dst) * sd)]
+        for mask, acc in accs.items():
+            spin = self._spin_entries(mask)
+            for (r, c), v in acc.items():
+                r *= sd
+                c *= sd
+                for si, sj, k in spin:
+                    row = mat[r + si]
+                    w = v.mul_i_power(k) if k else v
+                    cur = row[c + sj]
+                    row[c + sj] = w if cur is zero else cur + w
         return mat, out_degree
 
-    def _entries(self, elem):
-        """The terms of an HCElement as {(a, b, g, mask): entry} in the
-        rep's ring: its flat Coeffs in a rational context, where every
-        exponent must be 0, and its grouped Scalars otherwise."""
-        if not self.alg.h.rational:
-            return elem.scalars()
-        if any(k[4] for k in elem.terms):
-            raise ValueError("not a constant scalar")
-        return {k[:4]: c for k, c in elem.terms.items()}
+    def _groups(self, elem):
+        """The terms of an HCElement as {(a, b, g): [(mask, entry)]} with
+        entries in the rep's ring: its flat Coeffs in a rational context,
+        where every exponent must be 0, and its grouped Scalars
+        otherwise."""
+        out = {}
+        if self.alg.h.rational:
+            if any(k[4] for k in elem.terms):
+                raise ValueError("not a constant scalar")
+            terms = ((k[:4], c) for k, c in elem.terms.items())
+        else:
+            terms = elem.scalars().items()
+        for (a, b, g, mask), v in terms:
+            out.setdefault((a, b, g), []).append((mask, v))
+        return out
 
     def matrix_of_coeff(self, elem, degree):
         """`matrix_of`, whose entries are Coeff in a rational context.

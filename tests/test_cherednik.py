@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from dunkl.groups import RootDatum
-from dunkl.cherednik import (HAlgebra, dunkl_commutator, filtration_check,
-                             _bump, _kill_c, _min_c_degree, _xpoly_divexact)
-from dunkl.scalars import C_ONE, Coeff, ScalarField
+from dunkl.cherednik import (DividedDifferenceError, HAlgebra,
+                             dunkl_commutator, filtration_check, _bump,
+                             _kill_c, _min_c_degree)
+from dunkl.scalars import (C_ONE, Coeff, Scalar, ScalarField, mul_coeff,
+                           unit_sign)
 from dunkl.sparse import add_into
 from dunkl.hc import HCAlgebra
 from dunkl.polyspinor import monomial_basis
@@ -292,15 +294,112 @@ def test_divided_differences_by_unit_led_roots_invert_nothing(
 
 def test_division_by_a_unit_linear_form_makes_no_field_products(
         coeff_products):
-    # (x1^3 - x2^3) / (x1 - x2) = x1^2 + x1 x2 + x2^2: every quotient and
-    # remainder step multiplies by 1 or -1
-    num = {(3, 0): C_ONE, (0, 3): Coeff(-1)}
-    lin = {(1, 0): C_ONE, (0, 1): Coeff(-1)}
+    # (x1^3 - x2^3) / (x1 - x2) = x1^2 + x1 x2 + x2^2: every term of the
+    # closed form is 1 or -1, so it multiplies nothing
+    rd = RootDatum("A", 1, 2)
+    h = HAlgebra(rd)
     with coeff_products() as made:
-        quo = _xpoly_divexact(num, lin)
+        quo = h._divided_difference((3, 0), rd.positive_roots[0],
+                                    rd.reflections[0])
     assert made == []
     assert quo == {(2, 0): C_ONE, (1, 1): C_ONE, (0, 2): C_ONE}
-    # a leading coefficient 2 still divides exactly, through its inverse
-    assert _xpoly_divexact({(1, 0): Coeff(4), (0, 1): Coeff(2)},
-                           {(1, 0): Coeff(2), (0, 1): C_ONE}) == {
-        (0, 0): Coeff(2)}
+
+
+def _long_division(num, lin):
+    """Divide an x-polynomial by a linear form, requiring zero remainder:
+    the reference for the closed form.  Values are Coeff."""
+    # leading variable of the linear form under lex order
+    lead = max(lin)
+    lc = lin[lead]
+    lc_inv = lc if unit_sign(lc) else lc.inv()
+    # the form's other terms, negated: each step subtracts f x^de times
+    # the form from rem
+    rest = [(le, -lv) for le, lv in lin.items() if le != lead]
+    rem = dict(num)
+    quo = {}
+    while rem:
+        e = max(rem, key=lambda t: (sum(t), t))
+        v = rem.pop(e)
+        de = tuple(p - q for p, q in zip(e, lead))
+        assert all(p >= 0 for p in de), "divided difference is not a polynomial"
+        # the leading monomial e falls at every step, so de is new to quo
+        f = quo[de] = mul_coeff(v, lc_inv)
+        # and the lead term of the linear form cancels e exactly
+        add_into(rem, ((tuple(p + q for p, q in zip(de, le)),
+                        mul_coeff(f, lv)) for le, lv in rest))
+    return quo
+
+
+def _divided_difference_by_division(cexp, alpha, s):
+    img, sgn = s.apply_exp(cexp)
+    if img == cexp:
+        if sgn == 1:
+            return {}
+        num = {cexp: Coeff(2)}
+    else:
+        num = {cexp: C_ONE, img: Coeff(-sgn)}
+    d = len(alpha)
+    lin = {_bump((0,) * d, j): Coeff(a) for j, a in enumerate(alpha) if a}
+    return _long_division(num, lin)
+
+
+@pytest.mark.parametrize("group", [("B", 2, 2), ("B", 3, 3), ("D", 4, 4),
+                                   ("A", 3, 4), ("A1", 3, 3)],
+                         ids=["B2", "B3", "D4", "A3", "A1^3"])
+def test_closed_form_divided_difference_matches_long_division(group):
+    rd = RootDatum(*group)
+    h = HAlgebra(rd)
+    for alpha, s in zip(rd.positive_roots, rd.reflections):
+        for c in (c for k in range(7) for c in monomial_basis(rd.dim, k)):
+            expect = _divided_difference_by_division(c, alpha, s)
+            got = h._divided_difference(c, alpha, s)
+            # the same terms, met in the same order by the sums built on
+            # them
+            assert list(got.items()) == list(expect.items()), (alpha, c)
+
+
+@pytest.mark.parametrize("alpha", [(2, 0), (1, 1, 1)])
+def test_divided_difference_rejects_other_root_shapes(alpha):
+    h = HAlgebra(RootDatum("A1", len(alpha), len(alpha)))
+    with pytest.raises(DividedDifferenceError):
+        h._divided_difference((1,) * len(alpha), alpha, None)
+
+
+def _ycomm_by_scalar_products(h, i, c):
+    """[y_{i+1}, x^c] with each factor formed as a Scalar product."""
+    F = h.field
+    out = {}
+    if c[i]:
+        out[(_bump(c, i, -1), h.id_idx)] = h.t * F.rational(c[i])
+    for r, (alpha, s) in enumerate(zip(h.rd.positive_roots,
+                                       h.rd.reflections)):
+        if alpha[i]:
+            factor = -(h.c_root[r] * F.rational(alpha[i]))
+            g = h.rd.reflection_index(r)
+            add_into(out, (((e, g), Scalar.from_coeff(v, F.nvars) * factor)
+                           for e, v in h._divided_difference(
+                               c, alpha, s).items()))
+    return out
+
+
+@pytest.mark.parametrize("group", [("B", 2, 2), ("A1", 3, 3)],
+                         ids=["B2", "A1^3"])
+@pytest.mark.parametrize("spec", [None, _SPEC_B2], ids=["symbolic",
+                                                        "rational"])
+def test_ycomm_builds_no_fraction_after_its_first_call(group, spec,
+                                                       fractions_made):
+    rd = RootDatum(*group)
+    if spec is not None:
+        spec = {**spec, **{f"c{k + 1}": Fraction(1, 3 + k)
+                           for k in range(rd.num_orbits)}}
+    h = HAlgebra(rd, specialize=spec)
+    # one call per coordinate meets every root
+    for i in range(rd.dim):
+        h.ycomm(i, (1,) * rd.dim)
+    cases = [(i, c) for i in range(rd.dim)
+             for c in (c for k in range(5) for c in monomial_basis(rd.dim, k))
+             if (i, c) not in h._ycomm_memo]
+    with fractions_made() as made:
+        got = [h.ycomm(i, c) for i, c in cases]
+    assert made == []
+    assert got == [_ycomm_by_scalar_products(h, i, c) for i, c in cases]

@@ -304,3 +304,29 @@ def test_bracket_of_commuting_monomials_makes_no_product(coeff_products):
                     e1.gbracket(e2), x1y1.commutator(x1y1)]
     assert all(z.is_zero() for z in brackets)
     assert calls == []
+
+
+def test_bracket_calls_term_mul_once_for_equal_keys(monkeypatch):
+    # x1 y1 w under two Clifford masks: each pair of its two terms has
+    # one PBW key, so one term_mul call gives both orders
+    alg = stack("B", 2, 2).alg
+    F = alg.field
+    g = alg.rd.reflection_index(0)
+    x1y1w = alg.x(1) * alg.y(1) * alg.group(g)
+    a = (x1y1w * (alg.e(1).scale(F.s) + alg.e(2).scale(F.r))
+         + alg.x(2).scale(F.cs[0]))
+    calls = []
+    term_mul = type(alg.h).term_mul
+
+    def counting(self, k1, k2):
+        calls.append((k1, k2))
+        return term_mul(self, k1, k2)
+    monkeypatch.setattr(type(alg.h), "term_mul", counting)
+    keys = [k[:3] for k in a.terms]
+    assert len(keys) == 3 and keys[0] == keys[1]
+    for kind in ("commutator", "anticommutator", "gbracket"):
+        calls.clear()
+        result = getattr(a, kind)(a)
+        assert len(calls) == sum(1 if k1 == k2 else 2
+                                 for k1 in keys for k2 in keys) == 13
+        assert result == _ref_bracket(a, a, kind), kind

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -205,6 +206,88 @@ def test_repeated_matrix_of_reads_the_memos(name, monkeypatch):
             for k in range(3)] == first
     assert not calls
     assert (len(rep._words), len(rep._spin)) == (words, spins)
+
+
+def _ref_matrix_of(rep, elem, degree):
+    """`SpinorRep.matrix_of` one term at a time: each term of each source
+    monomial applies its polynomial part through the straightening
+    (`_word_oracle`), multiplies by its entry and by each spinor entry,
+    and adds into one {(row, col): value} map."""
+    if rep.alg.h.rational:
+        terms = {k[:4]: c for k, c in elem.terms.items()}
+    else:
+        terms = elem.scalars()
+    shift, = {sum(a) - sum(b) for (a, b, _g, _m) in terms}
+    out_degree = max(degree + shift, 0)
+    src, dst = rep.basis(degree), rep.basis(out_degree)
+    dst_index = {m: i for i, m in enumerate(dst)}
+    sd = rep.spin_dim
+    acc = {}
+    for (a, b, g, mask), coeff in terms.items():
+        spin = rep._spin_entries(mask)
+        for ci, mono in enumerate(src):
+            img, sgn = rep.alg.h._elems[g].apply_exp(mono)
+            for e, v in _word_oracle(rep, b, img).items():
+                ri = dst_index[tuple(p + q for p, q in zip(e, a))]
+                cv = rep.mul(coeff, -v if sgn < 0 else v)
+                add_into(acc, (((ri * sd + si, ci * sd + sj),
+                                cv.mul_i_power(k))
+                               for si, sj, k in spin))
+    mat = [[rep.zero] * (len(src) * sd) for _ in range(len(dst) * sd)]
+    for (r, c), v in acc.items():
+        mat[r][c] = v
+    return mat, out_degree
+
+
+def _seeded_rep_element(alg, rng):
+    """A degree-preserving element with random coefficients on x_i y_j w
+    and w keys; one key carries e_1 + i e_2 (two masks whose spinor
+    entries cancel at one position, and +-i entries), and two reflections
+    under one mask cancel on constants."""
+    F = alg.field
+    d = alg.dim
+    g1, g2 = (alg.rd.reflection_index(r) for r in (0, 1))
+    elem = alg.zero()
+    for _ in range(4):
+        part = alg.group(rng.randrange(len(alg.rd.elements)))
+        if rng.random() < 0.7:
+            part = alg.x(rng.randint(1, d)) * alg.y(rng.randint(1, d)) * part
+        mask = rng.randrange(1 << d)
+        cliff = alg.e_set([j + 1 for j in range(d) if mask >> j & 1])
+        cf = F.rational(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        elem = elem + (part * cliff).scale(cf * rng.choice([F.one, F.i,
+                                                            F.r]))
+    key = alg.x(1) * alg.y(2) * alg.group(g1)
+    elem = elem + key * (alg.e(1) + alg.e(2).scale(F.i)).scale(F.rational(3))
+    return elem + (alg.group(g1) - alg.group(g2)) * alg.e(d)
+
+
+_ASSEMBLY_CASES = {
+    "B2-rational": (("B", 2, 2), SPECIALISED["B2"][1]),
+    "A2-symbolic": (("A", 2, 3), None),
+    "A1^3-rational": SPECIALISED["A1^3"],
+    "A1^3-symbolic": (("A1", 3, 3), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ASSEMBLY_CASES))
+def test_grouped_assembly_matches_the_per_term_loop(name):
+    rd_args, spec = _ASSEMBLY_CASES[name]
+    alg = HCAlgebra(RootDatum(*rd_args), specialize=spec)
+    rep = SpinorRep(alg)
+    osp = OspRealisation(alg)
+    seeded = _seeded_rep_element(alg, random.Random(24))
+    keys = [k[:3] for k in seeded.scalars()]
+    assert len(keys) > len(set(keys))     # two masks on one (a, b, g)
+    elems = [Tama(alg, osp).dirac(), osp.Omega_quarter,
+             alg.rho_reflection(0), seeded]
+    for elem in elems:
+        for k in range(3):
+            assert rep.matrix_of(elem, k) == _ref_matrix_of(rep, elem, k)
+    # the cancelling reflections leave zeros, in the ring of the context
+    mat, _ = rep.matrix_of(alg.group(alg.rd.reflection_index(0))
+                           - alg.group(alg.rd.reflection_index(1)), 0)
+    assert all(v == rep.zero for row in mat for v in row)
 
 
 def test_matrix_ring_follows_the_context():
