@@ -329,7 +329,7 @@ def suite_relations(ctx: Context, run: Runner):
                 ((f"indices {tup}", ctx.tama.relation_residual(name, tup))
                  for tup in tuples), {"tuples": len(tuples)})
         run.check("relations", name, f"generator relation {name}", relation)
-    # antisymmetrised reconstruction identities, normalised at t = 1
+    # antisymmetrised reconstruction identities, taken at s = sqrt2 (t = 1)
     for n in (4, 5):
         cid = f"reconstruction-{n}index"
         anchor = f"{n}-index generator from antisymmetrised products at t = 1"
@@ -342,7 +342,8 @@ def suite_relations(ctx: Context, run: Runner):
             continue
         run.check("relations", cid, anchor,
                   lambda n=n: ctx.tama.reconstruction_residual(
-                      n, tuple(range(1, n + 1))))
+                      n, tuple(range(1, n + 1))).map_scalars(
+                          lambda sc: sc.substitute_s(C_R)))
 
 
 def _failing(fails, what):

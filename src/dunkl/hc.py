@@ -11,20 +11,22 @@ Scalar})` flattens its input and `scalars()` groups the terms back:
 Scalar is the type at this boundary, which `str`, `map_scalars` and the
 spinor matrices of a symbolic context read.
 
-The product is one loop over pairs of flat terms into `sparse.add_into`:
-an exponent product is an int add, and a factor 1 or -1 (tested on
-`Coeff._v`), or a `term_mul` coefficient that is the field's shared one,
-makes no field product; any other `term_mul` coefficient, a Scalar, is
-read term by term.  The linear operations (from `sparse.SparseElement`),
-`scale`, `bullet` and the parity parts act on the Coeffs directly.
+The product and the brackets a b - tau b a are one loop over pairs of
+flat terms into `sparse.add_into` (`_pairs`): the product is tau = 0,
+which expands `term_mul(k1, k2)` alone; `commutator` is tau = 1,
+`anticommutator` tau = -1 and `gbracket` tau = (-1)^{p1 p2} on the
+Clifford parities of each pair, forming both halves of a pair at once.
+When `term_mul` returns one memoised result in both orders, a bracket
+pair cancels if its two Clifford signs, tau included, differ, and is
+expanded once with its Coeff doubled if they agree.  An exponent product
+is an int add, and a factor 1 or -1 (tested on `Coeff._v`), or a
+`term_mul` coefficient that is the field's shared one, makes no field
+product; any other `term_mul` coefficient, a Scalar, is read term by
+term.  The linear operations (from `sparse.SparseElement`), `scale`,
+`bullet` and the parity parts act on the Coeffs directly.
 
-The brackets a b - tau b a (`commutator`, tau = 1; `anticommutator`,
-tau = -1; `gbracket`, tau = (-1)^{p1 p2} on the Clifford parities of
-each pair of terms) are one loop over the same pairs, forming both
-halves of a pair at once.  When `term_mul` returns one memoised result
-in both orders, the pair cancels if its two Clifford signs, tau
-included, differ, and is expanded once with its Coeff doubled if they
-agree; any other pair expands both halves.
+Every basis element (`zero`, `one`, `scalar`, `x`, `y`, `group`, `e`,
+`e_set`) is written by its key (a, b, g, mask) in `HCAlgebra._basis`.
 
 The conjugate-linear anti-involution `bullet` acts as the Cherednik star
 (w -> w^{-1}, x_i <-> y_i, `HAlgebra.star_key`) on the first factor and as
@@ -51,48 +53,51 @@ class HCAlgebra:
         self.h = HAlgebra(rd, specialize=specialize)
         self.field = self.h.field
         self.pin = PinCover(rd)
-        z = self.h.zero_exp
-        self._unit_key = (z, z, self.h.id_idx, 0)
 
     # -- constructors --------------------------------------------------------
+    def _basis(self, sc, a=None, b=None, g=None, mask=0):
+        """sc x^a y^b w_g (x) e_mask, written by its key: an omitted a or b
+        is the zero exponent, an omitted g the identity."""
+        z = self.h.zero_exp
+        return HCElement(self, {(z if a is None else a, z if b is None else b,
+                                 self.h.id_idx if g is None else g, mask): sc})
+
     def zero(self):
-        return HCElement(self, {})
+        return self._basis(self.field.zero)
 
     def one(self):
-        return HCElement(self, {self._unit_key: self.field.one})
+        return self._basis(self.field.one)
 
     def scalar(self, sc):
         if not isinstance(sc, Scalar):
             sc = self.field.rational(sc)
-        return HCElement(self, {self._unit_key: sc})
-
-    def from_h(self, helem):
-        return HCElement(self, {(a, b, g, 0): v
-                                for (a, b, g), v in helem.terms.items()})
+        return self._basis(sc)
 
     def x(self, j):
-        return self.from_h(self.h.x(j))
+        """x_j, 1-based."""
+        return self._basis(self.field.one, a=self.h._unit_exp(j))
 
     def y(self, j):
-        return self.from_h(self.h.y(j))
+        """y_j, 1-based."""
+        return self._basis(self.field.one, b=self.h._unit_exp(j))
 
     def group(self, g_idx):
-        return self.from_h(self.h.group(g_idx))
+        return self._basis(self.field.one, g=g_idx)
 
     def e(self, j):
         """Clifford generator e_j, 1-based."""
-        if not 1 <= j <= self.dim:
-            raise IndexError(f"Clifford generator index {j} out of range")
-        z = self.h.zero_exp
-        return HCElement(self, {(z, z, self.h.id_idx, 1 << (j - 1)): self.field.one})
+        return self.e_set((j,))
 
     def e_set(self, idxs):
-        """Product e_A for a set of 1-based indices (given in increasing order)."""
+        """Product e_A for a set of 1-based indices, in increasing order."""
         mask = 0
         for j in idxs:
+            if not 1 <= j <= self.dim:
+                raise IndexError(f"Clifford generator index {j} out of range")
+            if mask >> (j - 1):
+                raise ValueError(f"Clifford indices {idxs} not increasing")
             mask |= 1 << (j - 1)
-        z = self.h.zero_exp
-        return HCElement(self, {(z, z, self.h.id_idx, mask): self.field.one})
+        return self._basis(self.field.one, mask=mask)
 
     def rho(self, pair):
         """Diagonal embedding of a cover element (g, eps): eps * g (x) u(g)."""
@@ -141,30 +146,7 @@ class HCElement(SparseElement):
         return {k: Scalar(v, nvars) for k, v in grouped.items()}
 
     def __mul__(self, o):
-        self._chk(o)
-        term_mul = self.alg.h.term_mul
-        one = self.alg.field.one
-        right = [((a2, b2, g2), m2, e2, c2, unit_sign(c2))
-                 for (a2, b2, g2, m2, e2), c2 in o.terms.items()]
-
-        def terms():
-            for (a1, b1, g1, m1, e1), c1 in self.terms.items():
-                k1 = (a1, b1, g1)
-                p1 = sign_mask(m1)
-                u1 = unit_sign(c1)
-                for k2, m2, e2, c2, u2 in right:
-                    # c1 * c2 with the Clifford sign of e_m1 e_m2, and no
-                    # field product when either factor is 1 or -1
-                    neg = (p1 & m2).bit_count() & 1
-                    if u2:
-                        c = -c1 if (u2 < 0) ^ neg else c1
-                    elif u1:
-                        c = -c2 if (u1 < 0) ^ neg else c2
-                    else:
-                        c = -(c1 * c2) if neg else c1 * c2
-                    yield from _expand(term_mul(k1, k2), c, m1 ^ m2, e1 + e2,
-                                       one)
-        return self._new(add_into({}, terms()))
+        return self._pairs(o, 0, False)
 
     def scale(self, sc):
         """Multiply by a scalar; a rational number is embedded through the
@@ -197,21 +179,22 @@ class HCElement(SparseElement):
         return self._new({k: v for k, v in self.terms.items()
                           if k[3].bit_count() & 1})
 
-    # -- brackets ------------------------------------------------------------
+    # -- the pair loop: product and brackets ---------------------------------
     def commutator(self, o):
-        return self._bracket(o, 1, False)
+        return self._pairs(o, 1, False)
 
     def anticommutator(self, o):
-        return self._bracket(o, -1, False)
+        return self._pairs(o, -1, False)
 
     def gbracket(self, o):
         """Graded bracket, pair by pair of terms: a o - (-1)^{p1 p2} o a,
         an anticommutator on odd*odd pairs and a commutator otherwise."""
-        return self._bracket(o, 1, True)
+        return self._pairs(o, 1, True)
 
-    def _bracket(self, o, sign, graded):
+    def _pairs(self, o, sign, graded):
         """a o - tau o a for a = self, with tau = `sign`, times (-1)^{p1 p2}
-        on each pair's Clifford parities when `graded` is set.
+        on each pair's Clifford parities when `graded` is set; tau = 0 is
+        the product a o, which expands `term_mul(k1, k2)` alone.
 
         Both halves of a pair share c1 c2 and the key (m1 ^ m2, e1 + e2).
         Equal `term_mul` results are one object (`HAlgebra._shared`), so
@@ -233,13 +216,16 @@ class HCElement(SparseElement):
                 q1 = graded and m1.bit_count() & 1
                 u1 = unit_sign(c1)
                 for k2, m2, p2, q2, e2, c2, u2 in right:
-                    # o a carries -tau and the sign of e_m2 e_m1
                     neg1 = (p1 & m2).bit_count() & 1
-                    neg2 = flip ^ (p2 & m1).bit_count() & 1 ^ (q1 & q2)
                     r12 = term_mul(k1, k2)
-                    r21 = r12 if k1 == k2 else term_mul(k2, k1)
-                    if r12 is r21 and neg1 != neg2:
-                        continue
+                    r21 = None
+                    if sign:
+                        # o a carries -tau and the sign of e_m2 e_m1
+                        neg2 = flip ^ (p2 & m1).bit_count() & 1 ^ (q1 & q2)
+                        r21 = r12 if k1 == k2 else term_mul(k2, k1)
+                        if r12 is r21 and neg1 != neg2:
+                            continue
+                    # c1 * c2, with no field product when either is 1 or -1
                     if u2:
                         c = -c1 if u2 < 0 else c1
                     elif u1:
@@ -250,9 +236,8 @@ class HCElement(SparseElement):
                     e = e1 + e2
                     if r12 is r21:
                         c = c + c
-                        yield from _expand(r12, -c if neg1 else c, m, e, one)
-                    else:
-                        yield from _expand(r12, -c if neg1 else c, m, e, one)
+                    yield from _expand(r12, -c if neg1 else c, m, e, one)
+                    if r21 is not None and r21 is not r12:
                         yield from _expand(r21, -c if neg2 else c, m, e, one)
         return self._new(add_into({}, terms()))
 

@@ -8,9 +8,9 @@ or of C(V) {mask: value}, and a cover-algebra vector {g: Coeff}.
 `add_into` is the one loop that accumulates such a sum.  `SparseElement`
 holds the linear operations the element types share, which act on the
 values whatever their type; `HElement`, `HCElement` and `CliffordElement`
-add their product, their involution and how a term prints, and
-`HCElement` its own `scale`, `map_scalars`, one-pass brackets and
-grouped printing.
+add their product, their involution and how a term prints; `HCElement`
+adds `scale`, `map_scalars`, grouped printing and one pair loop (its
+brackets; its product is tau = 0), its basis elements written by key.
 """
 
 from __future__ import annotations

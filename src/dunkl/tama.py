@@ -125,12 +125,9 @@ class Tama:
         return self.osp.project(eA).scale(
             alg.h.t * alg.field.rational(Fraction(-1, 2)))
 
-    def reconstruction_residual(self, n, idxs, at_t_one=True):
-        """O_A minus its antisymmetrised-product expansion (4 or 5 indices).
-
-        The expansions are normalised for t = 1; with `at_t_one` the residual
-        is evaluated at s = sqrt2 (i.e. t = 1), otherwise at symbolic t.
-        """
+    def reconstruction_residual(self, n, idxs):
+        """O_A minus its antisymmetrised-product expansion (4 or 5 indices),
+        at symbolic t; the expansions are normalised for t = 1."""
         idxs = tuple(idxs)
         if n == 4:
             recon = (self.antisymmetrize(
@@ -154,11 +151,7 @@ class Tama:
                          idxs).scale(36))
         else:
             raise ValueError("reconstruction defined for 4 or 5 indices")
-        res = self.O(idxs) - recon
-        if at_t_one:
-            from .scalars import C_R
-            res = res.map_scalars(lambda sc: sc.substitute_s(C_R))
-        return res
+        return self.O(idxs) - recon
 
     # -- antisymmetriser -----------------------------------------------------
     def antisymmetrize(self, f, idxs):

@@ -330,3 +330,65 @@ def test_bracket_calls_term_mul_once_for_equal_keys(monkeypatch):
         assert len(calls) == sum(1 if k1 == k2 else 2
                                  for k1 in keys for k2 in keys) == 13
         assert result == _ref_bracket(a, a, kind), kind
+
+
+def test_product_calls_term_mul_once_per_pair_left_first(monkeypatch):
+    # the product is the tau = 0 case of the pair loop: it forms a o
+    # alone, so it never asks term_mul for the reversed order
+    for context in ("B2", "A1^3"):
+        alg = _CONTEXTS[context]()
+        rng = random.Random(11)
+        _, a = _seeded_element(alg, rng, 5)
+        _, b = _seeded_element(alg, rng, 4)
+        calls = []
+        term_mul = type(alg.h).term_mul
+
+        def counting(self, k1, k2):
+            calls.append((k1, k2))
+            return term_mul(self, k1, k2)
+        monkeypatch.setattr(type(alg.h), "term_mul", counting)
+        product = a * b
+        monkeypatch.undo()
+        assert calls == [(k1[:3], k2[:3]) for k1 in a.terms
+                         for k2 in b.terms]
+        assert len(calls) == len(a.terms) * len(b.terms)
+        assert product == _ref_product(a, b)
+
+
+# -- basis elements --------------------------------------------------------------
+
+@pytest.mark.parametrize("group", [("B", 2, 2), ("A1", 3, 3)],
+                         ids=["B2", "A1^3"])
+def test_basis_elements_match_the_cherednik_route(group):
+    # the old route: an element of H, flattened under the Clifford unit
+    alg = stack(*group).alg
+    h = alg.h
+
+    def from_h(helem):
+        return HCElement(alg, {(a, b, g, 0): v
+                               for (a, b, g), v in helem.terms.items()})
+    for j in range(1, alg.dim + 1):
+        assert alg.x(j) == from_h(h.x(j))
+        assert alg.y(j) == from_h(h.y(j))
+    for g in range(len(alg.rd.elements)):
+        assert alg.group(g) == from_h(h.group(g))
+    assert alg.one() == from_h(h.one())
+    assert alg.zero() == from_h(h.zero())
+    assert alg.scalar(h.t) == from_h(h.scalar(h.t))
+    assert alg.scalar(Fraction(3, 2)) == from_h(h.scalar(Fraction(3, 2)))
+
+
+def test_basis_elements_check_their_indices():
+    alg = _alg()                                  # d = 2
+    for bad in (0, 3):
+        for build in (alg.x, alg.y, alg.e):
+            with pytest.raises(IndexError):
+                build(bad)
+        with pytest.raises(IndexError):
+            alg.e_set((1, bad))
+    # e_1 e_1 = 1 and e_2 e_1 = -e_12: neither is the blade of its mask
+    for bad in ((1, 1), (2, 1)):
+        with pytest.raises(ValueError):
+            alg.e_set(bad)
+    assert alg.e_set((1, 2)) == alg.e(1) * alg.e(2)
+    assert alg.e_set(()) == alg.one()
