@@ -10,17 +10,27 @@ with each divided difference (p - s_alpha p)/alpha of a monomial p taken
 in closed form: every root of A, B, D and A1^n is a e_i + b e_j or a e_i
 with a, b = +-1, and the quotient is a geometric sum of monomials in x_i
 and x_j (`HAlgebra._divided_difference`).  It depends on no parameter, so
-it is computed over Coeff; each root's factor -c_alpha alpha_i, and each
-t-term factor t k, is built once per algebra, and `ycomm` scales the
-quotient's Coeffs by it with no Scalar product.  The straightening of
+it is computed over Coeff, and each of its coefficients is a unit u =
++-1 or +-2.  A reflection term's Scalar -c_alpha alpha_i u is built once
+per algebra, on first use, per (coordinate, root, u), and so is each
+t-term t k, so `ycomm` builds no Scalar per term.  The straightening of
 y^b x^a is memoised per algebra, and so is the product of each pair of
 PBW monomials (`term_mul`): the H and H (x) C products meet the same
-pair many times over, and each is multiplied once.  A `term_mul`
-coefficient that is the field's shared one costs those products no
-further scalar product.  Sums accumulate through
-`sparse.add_into`, and `HElement` takes its linear operations from
-`sparse.SparseElement`; `HAlgebra.star_key` is the star on one monomial,
-shared with the bullet of `hc`.
+pair many times over, and each is multiplied once.  `term_mul` keeps one
+memo row per left monomial, keyed by the right one.
+
+Every memoised value is hash-consed (Filliatre and Conchon, "Type-safe
+modular hash-consing", 2006) through one per-algebra table, `_shared`:
+the ycomm and straightening Scalars, each `term_mul` coefficient, result
+key and whole result are one object per distinct value, so the memos
+hold few objects (a few dozen values, met thousands of times), and equal
+`term_mul` results are found by `is` (see `hc`).  The table is seeded
+with the field's `one`, so a coefficient equal to 1 is that very object,
+and the H and H (x) C products skip their scalar product for it by
+identity.  Sums accumulate through `sparse.add_into`, and `HElement`
+takes its linear operations from `sparse.SparseElement`;
+`HAlgebra.star_key` is the star on one monomial, shared with the bullet
+of `hc`.
 """
 
 from __future__ import annotations
@@ -66,18 +76,19 @@ class HAlgebra:
         self._straighten_memo = {}
         self._ycomm_memo = {}
         self._t_multiples = {}
-        # per coordinate i: (alpha, s_alpha, its index, -c_alpha alpha_i as
-        # (exponent, Coeff) pairs) for each positive root with alpha_i != 0
-        self._root_factors = [
-            tuple((alpha, s, rd.reflection_index(r),
-                   tuple((e, mul_coeff(v, Coeff(-alpha[i])))
-                         for e, v in self.c_root[r].terms.items()))
+        # per coordinate i: (r, alpha, s_alpha, its index) for each
+        # positive root r with alpha_i != 0
+        self._roots_at = [
+            tuple((r, alpha, s, rd.reflection_index(r))
                   for r, (alpha, s) in enumerate(zip(rd.positive_roots,
                                                      rd.reflections))
                   if alpha[i])
             for i in range(rd.dim)]
+        self._reflection_factors = {}
         self._term_memo = {}
-        self._shared = {}
+        # one object per memoised value; `one` is the field's own, which
+        # the H (x) C product tests by identity
+        self._shared = {F.one: F.one}
 
     @property
     def rational(self):
@@ -131,10 +142,9 @@ class HAlgebra:
         if k:
             out[(_bump(cexp, i, -1), self.id_idx)] = self._t_times(k)
         # reflection terms
-        nvars = self.field.nvars
-        for alpha, s, g, factor in self._root_factors[i]:
-            add_into(out, (((e, g), Scalar({ef: mul_coeff(cf, v)
-                                            for ef, cf in factor}, nvars))
+        factor = self._reflection_factor
+        for r, alpha, s, g in self._roots_at[i]:
+            add_into(out, (((e, g), factor(i, r, v))
                            for e, v in self._divided_difference(
                                cexp, alpha, s).items()))
         self._ycomm_memo[key] = out
@@ -144,11 +154,27 @@ class HAlgebra:
         """The Scalar t k for an int k, built once per algebra."""
         out = self._t_multiples.get(k)
         if out is None:
-            c = Coeff(k)
-            out = self._t_multiples[k] = Scalar(
-                {e: mul_coeff(v, c) for e, v in self.t.terms.items()},
-                self.field.nvars)
+            out = self._scaled(self.t, Coeff(k))
+            out = self._t_multiples[k] = self._shared.setdefault(out, out)
         return out
+
+    def _reflection_factor(self, i, r, unit):
+        """The Scalar -c_alpha alpha_i unit of positive root r = alpha at
+        coordinate i, for a divided-difference Coeff unit (+-1 or +-2),
+        built once per algebra."""
+        key = (i, r, unit)
+        out = self._reflection_factors.get(key)
+        if out is None:
+            alpha_i = Coeff(-self.rd.positive_roots[r][i])
+            out = self._scaled(self.c_root[r], mul_coeff(alpha_i, unit))
+            out = self._reflection_factors[key] = \
+                self._shared.setdefault(out, out)
+        return out
+
+    def _scaled(self, sc, cf):
+        """The Scalar sc cf for a Coeff cf, with no Scalar product."""
+        return Scalar({e: mul_coeff(v, cf) for e, v in sc.terms.items()},
+                      self.field.nvars)
 
     def _divided_difference(self, cexp, alpha, s):
         """(x^c - s(x^c)) / alpha as {xexp: Coeff}, in closed form.
@@ -213,6 +239,9 @@ class HAlgebra:
         add_into(out, (((a, b, self._mul[g2][g]), u * v)
                        for (gamma, g), u in self.ycomm(i, xexp).items()
                        for (a, b, g2), v in self.straighten(b1, gamma).items()))
+        share = self._shared.setdefault
+        for k, v in out.items():
+            out[k] = share(v, v)
         self._straighten_memo[key] = out
         return out
 
@@ -220,12 +249,16 @@ class HAlgebra:
     def term_mul(self, key1, key2):
         """Product of PBW monomials: tuple of ((xexp, yexp, g_idx), Scalar).
 
-        Memoised per algebra: a repeated pair returns the same tuple, which
-        callers only iterate.  Equal result keys, negated coefficients and
-        whole results are each stored once (`_shared`).
+        Memoised per algebra in one row per left key, {key1: {key2:
+        result}}, so no pair key is built.  A repeated pair returns the
+        same tuple, which callers only iterate.  Equal result keys,
+        negated coefficients and whole results are each stored once
+        (`_shared`).
         """
-        mkey = key1 + key2
-        out = self._term_memo.get(mkey)
+        row = self._term_memo.get(key1)
+        if row is None:
+            row = self._term_memo[key1] = {}
+        out = row.get(key2)
         if out is not None:
             return out
         (a, b, w), (c, dd, v) = key1, key2
@@ -247,7 +280,7 @@ class HAlgebra:
                 q = share(q, q)
             out.append((share(key, key), q))
         out = tuple(out)
-        out = self._term_memo[mkey] = share(out, out)
+        out = row[key2] = share(out, out)
         return out
 
     def star_key(self, a, b, g):

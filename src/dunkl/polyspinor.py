@@ -16,9 +16,11 @@ source monomial, reads `SpinorRep.word` once: the Dunkl word y^b x^e
 acting on 1, computed once per (b, e) and shared with the Gram matrices
 of `HermitianForm`; it is the one place a Dunkl word is applied, and it
 sums the commutator's terms over w before the rest of the word acts,
-since each w acts on 1 as 1.  Each (mask, entry) of the group adds its
-multiple of that word into the mask's own {(row, col): value} map
-through `sparse.add_into`.  The spinor matrix of each Clifford mask is
+since each w acts on 1 as 1.  Its entries are stored through a per-rep
+pool, one object per distinct value (the words of a run take few
+values, as `HAlgebra`'s memos do).  Each (mask, entry) of the group
+adds its multiple of that word into the mask's own {(row, col): value}
+map through `sparse.add_into`.  The spinor matrix of each Clifford mask is
 monomial (one unit i^k per row); its nonzero entries are kept once per
 mask as the powers k, and are applied once per mask as the dense matrix
 is filled.  No spinor entry makes a field product: 1 and -1 keep or
@@ -147,6 +149,8 @@ class SpinorRep:
         else:
             self.value, self.mul = _same, operator.mul
             self.zero, self.one = alg.field.zero, alg.field.one
+        # one object per value of the word memo, `one` included
+        self._pool = {self.one: self.one}
 
     def basis(self, degree):
         b = self._bases.get(degree)
@@ -207,6 +211,9 @@ class SpinorRep:
             for e, u in first.items():
                 add_into(out, ((e2, mul(u, v))
                                for e2, v in self.word(rest, e).items()))
+            share = self._pool.setdefault
+            for e, v in out.items():
+                out[e] = share(v, v)
         self._words[key] = out
         return out
 

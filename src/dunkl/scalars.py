@@ -33,12 +33,13 @@ helpers of `cherednik`) calls `unpack`.
 Scalars are immutable, and the dict is already canonical: equal values
 have equal `terms` and equal hashes, and nothing is ever reduced.  `+`,
 unary `-` and `*` are `poly_add`, `poly_neg` and `poly_mul`; a difference
-adds the negated terms of its right operand; a product with a
-one-term factor shifts exponents and multiplies no field elements when
-that term's coefficient is 1 or -1 (it negates the values for -1).  A
-constant factor shifts nothing: a product by 1 shares the other
-operand's dict, one by -1 negates its values, and any other constant
-scales its values without rebuilding its exponents.  Only a monomial is
+is `sparse.sub_into`, which subtracts the values of shared exponents and
+negates only the new ones; a product with a one-term factor shifts
+exponents and multiplies no field elements when that term's coefficient
+is 1 or -1 (it negates the values for -1).  A constant factor shifts
+nothing: a product by 1 shares the other operand's dict, one by -1
+negates its values, and any other constant scales its values without
+rebuilding its exponents.  Only a monomial is
 invertible here (its exponent is negated and its coefficient inverted):
 inverting, or dividing by, a scalar of more than one term raises
 NonMonomialDenominatorError.  `str` prints the lowest-terms numerator
@@ -57,7 +58,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .sparse import add_into
+from .sparse import add_into, sub_into
 
 _F1 = Fraction(1)
 
@@ -406,9 +407,7 @@ class Scalar:
 
     def __sub__(self, o):
         self._chk(o)
-        return Scalar(add_into(dict(self.terms),
-                               ((e, -v) for e, v in o.terms.items())),
-                      self.nvars)
+        return Scalar(sub_into(dict(self.terms), o.terms.items()), self.nvars)
 
     def __neg__(self):
         return Scalar(poly_neg(self.terms), self.nvars)

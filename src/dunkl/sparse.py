@@ -5,12 +5,14 @@ nonzero values in a dict: a Laurent scalar {exponent: Coeff}, an element
 of H_{t,c} {(a, b, g): Scalar}, of H (x) C(V) {(a, b, g, mask, e): Coeff}
 (flat: one level, with e the packed exponent of the scalar's monomial)
 or of C(V) {mask: value}, and a cover-algebra vector {g: Coeff}.
-`add_into` is the one loop that accumulates such a sum.  `SparseElement`
-holds the linear operations the element types share, which act on the
-values whatever their type; `HElement`, `HCElement` and `CliffordElement`
-add their product, their involution and how a term prints; `HCElement`
-adds `scale`, `map_scalars`, grouped printing and one pair loop (its
-brackets; its product is tau = 0), its basis elements written by key.
+`add_into` is the one loop that accumulates such a sum, and `sub_into`
+its difference, which negates only the keys new to the left operand.
+`SparseElement` holds the linear operations the element types share,
+which act on the values whatever their type; `HElement`, `HCElement` and
+`CliffordElement` add their product, their involution and how a term
+prints; `HCElement` adds `scale`, `map_scalars`, grouped printing and one
+pair loop (its brackets; its product is tau = 0), its basis elements
+written by key.
 """
 
 from __future__ import annotations
@@ -32,6 +34,28 @@ def add_into(out, pairs):
         if v:
             out[k] = v
         elif w is not None:
+            del out[k]
+    return out
+
+
+def sub_into(out, pairs):
+    """Subtract each (key, value) of `pairs` from the dict `out`; returns
+    `out`.
+
+    A key already in `out` takes the difference w - v and a new key the
+    negation -v, so only the new keys are negated; as in `add_into`, a
+    key whose difference is zero is removed and no zero is stored.
+    """
+    for k, v in pairs:
+        w = out.get(k)
+        if w is None:
+            if v:
+                out[k] = -v
+            continue
+        v = w - v
+        if v:
+            out[k] = v
+        else:
             del out[k]
     return out
 
@@ -74,8 +98,7 @@ class SparseElement:
 
     def __sub__(self, o):
         self._chk(o)
-        return self._new(add_into(dict(self.terms),
-                                  ((k, -v) for k, v in o.terms.items())))
+        return self._new(sub_into(dict(self.terms), o.terms.items()))
 
     def scale(self, sc):
         """Multiply by a scalar; a rational number is embedded through the

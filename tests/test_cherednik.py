@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dunkl.groups import RootDatum
+from dunkl.groups import GroupElement, RootDatum
 from dunkl.cherednik import (DividedDifferenceError, HAlgebra,
                              dunkl_commutator, filtration_check, _bump,
                              _kill_c, _min_c_degree)
@@ -167,6 +167,12 @@ def _pbw_keys(h, seed, count=8):
     return sorted(keys)
 
 
+def _term_memo(h):
+    """The `term_mul` memo as {(key1, key2): result}."""
+    return {(k1, k2): out for k1, row in h._term_memo.items()
+            for k2, out in row.items()}
+
+
 @pytest.mark.parametrize("group,spec", _MEMO_CASES,
                          ids=["B2", "A1^2", "B2-rational"])
 def test_term_mul_memo_matches_a_fresh_algebra(group, spec):
@@ -180,7 +186,7 @@ def test_term_mul_memo_matches_a_fresh_algebra(group, spec):
             assert type(first) is tuple
             assert HAlgebra(rd, specialize=spec).term_mul(k1, k2) == first
             assert h.term_mul(k1, k2) is first
-    assert len(h._term_memo) == len(keys) ** 2
+    assert len(_term_memo(h)) == len(keys) ** 2
 
 
 def test_term_mul_memo_is_per_algebra():
@@ -191,13 +197,14 @@ def test_term_mul_memo_is_per_algebra():
         for k2 in keys:
             sym.term_mul(k1, k2)
             num.term_mul(k1, k2)
-    assert sym._term_memo.keys() == num._term_memo.keys()
-    shared = {id(v) for v in sym._term_memo.values()} & \
-        {id(v) for v in num._term_memo.values()}
+    sym_memo, num_memo = _term_memo(sym), _term_memo(num)
+    assert sym_memo.keys() == num_memo.keys()
+    shared = {id(v) for v in sym_memo.values()} & \
+        {id(v) for v in num_memo.values()}
     assert not shared
-    assert all(cf.is_constant() for out in num._term_memo.values()
+    assert all(cf.is_constant() for out in num_memo.values()
                for _k, cf in out)
-    assert not all(cf.is_constant() for out in sym._term_memo.values()
+    assert not all(cf.is_constant() for out in sym_memo.values()
                    for _k, cf in out)
 
 
@@ -223,12 +230,12 @@ def _hc_pair(hc):
 def test_memoised_products_repeat_exactly(group, make, pair):
     rd = RootDatum(*group)
     alg = make(rd)
-    memo = getattr(alg, "h", alg)._term_memo
+    h = getattr(alg, "h", alg)
     a, b = pair(alg)
     first = a * b
-    size = len(memo)
+    size = len(_term_memo(h))
     assert a * b == first
-    assert len(memo) == size      # the repeat made no new entry
+    assert len(_term_memo(h)) == size      # the repeat made no new entry
     fa, fb = pair(make(rd))
     assert (fa * fb).terms == first.terms
 
@@ -403,3 +410,196 @@ def test_ycomm_builds_no_fraction_after_its_first_call(group, spec,
         got = [h.ycomm(i, c) for i, c in cases]
     assert made == []
     assert got == [_ycomm_by_scalar_products(h, i, c) for i, c in cases]
+
+
+# -- an oracle from the Dunkl operators, sharing no code with the layer -------
+#
+# The polynomial representation of H_{t,c} on C[V] is faithful for t != 0:
+# x_i acts by multiplication, w by substitution and y_i by the Dunkl operator
+# T_i = t d_i - sum_{alpha>0} c_alpha alpha_i (1 - s_alpha)/alpha (Dunkl,
+# Trans. AMS 311, 1989).  The oracle builds s_alpha from the root, divides
+# by `_long_division`, takes c_alpha from the root's orbit by its length
+# (B) or its coordinate (A1^n), and w from its matrix; a PBW monomial
+# x^a y^b w then acts as f -> x^a T^b (w f).  Polynomials are
+# {exponent: Scalar}.  It takes from the package only the field, the
+# group's roots and matrices, and `sparse.add_into`; from `cherednik` it
+# reads nothing but the `term_mul` products it checks.
+
+class _DunklOracle:
+
+    def __init__(self, h):
+        rd = h.rd
+        F = h.field
+        self.d = d = rd.dim
+        self.F = F
+        self.roots = []
+        for alpha in rd.positive_roots:
+            norm = sum(a * a for a in alpha)
+            if rd.family == "B":
+                orbit = 0 if norm == 2 else 1
+            elif rd.family == "A1":
+                orbit = next(j for j, a in enumerate(alpha) if a)
+            else:
+                orbit = 0
+            # s_alpha x_j = x_j - 2 alpha_j <alpha, x> / |alpha|^2
+            image = [{k: Fraction((j == k) * norm - 2 * alpha[j] * alpha[k],
+                                  norm) for k in range(d)} for j in range(d)]
+            lin = {_shift((0,) * d, j): Coeff(a)
+                   for j, a in enumerate(alpha) if a}
+            self.roots.append((alpha, F.cs[orbit], _images(image), lin))
+        # w x_j = sum_i w_ij x_i, read off the matrix of w
+        self.group = [_images([{i: Fraction(m[i][j]) for i in range(d)}
+                               for j in range(d)])
+                      for m in (g.mat for g in rd.elements)]
+        self._subst = {}
+        self._dunkl = {}
+        self._acts = {}
+
+    def substitute(self, images, e):
+        """x^e with each x_j replaced by the linear form images[j], over
+        Coeff."""
+        key = (id(images), e)
+        out = self._subst.get(key)
+        if out is None:
+            out = {(0,) * self.d: C_ONE}
+            for form, k in zip(images, e):
+                for _ in range(k):
+                    out = add_into({}, ((_shift(m, j), v * a)
+                                        for m, v in out.items()
+                                        for j, a in form.items()))
+            self._subst[key] = out
+        return out
+
+    def dunkl(self, i, e):
+        """T_i x^e."""
+        key = (i, e)
+        out = self._dunkl.get(key)
+        if out is not None:
+            return out
+        F = self.F
+        out = {}
+        if e[i]:
+            out[_shift(e, i, -1)] = F.t * F.rational(e[i])
+        for alpha, c, images, lin in self.roots:
+            if not alpha[i]:
+                continue
+            num = add_into({e: C_ONE}, ((m, -v) for m, v in
+                                         self.substitute(images, e).items()))
+            factor = c * F.rational(-alpha[i])
+            add_into(out, ((m, Scalar.from_coeff(v, F.nvars) * factor)
+                           for m, v in _long_division(num, lin).items()))
+        self._dunkl[key] = out
+        return out
+
+    def act_monomial(self, key, e):
+        """x^a y^b w acting on x^e."""
+        memo = (key, e)
+        out = self._acts.get(memo)
+        if out is not None:
+            return out
+        a, b, g = key
+        F = self.F
+        out = {m: Scalar.from_coeff(v, F.nvars)
+               for m, v in self.substitute(self.group[g], e).items()}
+        for i, k in enumerate(b):
+            for _ in range(k):
+                out = self.apply(lambda m, i=i: self.dunkl(i, m), out)
+        out = {tuple(p + q for p, q in zip(m, a)): v for m, v in out.items()}
+        self._acts[memo] = out
+        return out
+
+    @staticmethod
+    def apply(op, poly):
+        """The linear operator op (monomial -> polynomial) on a polynomial."""
+        return add_into({}, ((m2, v * u) for m, v in poly.items()
+                             for m2, u in op(m).items()))
+
+
+def _shift(e, j, by=1):
+    """The exponent e with slot j moved by `by`."""
+    return tuple(k + by * (i == j) for i, k in enumerate(e))
+
+
+def _images(rows):
+    """Linear forms {k: Coeff} from rows {k: Fraction}, zeros dropped."""
+    return tuple({k: Coeff(v) for k, v in row.items() if v} for row in rows)
+
+
+def _term_mul_mismatches(h, keys, degree=2):
+    """The (k1, k2, x^e) at which term_mul(k1, k2) does not act on x^e, of
+    degree at most `degree`, as the composed operators k1 k2."""
+    oracle = _DunklOracle(h)
+    bad = []
+    for k1 in keys:
+        for k2 in keys:
+            prod = h.term_mul(k1, k2)
+            for e in (e for n in range(degree + 1)
+                      for e in monomial_basis(h.dim, n)):
+                lhs = add_into({}, ((m, q * v) for key, q in prod
+                                    for m, v in oracle.act_monomial(
+                                        key, e).items()))
+                rhs = oracle.apply(lambda m: oracle.act_monomial(k1, m),
+                                   oracle.act_monomial(k2, e))
+                if lhs != rhs:
+                    bad.append((k1, k2, e))
+    return bad
+
+
+_ORACLE_GROUPS = {"A1": ("A1", 1, 1), "A r2": ("A", 2, 3), "B2": ("B", 2, 2),
+                  "B3": ("B", 3, 3), "D4": ("D", 4, 4), "A1^3": ("A1", 3, 3)}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_GROUPS))
+def test_dunkl_operators_commute(name):
+    rd = RootDatum(*_ORACLE_GROUPS[name])
+    oracle = _DunklOracle(HAlgebra(rd))
+    d = rd.dim
+    for e in (e for n in range(4) for e in monomial_basis(d, n)):
+        for i in range(d):
+            for j in range(i):
+                ti_tj = oracle.apply(lambda m: oracle.dunkl(i, m),
+                                     oracle.dunkl(j, e))
+                tj_ti = oracle.apply(lambda m: oracle.dunkl(j, m),
+                                     oracle.dunkl(i, e))
+                assert ti_tj == tj_ti, (i, j, e)
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_GROUPS))
+def test_term_mul_acts_as_the_composed_dunkl_operators(name):
+    h = HAlgebra(RootDatum(*_ORACLE_GROUPS[name]))
+    assert _term_mul_mismatches(h, _pbw_keys(h, seed=17, count=12)) == []
+
+
+def test_oracle_sees_a_flipped_divided_difference(monkeypatch):
+    divided = HAlgebra._divided_difference
+
+    def flipped(self, cexp, alpha, s):
+        return {e: -v for e, v in divided(self, cexp, alpha, s).items()}
+
+    monkeypatch.setattr(HAlgebra, "_divided_difference", flipped)
+    h = HAlgebra(RootDatum("B", 2, 2))
+    assert _term_mul_mismatches(h, _pbw_keys(h, seed=17))
+
+
+def test_oracle_sees_a_c_from_the_wrong_orbit():
+    rd = RootDatum("B", 2, 2)
+    long_root = rd.root_norms_sq.index(2)
+    rd.orbit_labels[long_root] = 1          # the short roots' c
+    h = HAlgebra(rd)
+    assert _term_mul_mismatches(h, _pbw_keys(h, seed=17))
+
+
+def test_oracle_sees_term_mul_without_its_group_action_sign(monkeypatch):
+    rd = RootDatum("B", 2, 2)
+    h = HAlgebra(rd)
+    oracle_keys = _pbw_keys(h, seed=17)
+    apply_exp = GroupElement.apply_exp
+
+    def unsigned(self, exps):
+        return apply_exp(self, exps)[0], 1
+
+    # the group is enumerated before the patch; straightening reads the
+    # signs directly, so only term_mul loses them
+    rd.mul_table
+    monkeypatch.setattr(GroupElement, "apply_exp", unsigned)
+    assert _term_mul_mismatches(h, oracle_keys)

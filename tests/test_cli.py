@@ -411,3 +411,42 @@ def test_module_entry_point_runs_without_warnings():
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "usage: verify" in proc.stdout
+
+
+# the benchmark's two algebra workloads, with their memo sizes (ycomm,
+# straighten, term_mul) after one run
+_MEMO_WORKLOADS = {
+    "specialised-b2": ("--family B --rank 2 --suite all --specialize "
+                       "s=2,c1=1/3,c2=1/5 --max-degree 10", (132, 55, 800)),
+    "symbolic-a1x4": ("--family A1^4 --suite osp --suite relations "
+                      "--suite vogan --suite filtration", (71, 174, 1996)),
+}
+
+
+@pytest.mark.parametrize("workload", list(_MEMO_WORKLOADS))
+def test_memos_hold_one_object_per_value(monkeypatch, workload):
+    argv, sizes = _MEMO_WORKLOADS[workload]
+    config = config_from_args(build_parser().parse_args(argv.split()))
+    ctx = cli.Context(config)
+    monkeypatch.setattr(cli, "Context", lambda _config: ctx)
+    _rep, code = run_config(config)
+    assert code == 0
+    h = ctx.alg.h
+    results = [out for row in h._term_memo.values() for out in row.values()]
+    assert (len(h._ycomm_memo), len(h._straighten_memo),
+            len(results)) == sizes
+    memos = {
+        "ycomm": [v for out in h._ycomm_memo.values() for v in out.values()],
+        "straighten": [v for out in h._straighten_memo.values()
+                       for v in out.values()],
+        "term_mul": [v for out in results for _k, v in out],
+    }
+    # the three share one table, and `one` is the field's own object
+    memos["algebra"] = [v for values in list(memos.values()) for v in values]
+    assert any(v is ctx.alg.field.one for v in memos["straighten"])
+    if "rep" in vars(ctx):
+        memos["word"] = [v for out in ctx.rep._words.values()
+                         for v in out.values()]
+    for name, values in memos.items():
+        assert values, name
+        assert len({id(v) for v in values}) == len(set(values)), name

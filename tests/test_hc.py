@@ -8,6 +8,7 @@ from conftest import stack
 from dunkl import hc
 from dunkl.clifford import mask_str, sign_mask
 from dunkl.groups import RootDatum
+from dunkl.cherednik import HElement
 from dunkl.hc import HCAlgebra, HCElement
 from dunkl.scalars import Coeff
 from dunkl.sparse import add_into
@@ -187,6 +188,39 @@ def test_product_matches_double_loop(context, seed):
     _, b = _seeded_element(alg, rng, 4)
     assert a * b == _ref_product(a, b)
     assert b * a == _ref_product(b, a)
+
+
+@pytest.mark.parametrize("context", list(_CONTEXTS))
+@pytest.mark.parametrize("seed", range(3))
+def test_difference_is_the_sum_with_the_negation(context, seed):
+    # b shares two of a's terms (which cancel in a - b) and c = a + b
+    # shares keys with both, so the in-place difference meets shared
+    # keys, cancelling keys and new keys
+    alg = _CONTEXTS[context]()
+    rng = random.Random(seed)
+    nested_a, a = _seeded_element(alg, rng, 5)
+    nested_b, b = _seeded_element(alg, rng, 3)
+    nested_b.update(list(nested_a.items())[:2])
+    b = HCElement(alg, nested_b)
+    c = a + b
+
+    def h_part(nested):
+        return HElement(alg.h, add_into({}, (((ka, kb, g), v) for
+                                             (ka, kb, g, _m), v in
+                                             nested.items())))
+
+    def scalar_part(nested):
+        F = alg.field
+        return sum(nested.values(), F.zero) * F.s + F.cs[0]
+
+    ha, hb = h_part(nested_a), h_part(nested_b)
+    sa, sb = scalar_part(nested_a), scalar_part(nested_b)
+    for x, y in ((a, b), (b, a), (a, c), (c, b), (ha, hb), (hb, ha),
+                 (ha, ha + hb), (sa, sb), (sb, sa), (sa, sa + sb)):
+        diff = x - y
+        assert diff == x + (-y)
+        assert all(diff.terms.values())     # no zero is stored
+        assert (x - x).is_zero()
 
 
 def test_reference_test_catches_a_dropped_clifford_sign(monkeypatch):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dunkl import scalars
 from dunkl.cli import Runner
-from dunkl.sparse import add_into
+from dunkl.sparse import add_into, sub_into
 from dunkl.scalars import (Coeff, Scalar, ScalarField, C_ZERO, C_ONE, C_I,
                            C_R, NonMonomialDenominatorError, _i_power,
                            mul_coeff, pack, unit_sign, unpack)
@@ -409,6 +409,33 @@ def test_add_into_drops_exact_cancellations(one):
              ("d", one - one), ("e", -one)]
     assert add_into(out, pairs) is out
     assert out == {"a": two, "b": two + one, "e": -one}
+
+
+@pytest.mark.parametrize("one", [1, C_ONE, F2.one], ids=["int", "Coeff", "Scalar"])
+def test_sub_into_subtracts_shared_keys_and_negates_new_ones(one):
+    two = one + one
+    pairs = [("a", one), ("b", two), ("c", two), ("c", one), ("d", one - one)]
+    out = {"a": one, "b": one}
+    assert sub_into(out, pairs) is out
+    assert out == {"b": -one, "c": -(two + one)}
+    assert out == add_into({"a": one, "b": one},
+                           ((k, -v) for k, v in pairs))
+
+
+def test_sub_into_negates_only_keys_new_to_the_left(monkeypatch):
+    one, c = F2.one, F2.cs[0]
+    want = {"a": one - c, "b": c - one, "z": -c}
+    negated = []
+    neg = Scalar.__neg__
+
+    def counting_neg(self):
+        negated.append(self)
+        return neg(self)
+
+    monkeypatch.setattr(Scalar, "__neg__", counting_neg)
+    out = sub_into({"a": one, "b": c}, [("a", c), ("b", one), ("z", c)])
+    assert out == want
+    assert negated == [c]
 
 
 @given(laurent, coeffs)
