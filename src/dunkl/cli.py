@@ -23,9 +23,9 @@ import sys
 import time
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, isqrt
 
-from .groups import (RootDatum, parse_family, group_order,
+from .groups import (RootDatum, parse_family, order_exceeds,
                      UnsupportedFamilyError, GroupBoundExceededError)
 from .cherednik import filtration_check
 from .hc import HCAlgebra
@@ -45,9 +45,12 @@ SUITES = ("osp", "relations", "centre", "vogan", "admissible",
 # Limits checked before anything is allocated.  The multiplication table
 # is a dense |W| x |W| list (and the pin cocycle cache grows to the same
 # number of pairs); the cohomology suite builds dense matrices of the
-# spinor dimension C(d+k-1, k) * 2^(d//2) at the top degree k.
+# spinor dimension C(d+k-1, k) * 2^(d//2) at the top degree k.  Every key
+# holds exponent tuples of the ambient dimension d, and the osp and centre
+# suites grow with it: on A rank 1 they take 16 s and 113 MB at d = 16.
 MUL_TABLE_CAP = 1_000_000
 SPINOR_DIM_CAP = 512
+AMBIENT_CAP = 16
 
 
 class ConfigError(ValueError):
@@ -85,12 +88,14 @@ class RunConfig:
         for s in suites:
             if s not in SUITES:
                 raise ConfigError(f"unknown suite {s!r}")
-        # the order is not printed: for a large rank it has thousands of
-        # digits, more than int-to-str converts
-        if group_order(fam, rank) ** 2 > MUL_TABLE_CAP:
+        # |W|^2 > cap iff |W| > isqrt(cap); the order is never printed
+        if order_exceeds(fam, rank, isqrt(MUL_TABLE_CAP)):
             raise ConfigError(
                 f"the |W| x |W| multiplication table of {fam} rank {rank} is "
                 f"over the limit of {MUL_TABLE_CAP} entries")
+        if ambient > AMBIENT_CAP:
+            raise ConfigError(f"ambient dimension {ambient} is over the "
+                              f"limit of {AMBIENT_CAP}")
         # builds the roots and reflections only; the elements are lazy
         self.rd = RootDatum(fam, rank, ambient, single_c=single_c)
         if "cohomology" in suites:
@@ -438,9 +443,6 @@ def suite_admissible(ctx: Context, run: Runner):
               "catalogued epsilon-centre equals the brute-force solution",
               oracle)
 
-    # class-flags builds the basis; partition-criterion reads it
-    basis = functools.cache(lambda: ctx.cover.admissible_basis())
-
     def class_flags():
         flags = [{
             "class": entry["label"],
@@ -450,7 +452,7 @@ def suite_admissible(ctx: Context, run: Runner):
             "bullet_fixed_literal": entry["bullet_fixed"],
             "admissible_literal": entry["admissible"],
             "admissible_adjusted": entry["admissible_adjusted"],
-        } for entry in basis()]
+        } for entry in ctx.cover.admissible_basis()]
         return "pass", None, {"classes": flags}
     run.check("admissible", "class-flags",
               "per-class admissibility certificates", class_flags)
@@ -461,7 +463,7 @@ def suite_admissible(ctx: Context, run: Runner):
             preds = dict(sn_partition_predictions(n_perm, d_odd))
             extra_fixed = ctx.rd.dim - n_perm
             mismatches = []
-            for entry in basis():
+            for entry in ctx.cover.admissible_basis():
                 # a class with no prediction is a mismatch
                 predicted = preds.get(_parse_partition_label(
                     entry["label"], strip_ones=extra_fixed))

@@ -132,10 +132,10 @@ class RootDatum:
             raise UnsupportedFamilyError(f"unsupported family {family!r}")
         # checked before any root is built: a large rank would otherwise
         # allocate its roots and reflections first
-        self.expected_order = group_order(family, rank)
-        if self.expected_order > GROUP_BOUND:
+        if order_exceeds(family, rank, GROUP_BOUND):
             raise GroupBoundExceededError(
                 f"|W| of {family} rank {rank} exceeds the bound {GROUP_BOUND}")
+        self.expected_order = group_order(family, rank)
         d = ambient_dim
         if family == "A":
             if d < rank + 1:
@@ -335,6 +335,15 @@ def group_order(family, rank):
     if family == "A1":
         return 2 ** rank
     raise UnsupportedFamilyError(f"unsupported family {family!r}")
+
+
+def order_exceeds(family, rank, bound):
+    """Whether |W| > bound.  Every family has |W| >= 2^rank at rank >= 2,
+    so a rank with 2^rank > bound is decided without computing |W|, which
+    for a huge rank takes unbounded time and memory."""
+    if rank >= 2 and rank >= bound.bit_length():
+        return True
+    return group_order(family, rank) > bound
 
 
 def parse_family(spec):

@@ -377,24 +377,24 @@ class Tama:
 
     # -- Dirac / Vogan -------------------------------------------------------
     def dirac_checks(self, rho_omega: HCElement, eps_omega: int):
-        """All Dirac-element identities for one admissible rho(omega)."""
-        F = self.alg.field
+        """The Dirac identities for one admissible r = rho_omega, with
+        D_w = D + r, eps = eps_omega and C = Omega_osp + 1/4: D_bullet
+        D^bullet = D, D_square D^2 = C, Domega_bullet D_w^bullet = D_w,
+        Domega_square D_w^2 = C + r^2 + (1 + eps) r D and vogan_identity
+        {D_w, D_w/2 - r} + r^2 = C.  The product is bilinear, so r^2 cancels
+        and is never formed: with bullet = D^bullet - D, square = D^2 - C
+        and twist = D r - eps r D, the residuals are exactly bullet, square,
+        bullet + r^bullet - r, square + twist and square."""
         D = self.dirac()
-        casimir = self.osp.Omega_quarter
-        Dw = D + rho_omega
-        half_Dw = Dw.scale(F.rational(Fraction(1, 2)))
-        a = half_Dw - rho_omega
-        rho_sq = rho_omega * rho_omega
-        out = {}
-        out["D_bullet"] = (D.bullet() - D).is_zero()
-        out["D_square"] = (D * D - casimir).is_zero()
-        out["Domega_bullet"] = (Dw.bullet() - Dw).is_zero()
-        rhs = (casimir + rho_sq
-               + (rho_omega * D).scale(F.rational(1 + eps_omega)))
-        out["Domega_square"] = (Dw * Dw - rhs).is_zero()
-        vogan = Dw.anticommutator(a) + rho_sq
-        out["vogan_identity"] = (vogan - casimir).is_zero()
-        return out
+        bullet = D.bullet() - D
+        square = D * D - self.osp.Omega_quarter
+        twist = (D.commutator if eps_omega > 0
+                 else D.anticommutator)(rho_omega)
+        return {"D_bullet": bullet.is_zero(), "D_square": square.is_zero(),
+                "Domega_bullet": (bullet + (rho_omega.bullet()
+                                            - rho_omega)).is_zero(),
+                "Domega_square": (square + twist).is_zero(),
+                "vogan_identity": square.is_zero()}
 
     def epsilon_commutation_residuals(self):
         """D rho(w~) - eps(rho(w~)) rho(w~) D over canonical cover lifts."""

@@ -4,11 +4,9 @@ from fractions import Fraction
 import pytest
 
 from dunkl.groups import GroupElement, RootDatum
-from dunkl.cherednik import (DividedDifferenceError, HAlgebra,
-                             dunkl_commutator, filtration_check, _bump,
-                             _kill_c, _min_c_degree)
-from dunkl.scalars import (C_ONE, Coeff, Scalar, ScalarField, mul_coeff,
-                           unit_sign)
+from dunkl.cherednik import (DividedDifferenceError, HAlgebra, HElement,
+                             dunkl_commutator, filtration_check, _bump)
+from dunkl.scalars import C_ONE, Coeff, Scalar, mul_coeff, unit_sign
 from dunkl.sparse import add_into
 from dunkl.hc import HCAlgebra
 from dunkl.polyspinor import monomial_basis
@@ -131,21 +129,37 @@ def test_filtration_random_pairs():
         assert filtration_check(h, mono(), mono())
 
 
-def test_c_degree_helpers_on_laurent_scalars():
-    F = ScalarField(2)
-    s, t, c1, c2 = F.s, F.t, F.cs[0], F.cs[1]
-    x = F.one / t + c1 * c2 / s + c2 * s
-    assert _kill_c(x) == F.one / t
-    assert _min_c_degree(x) == 0
-    assert _min_c_degree(x - F.one / t) == 1
-    assert _min_c_degree(F.zero) == 0
-    # c in the denominator: setting it to 0 divides by zero, and its
-    # c-degree is not a polynomial degree
-    for y in (F.one / c1, s + c2 / (s * c1)):
+def _plant_commutator(monkeypatch, h, terms):
+    """Make every HElement commutator the element {x^a: Scalar} given."""
+    z = h.zero_exp
+    planted = HElement(h, {(a, z, h.id_idx): v for a, v in terms.items()})
+    monkeypatch.setattr(HElement, "commutator", lambda self, o: planted)
+
+
+def test_filtration_check_fails_on_a_c_term_above_the_bound(monkeypatch):
+    h = HAlgebra(RootDatum("A1", 2, 2))
+    F = h.field
+    s, c1 = F.s, F.cs[0]
+    xi, eta = h.x(1), h.y(2)                 # the degree bound is 1 + 1 - 2
+    assert filtration_check(h, xi, eta)
+    for terms, ok in (({(0, 0): c1 * s, (1, 0): s}, True),
+                      ({(1, 0): s + c1}, False),
+                      ({(0, 0): c1, (0, 1): c1 * F.cs[1] / s}, False)):
+        _plant_commutator(monkeypatch, h, terms)
+        assert filtration_check(h, xi, eta) is ok, terms
+
+
+def test_filtration_check_refuses_c_in_a_denominator(monkeypatch):
+    # setting c = 0 would divide by zero: no verdict, even beside a term
+    # that fails the degree bound
+    h = HAlgebra(RootDatum("A1", 2, 2))
+    F = h.field
+    c1 = F.cs[0]
+    for terms in ({(0, 0): F.one / c1},
+                  {(1, 0): c1, (0, 0): F.s + F.cs[1] / (F.s * c1)}):
+        _plant_commutator(monkeypatch, h, terms)
         with pytest.raises(ZeroDivisionError):
-            _kill_c(y)
-        with pytest.raises(ValueError):
-            _min_c_degree(y)
+            filtration_check(h, h.x(1), h.y(2))
 
 
 # -- the term_mul memo ----------------------------------------------------------

@@ -1,19 +1,21 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import dunkl
-from dunkl import cli
+from dunkl import cli, groups
 from dunkl.admissible import CoverAlgebra
 from dunkl.cli import (main, RunConfig, run_config, parse_specialize,
                        canonical_report_bytes, ConfigError, SUITES,
-                       MUL_TABLE_CAP, SPINOR_DIM_CAP, spinor_dim,
+                       AMBIENT_CAP, MUL_TABLE_CAP, SPINOR_DIM_CAP, spinor_dim,
                        build_parser, config_from_args)
 from dunkl.hc import HCElement
 from dunkl.osp import OspRealisation
@@ -199,11 +201,12 @@ def test_partition_criterion_reads_the_class_flags_basis(monkeypatch):
     original = CoverAlgebra.admissible_basis
 
     def counted(self):
-        calls.append(1)
+        calls.append(self._basis is None)
         return original(self)
     monkeypatch.setattr(CoverAlgebra, "admissible_basis", counted)
     _rep, code = run_config(RunConfig("A", 2, None, ["admissible"]))
-    assert code == 0 and len(calls) == 1
+    # built once by class-flags, then read from the cover's own memo
+    assert code == 0 and calls == [True, False]
     checks, code = _admissible_checks(monkeypatch, "admissible_basis")
     assert code == 1
     assert checks["class-flags"]["witness"].startswith("exception:")
@@ -377,6 +380,46 @@ def test_resource_guard_rejects_large_groups(capsys):
         assert str(MUL_TABLE_CAP) in capsys.readouterr().err
 
 
+_HUGE_CONFIGS = [
+    ["--family", "A", "--rank", str(10 ** 20)],
+    ["--family", "B", "--rank", str(10 ** 20)],
+    ["--family", "A", "--rank", "3000000"],
+    ["--family", "A1^100000000"],
+    ["--family", "A", "--rank", "2", "--ambient", "100000000"],
+]
+
+
+@pytest.mark.parametrize("argv", _HUGE_CONFIGS)
+def test_resource_guard_refuses_huge_sizes_in_bounded_memory(
+        capsys, monkeypatch, argv):
+    # no order of a huge rank is computed, and nothing is allocated
+    def factorial(n):
+        if n > 100:
+            raise AssertionError(f"factorial({n}) called")
+        return math.factorial(n)
+    monkeypatch.setattr(groups, "factorial", factorial)
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--suite", "osp"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert peak < 2 ** 20
+
+
+def test_resource_guard_rejects_a_large_ambient_dimension(capsys):
+    with pytest.raises(ConfigError, match=f"limit of {AMBIENT_CAP}"):
+        RunConfig("A", 2, 10 ** 7, ["osp"])
+    with pytest.raises(ConfigError, match=f"limit of {AMBIENT_CAP}"):
+        RunConfig("B", 2, AMBIENT_CAP + 1, ["osp"])
+    RunConfig("A", 2, AMBIENT_CAP, ["osp"])
+    assert main(["--family", "A", "--rank", "1", "--ambient",
+                 str(AMBIENT_CAP + 1), "--suite", "osp"]) == 2
+    assert str(AMBIENT_CAP) in capsys.readouterr().err
+
+
 def test_resource_guard_rejects_large_spinor_matrices(capsys):
     assert spinor_dim(4, 9) > SPINOR_DIM_CAP
     with pytest.raises(ConfigError, match=f"limit of {SPINOR_DIM_CAP}"):
@@ -417,9 +460,9 @@ def test_module_entry_point_runs_without_warnings():
 # straighten, term_mul) after one run
 _MEMO_WORKLOADS = {
     "specialised-b2": ("--family B --rank 2 --suite all --specialize "
-                       "s=2,c1=1/3,c2=1/5 --max-degree 10", (132, 55, 800)),
+                       "s=2,c1=1/3,c2=1/5 --max-degree 10", (132, 55, 795)),
     "symbolic-a1x4": ("--family A1^4 --suite osp --suite relations "
-                      "--suite vogan --suite filtration", (71, 174, 1996)),
+                      "--suite vogan --suite filtration", (71, 174, 1995)),
 }
 
 

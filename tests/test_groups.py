@@ -5,7 +5,7 @@ import pytest
 
 from dunkl.groups import (RootDatum, parse_family, reflection,
                           UnsupportedFamilyError, GroupBoundExceededError,
-                          group_order)
+                          group_order, order_exceeds)
 
 
 def test_group_orders():
@@ -217,6 +217,14 @@ def test_reflections_match_the_matrix_reference(cfg):
 def test_reflection_rejects_other_root_shapes(alpha):
     with pytest.raises(ValueError):
         reflection(alpha)
+
+
+def test_order_exceeds_agrees_with_the_order():
+    for family in ("A", "B", "D", "A1"):
+        for rank in range(1, 14):
+            for bound in (1, 2, 5, 24, 1000, 100_000, 10 ** 9):
+                assert order_exceeds(family, rank, bound) == (
+                    group_order(family, rank) > bound), (family, rank, bound)
 
 
 def test_group_order_formula():

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from conftest import stack
+from dunkl.cli import _admissible_entries
 from dunkl.hc import HCElement
 from dunkl.scalars import C_R, Coeff, Scalar
 from dunkl.tama import Tama
@@ -123,18 +124,83 @@ def test_each_generator_is_negated_once(a13, monkeypatch):
     assert tm.O((3, 1, 2)) is tm.O((1, 2, 3))
 
 
-def test_dirac_checks_square_rho_omega_once(a13, monkeypatch):
+def test_dirac_checks_never_square_rho_omega(a13, monkeypatch):
+    # by bilinearity the only products are D D and one bracket of D with
+    # rho_omega: no rho_omega rho_omega, and D_omega = D + rho_omega is
+    # never formed
     rho = a13.alg.rho((a13.rd.reflection_index(0), 1))
-    squares = []
-    original = HCElement.__mul__
+    D = a13.tama.dirac()
+    pairs = []
+    original = HCElement._pairs
 
-    def counted(self, o):
-        if self is rho and o is rho:
-            squares.append(1)
-        return original(self, o)
-    monkeypatch.setattr(HCElement, "__mul__", counted)
-    a13.tama.dirac_checks(rho, 1)
-    assert len(squares) == 1
+    def counted(self, o, sign, graded):
+        pairs.append((self, o))
+        return original(self, o, sign, graded)
+    monkeypatch.setattr(HCElement, "_pairs", counted)
+    for eps in (1, -1):
+        pairs.clear()
+        a13.tama.dirac_checks(rho, eps)
+        assert [(a is D, b is D, b is rho) for a, b in pairs] == [
+            (True, True, False), (True, False, True)]
+
+
+def _literal_dirac_residuals(tm, rho, eps):
+    """The five clauses of `Tama.dirac_checks` as literal residuals, with
+    D_w = D + rho formed and rho^2 expanded."""
+    F = tm.alg.field
+    D = tm.dirac()
+    casimir = tm.osp.Omega_quarter
+    Dw = D + rho
+    a = Dw.scale(F.rational(Fraction(1, 2))) - rho
+    rho_sq = rho * rho
+    return {
+        "D_bullet": D.bullet() - D,
+        "D_square": D * D - casimir,
+        "Domega_bullet": Dw.bullet() - Dw,
+        "Domega_square": Dw * Dw - (casimir + rho_sq + (rho * D).scale(
+            F.rational(1 + eps))),
+        "vogan_identity": Dw.anticommutator(a) + rho_sq - casimir,
+    }
+
+
+def _assembled_dirac_residuals(tm, rho, eps, monkeypatch):
+    """The residual elements `dirac_checks` tests, in its key order."""
+    seen = []
+    original = HCElement.is_zero
+
+    def recorded(self):
+        seen.append(self)
+        return original(self)
+    with monkeypatch.context() as m:
+        m.setattr(HCElement, "is_zero", recorded)
+        flags = tm.dirac_checks(rho, eps)
+    assert len(seen) == len(flags)
+    assert [r.is_zero() for r in seen] == list(flags.values())
+    return dict(zip(flags, seen))
+
+
+@pytest.mark.parametrize("group", [("A1", 3, 3), ("B", 2, 2), ("A", 3, 4),
+                                   ("B", 3, 3)],
+                         ids=["A1^3", "B2", "A_r3", "B_r3"])
+def test_dirac_checks_residuals_equal_the_literal_ones(group, monkeypatch):
+    # on every admissible class of these groups eps = 1, rho^bullet = rho
+    # and the eps-bracket vanishes, so the inputs that are not admissible
+    # (i rho, and rho(g) + x_1 e_1 with either eps) carry the terms that
+    # a wrong twist sign, bullet or Vogan assembly would change
+    ctx = stack(*group)
+    alg, tm = ctx.alg, ctx.tama
+    inputs = [(ctx.rho_omega(entry), alg.pin.epsilon(entry["rep"]))
+              for entry in _admissible_entries(ctx)]
+    assert inputs
+    rho, eps = inputs[0]
+    g = alg.rho((ctx.rd.reflection_index(0), 1)) + alg.x(1) * alg.e(1)
+    inputs += [(rho.scale(alg.field.i), eps), (g, 1), (g, -1)]
+    for rho, eps in inputs:
+        assembled = _assembled_dirac_residuals(tm, rho, eps, monkeypatch)
+        literal = _literal_dirac_residuals(tm, rho, eps)
+        assert list(assembled) == list(literal)
+        for key, res in literal.items():
+            assert assembled[key] == res, key
 
 
 def test_dirac_bullet_sign_tracks_dimension(a13, a14):
