@@ -16,6 +16,7 @@ byte-identity guarantee.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import random
@@ -145,6 +146,8 @@ def parse_specialize(text):
             raise ConfigError(f"bad specialization entry {part!r}")
         name, _, val = part.partition("=")
         name = name.strip()
+        if name in out:
+            raise ConfigError(f"parameter {name!r} given twice")
         try:
             out[name] = Fraction(val.strip())
         except (ValueError, ZeroDivisionError):
@@ -335,7 +338,7 @@ def suite_relations(ctx: Context, run: Runner):
                  for tup in tuples), {"tuples": len(tuples)})
         run.check("relations", name, f"generator relation {name}", relation)
     # antisymmetrised reconstruction identities, taken at s = sqrt2 (t = 1)
-    for n in (4, 5):
+    for n in Tama.RECONSTRUCTIONS:
         cid = f"reconstruction-{n}index"
         anchor = f"{n}-index generator from antisymmetrised products at t = 1"
         if ctx.rd.dim < n:
@@ -347,7 +350,7 @@ def suite_relations(ctx: Context, run: Runner):
             continue
         run.check("relations", cid, anchor,
                   lambda n=n: ctx.tama.reconstruction_residual(
-                      n, tuple(range(1, n + 1))).map_scalars(
+                      range(1, n + 1)).map_scalars(
                           lambda sc: sc.substitute_s(C_R)))
 
 
@@ -756,16 +759,16 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         config = config_from_args(args)
-    except (ConfigError, UnsupportedFamilyError, GroupBoundExceededError) as exc:
+        # opened before any suite runs, so an unwritable path costs nothing
+        sink = (open(config.out, "w", encoding="ascii") if config.out
+                else contextlib.nullcontext(sys.stdout))
+    except (ConfigError, UnsupportedFamilyError, GroupBoundExceededError,
+            OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    report, code = run_config(config)
-    payload = canonical_report_bytes(report).decode()
-    if config.out:
-        with open(config.out, "w", encoding="ascii") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    with sink as fh:
+        report, code = run_config(config)
+        print(canonical_report_bytes(report).decode(), file=fh)
     summary = report["summary"]
     print(f"pass {summary['pass']}  fail {summary['fail']}  "
           f"skipped {summary['skipped']}", file=sys.stderr)

@@ -19,19 +19,24 @@ Every O_A is built from the one closed-form expansion
 
 which for |A| = 1, 2, 3 is Ocheck_j, O_ij and O_ijk above.  Its M-term
 sign is the one that agrees with -(t/2) P(e_A); for |A| = 4, 5 at t = 1
-it also equals antisymmetrised products of the low ones, which the
-relation suite checks.
+it also equals the weighted antisymmetrised products in `RECONSTRUCTIONS`,
+which the relation suite checks.  A product of O over index blocks b_k is
+skew within each block, so its sum over all n! orderings is prod |b_k|!/n!
+times a sum over the block tuples, which also index the relations.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
-from math import factorial
+from functools import reduce
+from itertools import combinations, islice
+from math import factorial, prod
+from operator import mul
 
 from .clifford import pseudo_scalar
 from .hc import HCAlgebra, HCElement
 from .osp import OspRealisation
+from .sparse import add_into, sub_into
 
 
 def perm_sign(seq):
@@ -43,6 +48,19 @@ def perm_sign(seq):
             if a[i] > a[j]:
                 s = -s
     return s
+
+
+def _block_tuples(pool, blocks):
+    """The tuples of distinct entries of `pool` that increase (in pool
+    order) within each block of lengths `blocks`, lexicographic block by
+    block; none when the blocks outnumber the pool."""
+    if not blocks:
+        yield ()
+        return
+    for head in combinations(pool, blocks[0]):
+        rest = [p for p in pool if p not in head]
+        for tail in _block_tuples(rest, blocks[1:]):
+            yield head + tail
 
 
 class Tama:
@@ -125,43 +143,38 @@ class Tama:
         return self.osp.project(eA).scale(
             alg.h.t * alg.field.rational(Fraction(-1, 2)))
 
-    def reconstruction_residual(self, n, idxs):
+    # O_A for |A| = 4, 5 as weighted antisymmetrised products of O over
+    # blocks of its indices (a one-index block gives Ocheck_j), at t = 1
+    RECONSTRUCTIONS = {4: ((6, (2, 2)), (-8, (3, 1))),
+                       5: ((4, (3, 2)), (48, (3, 1, 1)), (-36, (2, 2, 1)))}
+
+    def reconstruction_residual(self, idxs):
         """O_A minus its antisymmetrised-product expansion (4 or 5 indices),
         at symbolic t; the expansions are normalised for t = 1."""
         idxs = tuple(idxs)
-        if n == 4:
-            recon = (self.antisymmetrize(
-                         lambda a, b, c, e: self.O((a, b)) * self.O((c, e)),
-                         idxs).scale(6)
-                     - self.antisymmetrize(
-                         lambda a, b, c, e: self.O((a, b, c)) * self.ocheck(e),
-                         idxs).scale(8))
-        elif n == 5:
-            recon = (self.antisymmetrize(
-                         lambda a, b, c, e, f:
-                             self.O((a, b, c)) * self.O((e, f)),
-                         idxs).scale(4)
-                     + self.antisymmetrize(
-                         lambda a, b, c, e, f:
-                             self.O((a, b, c)) * self.ocheck(e) * self.ocheck(f),
-                         idxs).scale(48)
-                     - self.antisymmetrize(
-                         lambda a, b, c, e, f:
-                             self.O((a, b)) * self.O((c, e)) * self.ocheck(f),
-                         idxs).scale(36))
-        else:
+        terms = self.RECONSTRUCTIONS.get(len(idxs))
+        if terms is None:
             raise ValueError("reconstruction defined for 4 or 5 indices")
-        return self.O(idxs) - recon
+        res = self.O(idxs)
+        for weight, blocks in terms:
+            res = res - self.antisymmetrize(blocks, idxs).scale(weight)
+        return res
 
     # -- antisymmetriser -----------------------------------------------------
-    def antisymmetrize(self, f, idxs):
-        n = len(idxs)
-        acc = self.alg.zero()
-        for p in permutations(range(n)):
-            term = f(*(idxs[q] for q in p))
-            sgn = perm_sign(p)
-            acc = acc + (term if sgn > 0 else -term)
-        return acc.scale(self.alg.field.rational(Fraction(1, factorial(n))))
+    def antisymmetrize(self, blocks, idxs):
+        """(1/n!) sum_p sign(p) prod_k O(block k of idxs permuted by p).
+
+        The product is skew within each block, so this is
+        prod_k |b_k|! / n! times the sum over the index positions that
+        increase within each block."""
+        acc = {}
+        for pos in _block_tuples(range(len(idxs)), blocks):
+            rest = iter([idxs[q] for q in pos])
+            term = reduce(mul, [self.O(islice(rest, b)) for b in blocks])
+            (add_into if perm_sign(pos) > 0 else sub_into)(
+                acc, term.terms.items())
+        return self.alg.zero()._new(acc).scale(Fraction(
+            prod(map(factorial, blocks)), factorial(len(idxs))))
 
     # -- distinguished elements ---------------------------------------------
     def gamma_element(self):
@@ -307,28 +320,9 @@ class Tama:
     }
 
     def relation_index_tuples(self, name):
-        """All distinct-index assignments, deduplicated by skew-symmetry.
-
-        Each relation is (anti)symmetrised in blocks of its indices; we
-        enumerate increasing tuples per block.
-        """
-        d = self.d
-        blocks = self.RELATIONS[name]
-        if sum(blocks) > d:
-            return []
-        pool = range(1, d + 1)
-        out = []
-
-        def rec(prefix, remaining_blocks, used):
-            if not remaining_blocks:
-                out.append(tuple(prefix))
-                return
-            b = remaining_blocks[0]
-            for combo in combinations([p for p in pool if p not in used], b):
-                rec(prefix + list(combo), remaining_blocks[1:], used | set(combo))
-
-        rec([], blocks, frozenset())
-        return out
+        """All distinct-index assignments, deduplicated by skew-symmetry:
+        the tuples that increase within each block of the relation."""
+        return list(_block_tuples(range(1, self.d + 1), self.RELATIONS[name]))
 
     # -- Scasimir identities -------------------------------------------------
     def sgamma_residual(self):

@@ -78,6 +78,8 @@ def test_parse_specialize():
         parse_specialize("c1")
     with pytest.raises(ConfigError):
         parse_specialize("s=zero")
+    with pytest.raises(ConfigError):
+        parse_specialize("s=2,s=3")
 
 
 def test_config_defaults():
@@ -91,6 +93,18 @@ def test_config_defaults():
         RunConfig("A", None, None, ["osp"])
     with pytest.raises(ConfigError):
         RunConfig("A", 2, 3, ["bogus"])
+
+
+def test_unwritable_out_exits_2_before_any_suite(tmp_path, monkeypatch,
+                                                 capsys):
+    def refuse(config):
+        raise AssertionError("a suite ran")
+    monkeypatch.setattr("dunkl.cli.run_config", refuse)
+    assert main(["--family", "A1^1", "--suite", "osp",
+                 "--out", str(tmp_path / "missing" / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "Traceback" not in err
 
 
 def test_report_schema_and_exit_code(tmp_path):

@@ -5,7 +5,8 @@ A name bound by a top-level `import` or `from ... import` counts as used
 when the module reads it anywhere, or, in `__init__.py`, when `__all__`
 lists it.  `from __future__` imports are compiler directives and exempt.
 
-A top-level `def _name` counts as used when some module of `src/dunkl`
+A top-level `def _name`, or a `def _name` in the body of a top-level
+class (dunders exempt), counts as used when some module of `src/dunkl`
 refers to it outside its own body: as a name, an attribute or an
 imported name.  So a change that removes the last caller of a helper
 must remove the helper too.
@@ -59,14 +60,23 @@ def _references(tree, skip=None):
     return out
 
 
+def _defs(tree):
+    """The top-level functions of `tree` and the methods of its top-level
+    classes."""
+    for node in tree.body:
+        yield node
+        if isinstance(node, ast.ClassDef):
+            yield from node.body
+
+
 def orphan_private_functions(sources):
-    """(module, name) of each top-level `def _name` in {module: source}
-    that no module refers to outside the function's own body."""
+    """(module, name) of each top-level `def _name` or private method in
+    {module: source} that no module refers to outside its own body."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     everywhere = {mod: _references(tree) for mod, tree in trees.items()}
     orphans = []
     for mod, tree in trees.items():
-        for node in tree.body:
+        for node in _defs(tree):
             name = getattr(node, "name", "")
             if not (isinstance(node, ast.FunctionDef)
                     and name.startswith("_") and not name.startswith("__")):
@@ -108,6 +118,15 @@ def test_lint_sees_orphan_private_functions():
                  "def f():\n    return _called()\n"),
         "b.py": ("import a\nfrom a import _imported\n"
                  "def g():\n    return a._read_as_attribute, _imported\n"),
+        "c.py": ("class K:\n"
+                 "    def _called(self):\n        pass\n"
+                 "    def _used_elsewhere(self):\n        pass\n"
+                 "    def _self_only(self):\n        return self._self_only()\n"
+                 "    def _unused_method(self):\n        pass\n"
+                 "    def __init__(self):\n        pass\n"
+                 "    def f(self):\n        return self._called()\n"),
+        "d.py": "def h(k):\n    return k._used_elsewhere()\n",
     }
     assert orphan_private_functions(sources) == [
-        ("a.py", "_orphan"), ("a.py", "_recursive_only")]
+        ("a.py", "_orphan"), ("a.py", "_recursive_only"),
+        ("c.py", "_self_only"), ("c.py", "_unused_method")]

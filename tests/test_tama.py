@@ -1,13 +1,15 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 
 from conftest import stack
+from dunkl import tama
 from dunkl.cli import _admissible_entries
 from dunkl.hc import HCElement
 from dunkl.scalars import C_R, Coeff, Scalar
-from dunkl.tama import Tama
+from dunkl.tama import Tama, perm_sign
 
 
 def test_generators_match_projection_small(a14):
@@ -84,13 +86,110 @@ def test_literal_variant_fails_off_type_a(a13):
 def test_reconstruction_at_t_one(a14):
     # t = s^2 / 2 is 1 at s = sqrt2
     tm = a14.tama
-    res = tm.reconstruction_residual(4, (1, 2, 3, 4))
+    res = tm.reconstruction_residual((1, 2, 3, 4))
     assert res.map_scalars(lambda sc: sc.substitute_s(C_R)).is_zero()
 
 
 def test_reconstruction_fails_at_generic_t(a14):
     tm = a14.tama
-    assert not tm.reconstruction_residual(4, (1, 2, 3, 4)).is_zero()
+    assert not tm.reconstruction_residual((1, 2, 3, 4)).is_zero()
+
+
+def _literal_reconstruction_residual(tm, idxs):
+    """O_A minus its reconstruction written out: each product is
+    antisymmetrised over all n! orderings of idxs."""
+    O, oc = tm.O, tm.ocheck
+    products = {
+        4: ((6, lambda a, b, c, e: O((a, b)) * O((c, e))),
+            (-8, lambda a, b, c, e: O((a, b, c)) * oc(e))),
+        5: ((4, lambda a, b, c, e, f: O((a, b, c)) * O((e, f))),
+            (48, lambda a, b, c, e, f: O((a, b, c)) * oc(e) * oc(f)),
+            (-36, lambda a, b, c, e, f: O((a, b)) * O((c, e)) * oc(f)))}
+    n = len(idxs)
+    res = O(idxs)
+    for weight, f in products[n]:
+        acc = tm.alg.zero()
+        for p in permutations(range(n)):
+            term = f(*(idxs[q] for q in p))
+            acc = acc + (term if perm_sign(p) > 0 else -term)
+        res = res - acc.scale(Fraction(weight, factorial(n)))
+    return res
+
+
+@pytest.mark.parametrize("group,idxs", [
+    (("A1", 4, 4), (1, 2, 3, 4)), (("A1", 4, 4), (2, 1, 4, 3)),
+    (("A1", 5, 5), (1, 2, 3, 4)), (("A1", 5, 5), (1, 2, 3, 4, 5)),
+    (("A1", 5, 5), (5, 3, 1, 2, 4)), (("A", 4, 5), (1, 2, 3, 4)),
+    (("A", 4, 5), (1, 2, 3, 4, 5))],
+    ids=["A1^4", "A1^4-unsorted", "A1^5-4", "A1^5", "A1^5-unsorted",
+         "A_r4-4", "A_r4"])
+def test_reconstruction_matches_the_literal_sum(group, idxs):
+    tm = stack(*group).tama
+    assert tm.reconstruction_residual(idxs) == _literal_reconstruction_residual(
+        tm, idxs)
+
+
+def _sign_ignored(seq):
+    """`perm_sign` taking +1 for the odd shuffle (0, 2, 1, 3[, 4]), a
+    tuple of the (2, 2) and (2, 2, 1) blocks."""
+    return 1 if tuple(seq) == (0, 2, 1, 3, 4)[:len(seq)] else perm_sign(seq)
+
+
+def _tuple_dropped(pool, blocks, _original=tama._block_tuples):
+    """`_block_tuples` without the identity ordering, its first tuple."""
+    first = tuple(range(sum(blocks)))
+    return (t for t in _original(pool, blocks) if t != first)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("perm_sign", _sign_ignored),
+    ("factorial", lambda k: factorial(k) + (k == 2)),
+    ("_block_tuples", _tuple_dropped)],
+    ids=["shuffle-sign-ignored", "block-factorial-off", "block-tuple-dropped"])
+@pytest.mark.parametrize("idxs", [(1, 2, 3, 4), (1, 2, 3, 4, 5)],
+                         ids=["4", "5"])
+def test_reconstruction_reference_catches_mutations(name, value, idxs,
+                                                    monkeypatch):
+    tm = stack("A1", 5, 5).tama
+    reference = _literal_reconstruction_residual(tm, idxs)
+    monkeypatch.setattr(tama, name, value)
+    assert tm.reconstruction_residual(idxs) != reference
+
+
+def test_reconstruction_refuses_other_arities(a14):
+    for idxs in ((1, 2, 3), (1, 2, 3, 4, 5, 6)):
+        with pytest.raises(ValueError):
+            a14.tama.reconstruction_residual(idxs)
+
+
+def _used_set_tuples(d, blocks):
+    """The relation tuples by a recursion over the indices not yet used,
+    one increasing combination per block."""
+    if sum(blocks) > d:
+        return []
+    pool = range(1, d + 1)
+    out = []
+
+    def rec(prefix, remaining_blocks, used):
+        if not remaining_blocks:
+            out.append(tuple(prefix))
+            return
+        b = remaining_blocks[0]
+        for combo in combinations([p for p in pool if p not in used], b):
+            rec(prefix + list(combo), remaining_blocks[1:], used | set(combo))
+
+    rec([], blocks, frozenset())
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_relation_index_tuples_keep_their_order(d):
+    # the first failing tuple a relation check reports depends on this order
+    tm = object.__new__(Tama)
+    tm.d = d
+    for name, blocks in Tama.RELATIONS.items():
+        assert tm.relation_index_tuples(name) == _used_set_tuples(d, blocks), (
+            name)
 
 
 def test_dirac_squares_to_casimir(a13):
