@@ -19,18 +19,21 @@ PBW monomials (`term_mul`): the H and H (x) C products meet the same
 pair many times over, and each is multiplied once.  `term_mul` keeps one
 memo row per left monomial, keyed by the right one.
 
-Every memoised value is hash-consed (Filliatre and Conchon, "Type-safe
-modular hash-consing", 2006) through one per-algebra table, `_shared`:
-the ycomm and straightening Scalars, each `term_mul` coefficient, result
-key and whole result are one object per distinct value, so the memos
-hold few objects (a few dozen values, met thousands of times), and equal
-`term_mul` results are found by `is` (see `hc`).  The table is seeded
-with the field's `one`, so a coefficient equal to 1 is that very object,
-and the H and H (x) C products skip their scalar product for it by
-identity.  Sums accumulate through `sparse.add_into`, and `HElement`
-takes its linear operations from `sparse.SparseElement`;
-`HAlgebra.star_key` is the star on one monomial, shared with the bullet
-of `hc`.
+Every memoised value and key is hash-consed (Filliatre and Conchon,
+"Type-safe modular hash-consing", 2006) through one per-algebra table,
+`_shared`: the ycomm and straightening Scalars, each `term_mul`
+coefficient, term and whole result, each PBW key (a, b, g) and ycomm key
+(e, g) a memo stores, and every exponent tuple in them or in a memo's own
+key are one object per distinct value, so the memos hold few objects (a
+few dozen values, met thousands of times), and equal `term_mul` results
+are found by `is` (see `hc`).  Tuples and Scalars share the table, as a
+Scalar is never equal to a tuple.  A key is interned where a memo stores
+it, on a miss; a lookup takes any equal tuple.  The table is seeded with
+the field's `one`, so a coefficient equal to 1 is that very object, and
+the H and H (x) C products skip their scalar product for it by identity.
+Sums accumulate through `sparse.add_into`, and `HElement` takes its
+linear operations from `sparse.SparseElement`; `HAlgebra.star_key` is
+the star on one monomial, shared with the bullet of `hc`.
 """
 
 from __future__ import annotations
@@ -86,9 +89,9 @@ class HAlgebra:
             for i in range(rd.dim)]
         self._reflection_factors = {}
         self._term_memo = {}
-        # one object per memoised value; `one` is the field's own, which
-        # the H (x) C product tests by identity
-        self._shared = {F.one: F.one}
+        # one object per memoised value and key; `one` is the field's own,
+        # which the H (x) C product tests by identity
+        self._shared = {F.one: F.one, self.zero_exp: self.zero_exp}
 
     @property
     def rational(self):
@@ -132,8 +135,7 @@ class HAlgebra:
     # -- straightening core --------------------------------------------------
     def ycomm(self, i, cexp):
         """[y_{i+1}, x^cexp] as {(xexp, g_idx): Scalar}; i is 0-based."""
-        key = (i, cexp)
-        out = self._ycomm_memo.get(key)
+        out = self._ycomm_memo.get((i, cexp))
         if out is not None:
             return out
         out = {}
@@ -147,7 +149,9 @@ class HAlgebra:
             add_into(out, (((e, g), factor(i, r, v))
                            for e, v in self._divided_difference(
                                cexp, alpha, s).items()))
-        self._ycomm_memo[key] = out
+        intern = self._interned
+        out = {intern(e, g): v for (e, g), v in out.items()}
+        self._ycomm_memo[i, self._shared.setdefault(cexp, cexp)] = out
         return out
 
     def _t_times(self, k):
@@ -217,13 +221,15 @@ class HAlgebra:
 
     def straighten(self, yexp, xexp):
         """y^yexp * x^xexp in PBW form: {(xexp', yexp', g_idx): Scalar}."""
-        key = (yexp, xexp)
-        out = self._straighten_memo.get(key)
+        out = self._straighten_memo.get((yexp, xexp))
         if out is not None:
             return out
+        share = self._shared.setdefault
+        yexp, xexp = share(yexp, yexp), share(xexp, xexp)
         if not any(yexp):
-            out = {(xexp, self.zero_exp, self.id_idx): self.field.one}
-            self._straighten_memo[key] = out
+            out = {self._interned(xexp, self.zero_exp, self.id_idx):
+                   self.field.one}
+            self._straighten_memo[yexp, xexp] = out
             return out
         i = next(k for k, v in enumerate(yexp) if v)
         b1 = list(yexp)
@@ -239,10 +245,9 @@ class HAlgebra:
         add_into(out, (((a, b, self._mul[g2][g]), u * v)
                        for (gamma, g), u in self.ycomm(i, xexp).items()
                        for (a, b, g2), v in self.straighten(b1, gamma).items()))
-        share = self._shared.setdefault
-        for k, v in out.items():
-            out[k] = share(v, v)
-        self._straighten_memo[key] = out
+        intern = self._interned
+        out = {intern(*k): share(v, v) for k, v in out.items()}
+        self._straighten_memo[yexp, xexp] = out
         return out
 
     # -- term-level product (shared with the Clifford tensor layer) ---------
@@ -251,36 +256,47 @@ class HAlgebra:
 
         Memoised per algebra in one row per left key, {key1: {key2:
         result}}, so no pair key is built.  A repeated pair returns the
-        same tuple, which callers only iterate.  Equal result keys,
-        negated coefficients and whole results are each stored once
-        (`_shared`).
+        same tuple, which callers only iterate.  Equal row keys, result
+        keys and terms, negated coefficients and whole results are each
+        stored once (`_shared`).
         """
         row = self._term_memo.get(key1)
         if row is None:
-            row = self._term_memo[key1] = {}
+            row = self._term_memo[self._interned(*key1)] = {}
         out = row.get(key2)
         if out is not None:
             return out
+        share = self._shared.setdefault
         (a, b, w), (c, dd, v) = key1, key2
         ge = self._elems[w]
         c2, sg1 = ge.apply_exp(c)
         d2, sg2 = ge.apply_exp(dd)
         wv = self._mul[w][v]
         sgn = sg1 * sg2
-        share = self._shared.setdefault
         out = []
         for (al, be, g2), q in self.straighten(b, c2).items():
             ge2 = self._elems[g2]
             d3, sg3 = ge2.apply_exp(d2)
             xk = tuple(p + r for p, r in zip(a, al))
             yk = tuple(p + r for p, r in zip(be, d3))
-            key = (xk, yk, self._mul[g2][wv])
             if sgn * sg3 < 0:
                 q = -q
                 q = share(q, q)
-            out.append((share(key, key), q))
+            term = (self._interned(xk, yk, self._mul[g2][wv]), q)
+            out.append(share(term, term))
         out = tuple(out)
-        out = row[key2] = share(out, out)
+        out = row[self._interned(*key2)] = share(out, out)
+        return out
+
+    def _interned(self, *key):
+        """The shared key (e_1, .., e_k, g), whose exponent tuples e_j are
+        shared too: one object per value in `_shared`."""
+        shared = self._shared
+        out = shared.get(key)
+        if out is None:
+            *exps, g = key
+            out = (*[shared.setdefault(e, e) for e in exps], g)
+            shared[out] = out
         return out
 
     def star_key(self, a, b, g):

@@ -26,8 +26,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, isqrt
 
-from .groups import (RootDatum, parse_family, order_exceeds,
-                     UnsupportedFamilyError, GroupBoundExceededError)
+from .groups import (RootDatum, parse_family, order_exceeds, AMBIENT_CAP,
+                     UnsupportedFamilyError, GroupBoundExceededError,
+                     AmbientBoundExceededError)
 from .cherednik import filtration_check
 from .hc import HCAlgebra
 from .osp import OspRealisation
@@ -44,14 +45,12 @@ SUITES = ("osp", "relations", "centre", "vogan", "admissible",
 
 
 # Limits checked before anything is allocated.  The multiplication table
-# is a dense |W| x |W| list (and the pin cocycle cache grows to the same
-# number of pairs); the cohomology suite builds dense matrices of the
-# spinor dimension C(d+k-1, k) * 2^(d//2) at the top degree k.  Every key
-# holds exponent tuples of the ambient dimension d, and the osp and centre
-# suites grow with it: on A rank 1 they take 16 s and 113 MB at d = 16.
+# is a dense |W| x |W| list of ints (and the pin cocycle, once read, a
+# table of |W| x |W| bytes); the cohomology suite builds dense matrices of
+# the spinor dimension C(d+k-1, k) * 2^(d//2) at the top degree k.  The
+# ambient dimension d is refused over `AMBIENT_CAP` by `RootDatum` itself.
 MUL_TABLE_CAP = 1_000_000
 SPINOR_DIM_CAP = 512
-AMBIENT_CAP = 16
 
 
 class ConfigError(ValueError):
@@ -94,11 +93,11 @@ class RunConfig:
             raise ConfigError(
                 f"the |W| x |W| multiplication table of {fam} rank {rank} is "
                 f"over the limit of {MUL_TABLE_CAP} entries")
-        if ambient > AMBIENT_CAP:
-            raise ConfigError(f"ambient dimension {ambient} is over the "
-                              f"limit of {AMBIENT_CAP}")
         # builds the roots and reflections only; the elements are lazy
-        self.rd = RootDatum(fam, rank, ambient, single_c=single_c)
+        try:
+            self.rd = RootDatum(fam, rank, ambient, single_c=single_c)
+        except AmbientBoundExceededError as exc:
+            raise ConfigError(str(exc)) from None
         if "cohomology" in suites:
             dim = spinor_dim(ambient, max_degree)
             if dim > SPINOR_DIM_CAP:
@@ -725,7 +724,8 @@ def build_parser():
                    help="reflection group family: A, B, D, or A1^d")
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--ambient", type=int, default=None,
-                   help="ambient dimension (defaults: rank+1 for A, rank otherwise)")
+                   help=f"ambient dimension, at most {AMBIENT_CAP} "
+                   "(defaults: rank+1 for A, rank otherwise)")
     p.add_argument("--suite", action="append", default=None,
                    help="suite name or 'all'; repeatable")
     p.add_argument("--single-c", action="store_true",

@@ -15,7 +15,8 @@ cover builds every lift from its parent's.  `conjugation_orbit` is the
 one walk of a conjugacy class, under conjugation by the reflections, and
 may carry a sign along its edges: it lists the classes here, the split
 classes of the pin cover and the sign chains of the epsilon-centre.  A
-group of order above `GROUP_BOUND` is refused before its roots are built.
+group of order above `GROUP_BOUND`, or an ambient dimension above
+`AMBIENT_CAP`, is refused before any root is built.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ from itertools import combinations
 from math import factorial
 
 GROUP_BOUND = 100_000
+# every root, and every exponent tuple of the algebras built on a datum,
+# holds d ints, and the osp and centre suites grow with d: on A rank 1
+# they take 16 s and 113 MB at d = 16
+AMBIENT_CAP = 16
 
 
 class UnsupportedFamilyError(ValueError):
@@ -32,6 +37,10 @@ class UnsupportedFamilyError(ValueError):
 
 
 class GroupBoundExceededError(RuntimeError):
+    pass
+
+
+class AmbientBoundExceededError(ValueError):
     pass
 
 
@@ -130,11 +139,15 @@ class RootDatum:
             family = "A1"
         if family not in ("A", "B", "D", "A1"):
             raise UnsupportedFamilyError(f"unsupported family {family!r}")
-        # checked before any root is built: a large rank would otherwise
-        # allocate its roots and reflections first
+        # checked before any root is built: a large rank or ambient
+        # dimension would otherwise allocate its roots and reflections first
         if order_exceeds(family, rank, GROUP_BOUND):
             raise GroupBoundExceededError(
                 f"|W| of {family} rank {rank} exceeds the bound {GROUP_BOUND}")
+        if ambient_dim > AMBIENT_CAP:
+            raise AmbientBoundExceededError(
+                f"ambient dimension {ambient_dim} is over the limit of "
+                f"{AMBIENT_CAP}")
         self.expected_order = group_order(family, rank)
         d = ambient_dim
         if family == "A":

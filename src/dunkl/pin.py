@@ -31,7 +31,10 @@ k) while k >= 2 and every value is even.  For a unit sum_m n[m]^2 = 2^k,
 so k < 2 already forces an odd value, and two units that agree up to
 sign have the same k and n up to sign: the cocycle needs only integer
 arithmetic.  `sigma(g, h)` needs no halving: it compares every term of
-n_g n_h with sigma 2^((k_g + k_h - k_gh)/2) n_gh.  `PinCover.lift`
+n_g n_h with sigma 2^((k_g + k_h - k_gh)/2) n_gh.  Each sign is kept in
+one byte of an n x n table (n = |W|), 0 until it is first computed, 1
+for +1 and 2 for -1; the table is allocated by the first `sigma` call,
+so a run that never reads the cocycle holds none.  `PinCover.lift`
 converts a unit to {mask: Coeff} over Q(i, sqrt2) for the algebra layers.
 """
 
@@ -114,7 +117,8 @@ class PinCover:
         for g, r in rd.parents[1:]:
             self._units.append(_unit_mul(self._units[g], gens[r]))
         self._lifts = [None] * self.n
-        self._sigma_cache = {}
+        # sigma(g, h) at byte g n + h, allocated by the first `sigma` call
+        self._sigma = None
 
     def lift(self, g_idx):
         """Canonical Clifford unit over g, as {mask: Coeff}."""
@@ -136,24 +140,28 @@ class PinCover:
 
     def sigma(self, g, h):
         """Cocycle sign: u(g) u(h) = sigma(g, h) u(g h)."""
-        key = (g, h)
-        s = self._sigma_cache.get(key)
-        if s is None:
-            (k_g, n_g), (k_h, n_h) = self._units[g], self._units[h]
-            k_gh, n_gh = self._units[self.rd.mul_table[g][h]]
-            # n_g n_h = sigma 2^(shift/2) n_gh, compared term by term
-            shift = k_g + k_h - k_gh
-            prod = cunit_mul(n_g, n_h)
-            if shift < 0 or shift % 2 or len(prod) != len(n_gh):
-                raise ValueError("units are not proportional")
-            m0, x0 = next(iter(n_gh.items()))
-            f = 1 << shift // 2
-            if prod.get(m0) != f * x0:
-                f = -f
-            if any(prod.get(m) != f * x for m, x in n_gh.items()):
-                raise ValueError("units are not proportional by a sign")
-            s = self._sigma_cache[key] = 1 if f > 0 else -1
-        return s
+        table = self._sigma
+        if table is None:
+            table = self._sigma = bytearray(self.n * self.n)
+        at = g * self.n + h
+        s = table[at]
+        if s:
+            return 1 if s == 1 else -1
+        (k_g, n_g), (k_h, n_h) = self._units[g], self._units[h]
+        k_gh, n_gh = self._units[self.rd.mul_table[g][h]]
+        # n_g n_h = sigma 2^(shift/2) n_gh, compared term by term
+        shift = k_g + k_h - k_gh
+        prod = cunit_mul(n_g, n_h)
+        if shift < 0 or shift % 2 or len(prod) != len(n_gh):
+            raise ValueError("units are not proportional")
+        m0, x0 = next(iter(n_gh.items()))
+        f = 1 << shift // 2
+        if prod.get(m0) != f * x0:
+            f = -f
+        if any(prod.get(m) != f * x for m, x in n_gh.items()):
+            raise ValueError("units are not proportional by a sign")
+        table[at] = 1 if f > 0 else 2
+        return 1 if f > 0 else -1
 
     # -- group structure on pairs (g_idx, eps) ------------------------------
     def mul(self, a, b):

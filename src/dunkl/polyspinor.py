@@ -18,9 +18,10 @@ of `HermitianForm`; it is the one place a Dunkl word is applied, and it
 sums the commutator's terms over w before the rest of the word acts,
 since each w acts on 1 as 1.  Its entries are stored through a per-rep
 pool, one object per distinct value (the words of a run take few
-values, as `HAlgebra`'s memos do).  Each (mask, entry) of the group
-adds its multiple of that word into the mask's own {(row, col): value}
-map through `sparse.add_into`.  The spinor matrix of each Clifford mask is
+values, as `HAlgebra`'s memos do), and its exponent tuples, keys and
+monomials, through the algebra's `_shared`.  Each (mask, entry) of the
+group adds its multiple of that word into the mask's own {(row, col):
+value} map through `sparse.add_into`.  The spinor matrix of each Clifford mask is
 monomial (one unit i^k per row); its nonzero entries are kept once per
 mask as the powers k, and are applied once per mask as the dense matrix
 is filled.  No spinor entry makes a field product: 1 and -1 keep or
@@ -194,10 +195,11 @@ class SpinorRep:
         w because each w acts on 1 as 1; the rest of the word then acts
         on each resulting monomial, so all of y_1 acts before y_2.
         """
-        key = (yexp, xexp)
-        out = self._words.get(key)
+        out = self._words.get((yexp, xexp))
         if out is not None:
             return out
+        share = self.alg.h._shared.setdefault
+        yexp, xexp = share(yexp, yexp), share(xexp, xexp)
         if not any(yexp):
             out = {xexp: self.one}
         else:
@@ -211,10 +213,9 @@ class SpinorRep:
             for e, u in first.items():
                 add_into(out, ((e2, mul(u, v))
                                for e2, v in self.word(rest, e).items()))
-            share = self._pool.setdefault
-            for e, v in out.items():
-                out[e] = share(v, v)
-        self._words[key] = out
+            pool = self._pool.setdefault
+            out = {share(e, e): pool(v, v) for e, v in out.items()}
+        self._words[yexp, xexp] = out
         return out
 
     def matrix_of(self, elem: HCElement, degree):

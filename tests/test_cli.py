@@ -470,6 +470,21 @@ def test_module_entry_point_runs_without_warnings():
     assert "usage: verify" in proc.stdout
 
 
+@pytest.mark.parametrize("suite", SUITES)
+def test_the_pin_cocycle_table_is_built_by_its_readers(monkeypatch, suite):
+    # `vogan` reads sigma through the admissible classes of its rho_omega
+    config = RunConfig("A1^2", None, None, [suite], max_degree=2)
+    ctx = cli.Context(config)
+    monkeypatch.setattr(cli, "Context", lambda _config: ctx)
+    _rep, code = run_config(config)
+    assert code == 0
+    pin = ctx.alg.pin
+    if suite in ("admissible", "vogan"):
+        assert len(pin._sigma) == pin.n ** 2
+    else:
+        assert pin._sigma is None
+
+
 # the benchmark's two algebra workloads, with their memo sizes (ycomm,
 # straighten, term_mul) after one run
 _MEMO_WORKLOADS = {
@@ -504,6 +519,29 @@ def test_memos_hold_one_object_per_value(monkeypatch, workload):
     if "rep" in vars(ctx):
         memos["word"] = [v for out in ctx.rep._words.values()
                          for v in out.values()]
-    for name, values in memos.items():
+    # the keys: every PBW key (a, b, g), ycomm key (e, g) and term_mul
+    # term (key, q) stored, and every exponent tuple inside them
+    keys = {
+        "ycomm keys": [k for out in h._ycomm_memo.values() for k in out],
+        "straighten keys": [k for out in h._straighten_memo.values()
+                            for k in out],
+        "term_mul rows": list(h._term_memo)
+        + [k2 for row in h._term_memo.values() for k2 in row],
+        "term_mul results": [k for out in results for k, _q in out],
+        "term_mul terms": [term for out in results for term in out],
+    }
+    exps = [c for _i, c in h._ycomm_memo]
+    exps += [e for yx in h._straighten_memo for e in yx]
+    exps += [e for name in ("ycomm keys", "straighten keys",
+                            "term_mul rows", "term_mul results")
+             for k in keys[name] for e in k[:-1]]
+    keys["exponents"] = exps
+    if "rep" in vars(ctx):
+        keys["word keys"] = [e for yx in ctx.rep._words for e in yx]
+        keys["word keys"] += [e for out in ctx.rep._words.values()
+                              for e in out]
+        # the word memo shares its exponent tuples with the algebra's
+        keys["exponents"] += keys["word keys"]
+    for name, values in list(memos.items()) + list(keys.items()):
         assert values, name
         assert len({id(v) for v in values}) == len(set(values)), name

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -5,6 +6,7 @@ import pytest
 
 from dunkl.groups import (RootDatum, parse_family, reflection,
                           UnsupportedFamilyError, GroupBoundExceededError,
+                          AmbientBoundExceededError, AMBIENT_CAP,
                           group_order, order_exceeds)
 
 
@@ -150,6 +152,22 @@ def test_group_bound_is_checked_at_construction():
     # rank 2000 would need about two million roots of 2001 coordinates
     with pytest.raises(GroupBoundExceededError):
         RootDatum("A", 2000, 2001)
+
+
+def test_ambient_bound_is_checked_before_any_root_is_built():
+    # a million coordinates would build roots of a million ints each
+    tracemalloc.start()
+    try:
+        with pytest.raises(AmbientBoundExceededError,
+                           match=f"limit of {AMBIENT_CAP}"):
+            RootDatum("A", 2, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    with pytest.raises(AmbientBoundExceededError):
+        RootDatum("D", 3, AMBIENT_CAP + 1)
+    assert RootDatum("A", 2, AMBIENT_CAP).dim == AMBIENT_CAP
 
 
 def int_mat_mul(a, b):

@@ -307,6 +307,25 @@ def test_cover_classes_make_no_field_products(coeff_products):
     assert sum(len(c) for c in classes) == 240
 
 
+def test_sigma_table_is_allocated_by_the_first_read():
+    rd = RootDatum("B", 3, 3)
+    pc = PinCover(rd)
+    # the class walk and the inverses read no cocycle
+    pc.cover_classes()
+    for g in range(pc.n):
+        pc.inv((g, 1))
+    assert pc._sigma is None
+    fresh = PinCover(rd)
+    pairs = [(g, h) for g in range(pc.n) for h in range(pc.n)]
+    signs = [pc.sigma(g, h) for g, h in pairs]
+    assert len(pc._sigma) == pc.n ** 2
+    assert set(pc._sigma) == {1, 2}
+    # a second read is the table's, and the table is filled in any order
+    assert [pc.sigma(g, h) for g, h in pairs] == signs
+    assert [fresh.sigma(g, h) for g, h in reversed(pairs)] == signs[::-1]
+    assert fresh._sigma == pc._sigma
+
+
 def _corrupted_sigma(unit_of_target):
     """sigma(a, b) on a fresh B3 cover whose unit at a*b is replaced."""
     rd = RootDatum("B", 3, 3)
