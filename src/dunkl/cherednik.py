@@ -11,23 +11,25 @@ in closed form: every root of A, B, D and A1^n is a e_i + b e_j or a e_i
 with a, b = +-1, and the quotient is a geometric sum of monomials in x_i
 and x_j (`HAlgebra._divided_difference`).  It depends on no parameter, so
 it is computed over Coeff, and each of its coefficients is a unit u =
-+-1 or +-2.  A reflection term's Scalar -c_alpha alpha_i u is built once
-per algebra, on first use, per (coordinate, root, u), and so is each
-t-term t k, so `ycomm` builds no Scalar per term.  The straightening of
-y^b x^a is memoised per algebra, and so is the product of each pair of
-PBW monomials (`term_mul`): the H and H (x) C products meet the same
-pair many times over, and each is multiplied once.  `term_mul` keeps one
-memo row per left monomial, keyed by the right one.
++-1 or +-2.  On a memo miss, `ycomm` builds each reflection term's
+Scalar -c_alpha alpha_i u and each t-term t k by scaling c_alpha or t by
+a Coeff, with no Scalar product; a c_alpha specialised to 0 gives no
+term.  The straightening of y^b x^a is memoised per algebra, and so is
+the product of each pair of PBW monomials (`term_mul`): the H and H (x) C
+products meet the same pair many times over, and each is multiplied
+once.  `term_mul` keeps one memo row per left monomial, keyed by the
+right one.
 
 Every memoised value and key is hash-consed (Filliatre and Conchon,
 "Type-safe modular hash-consing", 2006) through one per-algebra table,
 `_shared`: the ycomm and straightening Scalars, each `term_mul`
-coefficient, term and whole result, each PBW key (a, b, g) and ycomm key
-(e, g) a memo stores, and every exponent tuple in them or in a memo's own
-key are one object per distinct value, so the memos hold few objects (a
-few dozen values, met thousands of times), and equal `term_mul` results
-are found by `is` (see `hc`).  Tuples and Scalars share the table, as a
-Scalar is never equal to a tuple.  A key is interned where a memo stores
+coefficient, term and whole result, each value of the spinor word memo
+of `polyspinor`, each PBW key (a, b, g) and ycomm key (e, g) a memo
+stores, and every exponent tuple in them or in a memo's own key are one
+object per distinct value, so the memos hold few objects (a few dozen
+values, met thousands of times), and equal `term_mul` results are found
+by `is` (see `hc`).  Tuples, Scalars and Coeffs share the table, as no
+two of these types compare equal.  A key is interned where a memo stores
 it, on a miss; a lookup takes any equal tuple.  The table is seeded with
 the field's `one`, so a coefficient equal to 1 is that very object, and
 the H and H (x) C products skip their scalar product for it by identity.
@@ -78,7 +80,6 @@ class HAlgebra:
         self._inv = rd.inv_table
         self._straighten_memo = {}
         self._ycomm_memo = {}
-        self._t_multiples = {}
         # per coordinate i: (r, alpha, s_alpha, its index) for each
         # positive root r with alpha_i != 0
         self._roots_at = [
@@ -87,7 +88,6 @@ class HAlgebra:
                                                      rd.reflections))
                   if alpha[i])
             for i in range(rd.dim)]
-        self._reflection_factors = {}
         self._term_memo = {}
         # one object per memoised value and key; `one` is the field's own,
         # which the H (x) C product tests by identity
@@ -123,9 +123,9 @@ class HAlgebra:
             sc = self.field.rational(sc)
         return HElement(self, {(self.zero_exp, self.zero_exp, self.id_idx): sc})
 
-    def monomial(self, xexp, yexp, g_idx, coeff=None):
-        coeff = coeff if coeff is not None else self.field.one
-        return HElement(self, {(tuple(xexp), tuple(yexp), g_idx): coeff})
+    def monomial(self, xexp, yexp, g_idx):
+        key = (tuple(xexp), tuple(yexp), g_idx)
+        return HElement(self, {key: self.field.one})
 
     def _unit_exp(self, j):
         if not 1 <= j <= self.dim:
@@ -142,37 +142,18 @@ class HAlgebra:
         # t * d_{y_i}(x^c)
         k = cexp[i]
         if k:
-            out[(_bump(cexp, i, -1), self.id_idx)] = self._t_times(k)
-        # reflection terms
-        factor = self._reflection_factor
+            t_k = self._scaled(self.t, Coeff(k))
+            out[(_bump(cexp, i, -1), self.id_idx)] = t_k
+        # reflection terms -c_alpha alpha_i u, u a divided-difference
+        # unit; `add_into` drops them all when c_alpha is specialised to 0
         for r, alpha, s, g in self._roots_at[i]:
-            add_into(out, (((e, g), factor(i, r, v))
-                           for e, v in self._divided_difference(
+            c, sign = self.c_root[r], alpha[i]
+            add_into(out, (((e, g), self._scaled(c, -u if sign > 0 else u))
+                           for e, u in self._divided_difference(
                                cexp, alpha, s).items()))
-        intern = self._interned
-        out = {intern(e, g): v for (e, g), v in out.items()}
-        self._ycomm_memo[i, self._shared.setdefault(cexp, cexp)] = out
-        return out
-
-    def _t_times(self, k):
-        """The Scalar t k for an int k, built once per algebra."""
-        out = self._t_multiples.get(k)
-        if out is None:
-            out = self._scaled(self.t, Coeff(k))
-            out = self._t_multiples[k] = self._shared.setdefault(out, out)
-        return out
-
-    def _reflection_factor(self, i, r, unit):
-        """The Scalar -c_alpha alpha_i unit of positive root r = alpha at
-        coordinate i, for a divided-difference Coeff unit (+-1 or +-2),
-        built once per algebra."""
-        key = (i, r, unit)
-        out = self._reflection_factors.get(key)
-        if out is None:
-            alpha_i = Coeff(-self.rd.positive_roots[r][i])
-            out = self._scaled(self.c_root[r], mul_coeff(alpha_i, unit))
-            out = self._reflection_factors[key] = \
-                self._shared.setdefault(out, out)
+        intern, share = self._interned, self._shared.setdefault
+        out = {intern(e, g): share(v, v) for (e, g), v in out.items()}
+        self._ycomm_memo[i, share(cexp, cexp)] = out
         return out
 
     def _scaled(self, sc, cf):

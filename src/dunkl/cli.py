@@ -316,8 +316,9 @@ def suite_relations(ctx: Context, run: Runner):
             continue
         if name == "r22-shared-literal":
             # recorded variant of r22-shared with the alternative middle
-            # commutator; it holds only in type A and is reported for
-            # transparency, not as a defining relation
+            # commutator, reported for transparency, not as a defining
+            # relation: it holds on A r2, and on A r3, D r4, B r3 and A1^3
+            # it first fails at (1, 2, 3)
             def literal():
                 tuples = ctx.tama.relation_index_tuples(name)
                 bad = [tup for tup in tuples

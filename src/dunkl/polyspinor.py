@@ -16,13 +16,12 @@ source monomial, reads `SpinorRep.word` once: the Dunkl word y^b x^e
 acting on 1, computed once per (b, e) and shared with the Gram matrices
 of `HermitianForm`; it is the one place a Dunkl word is applied, and it
 sums the commutator's terms over w before the rest of the word acts,
-since each w acts on 1 as 1.  Its entries are stored through a per-rep
-pool, one object per distinct value (the words of a run take few
-values, as `HAlgebra`'s memos do), and its exponent tuples, keys and
-monomials, through the algebra's `_shared`.  Each (mask, entry) of the
-group adds its multiple of that word into the mask's own {(row, col):
-value} map through `sparse.add_into`.  The spinor matrix of each Clifford mask is
-monomial (one unit i^k per row); its nonzero entries are kept once per
+since each w acts on 1 as 1.  Its entries, exponent tuples, keys and
+monomials are stored through the algebra's `_shared`, one object per
+distinct value (the words of a run take few values, as `HAlgebra`'s
+memos do).  Each (mask, entry) of the group adds its multiple of that
+word into the mask's own {(row, col): value} map through
+`sparse.add_into`.  The spinor matrix of each Clifford mask is monomial (one unit i^k per row); its nonzero entries are kept once per
 mask as the powers k, and are applied once per mask as the dense matrix
 is filled.  No spinor entry makes a field product: 1 and -1 keep or
 negate the value they meet, and +-i swaps its real and i parts with a
@@ -150,8 +149,6 @@ class SpinorRep:
         else:
             self.value, self.mul = _same, operator.mul
             self.zero, self.one = alg.field.zero, alg.field.one
-        # one object per value of the word memo, `one` included
-        self._pool = {self.one: self.one}
 
     def basis(self, degree):
         b = self._bases.get(degree)
@@ -213,8 +210,7 @@ class SpinorRep:
             for e, u in first.items():
                 add_into(out, ((e2, mul(u, v))
                                for e2, v in self.word(rest, e).items()))
-            pool = self._pool.setdefault
-            out = {share(e, e): pool(v, v) for e, v in out.items()}
+        out = {share(e, e): share(v, v) for e, v in out.items()}
         self._words[yexp, xexp] = out
         return out
 
@@ -431,13 +427,9 @@ class HermitianForm:
         even = rep.d % 2 == 0
         self.spin_signs = [-1 if even and i.bit_count() % 2 else 1
                            for i in range(rep.spin_dim)]
-        self._gram = {}
 
     def gram(self, degree):
-        """Gram matrix on C[V]_degree (x) S."""
-        g = self._gram.get(degree)
-        if g is not None:
-            return g
+        """Gram matrix on C[V]_degree (x) S, built on each call."""
         rep = self.rep
         basis = rep.basis(degree)
         sd = rep.spin_dim
@@ -449,7 +441,6 @@ class HermitianForm:
                     continue
                 for si, sign in enumerate(self.spin_signs):
                     out[i * sd + si][j * sd + si] = v if sign > 0 else -v
-        self._gram[degree] = out
         return out
 
     def _pair(self, aexp, bexp):

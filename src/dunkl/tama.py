@@ -247,7 +247,8 @@ class Tama:
                     + acom(O((i, k, l)), oc(j)) - acom(O((j, k, l)), oc(i)))
         if name == "r22-shared":
             # middle commutator is [oc_j, oc_k]; the displayed [oc_i, oc_j]
-            # agrees only in type A (see r22-shared-literal) and fails elsewhere
+            # (r22-shared-literal) holds on A r2 but fails on A r3, D r4,
+            # B r3 and A1^3, each first at (1, 2, 3)
             i, j, k = idx
             return (com(O((i, j)), O((k, i)))
                     - O((j, k)).scale(t)

@@ -519,6 +519,8 @@ def test_memos_hold_one_object_per_value(monkeypatch, workload):
     if "rep" in vars(ctx):
         memos["word"] = [v for out in ctx.rep._words.values()
                          for v in out.values()]
+        # the word values live in the algebra's table too
+        assert all(h._shared.get(v) is v for v in memos["word"])
     # the keys: every PBW key (a, b, g), ycomm key (e, g) and term_mul
     # term (key, q) stored, and every exponent tuple inside them
     keys = {
@@ -545,3 +547,40 @@ def test_memos_hold_one_object_per_value(monkeypatch, workload):
     for name, values in list(memos.items()) + list(keys.items()):
         assert values, name
         assert len({id(v) for v in values}) == len(set(values)), name
+
+
+def test_no_memo_stores_a_zero_when_a_coupling_is_specialised_to_0(
+        monkeypatch):
+    # c1 = 0 makes every reflection factor -c_alpha alpha_i u of its orbit
+    # zero, and ycomm must drop them, not store them
+    argv = ("--family B --rank 2 --suite all --max-degree 3 "
+            "--specialize s=2,c1=0,c2=1/5")
+    config = config_from_args(build_parser().parse_args(argv.split()))
+    ctx = cli.Context(config)
+    monkeypatch.setattr(cli, "Context", lambda _config: ctx)
+    _rep, code = run_config(config)
+    assert code == 0
+    h = ctx.alg.h
+    memos = {
+        "ycomm": h._ycomm_memo.values(),
+        "straighten": h._straighten_memo.values(),
+        "term_mul": [dict(out) for row in h._term_memo.values()
+                     for out in row.values()],
+        "word": ctx.rep._words.values(),
+    }
+    for name, outs in memos.items():
+        values = [v for out in outs for v in out.values()]
+        assert values, name
+        assert all(values), name
+
+
+@pytest.mark.parametrize("rank, holds, first_failure", [
+    (2, True, []), (3, False, [(1, 2, 3)])])
+def test_the_literal_r22_variant_holds_on_a_rank_2(rank, holds,
+                                                   first_failure):
+    rep, code = run_config(RunConfig("A", rank, None, ["relations"]))
+    assert code == 0
+    detail, = [rec["detail"] for rec in rep["checks"]
+               if rec["check"] == "r22-shared-literal"]
+    assert detail["variant_holds"] is holds
+    assert detail["failing_tuples"][:1] == first_failure

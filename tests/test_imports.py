@@ -10,6 +10,11 @@ class (dunders exempt), counts as used when some module of `src/dunkl`
 refers to it outside its own body: as a name, an attribute or an
 imported name.  So a change that removes the last caller of a helper
 must remove the helper too.
+
+A private attribute set as `self._name = ...` (dunders exempt) counts as
+used when some module of `src/dunkl` reads `._name`; storing into it, as
+in `self._memo[key] = value`, is no read.  So a change that removes the
+last reader of a cache must remove the cache too.
 """
 
 import ast
@@ -88,6 +93,36 @@ def orphan_private_functions(sources):
     return sorted(orphans)
 
 
+def _attribute_reads(tree):
+    """Attribute names `tree` reads: each `obj.name` loaded, except as the
+    container of a subscript store or delete (`self._memo[k] = v`)."""
+    stored = {id(node.value) for node in ast.walk(tree)
+              if isinstance(node, ast.Subscript)
+              and not isinstance(node.ctx, ast.Load)}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load) and id(node) not in stored}
+
+
+def _private_self_attributes(tree):
+    """Names `_name` (dunders exempt) that `tree` sets as `self._name`."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
+            and node.attr.startswith("_") and not node.attr.startswith("__")}
+
+
+def unread_private_attributes(sources):
+    """(module, name) of each `self._name` set in {module: source} that no
+    module reads."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = set().union(*map(_attribute_reads, trees.values()))
+    return sorted((mod, name) for mod, tree in trees.items()
+                  for name in _private_self_attributes(tree)
+                  if name not in read)
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
@@ -97,6 +132,11 @@ def test_no_unused_module_imports(path):
 def test_no_orphan_private_functions():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert orphan_private_functions(sources) == []
+
+
+def test_no_unread_private_attributes():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_attributes(sources) == []
 
 
 def test_lint_sees_unused_and_exported_names():
@@ -130,3 +170,22 @@ def test_lint_sees_orphan_private_functions():
     assert orphan_private_functions(sources) == [
         ("a.py", "_orphan"), ("a.py", "_recursive_only"),
         ("c.py", "_self_only"), ("c.py", "_unused_method")]
+
+
+def test_lint_sees_unread_private_attributes():
+    sources = {
+        "a.py": ("class K:\n"
+                 "    def __init__(self):\n"
+                 "        self._read = self._read_elsewhere = 1\n"
+                 "        self._stored_into = {}\n"
+                 "        self._stored_into[0] = 1\n"
+                 "        self._unread, self.public = 2, 3\n"
+                 "        self._counted = 0\n"
+                 "        self._counted += 1\n"
+                 "        self.__dunder__ = 4\n"
+                 "    def f(self):\n"
+                 "        return self._read\n"),
+        "b.py": "def g(k):\n    return k._read_elsewhere\n",
+    }
+    assert unread_private_attributes(sources) == [
+        ("a.py", "_counted"), ("a.py", "_stored_into"), ("a.py", "_unread")]

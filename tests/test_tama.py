@@ -74,8 +74,9 @@ def test_relation_suite_s3(s3):
 
 
 def test_literal_variant_fails_off_type_a(a13):
-    # the alternative middle-commutator reading holds only in type A;
-    # on the sign-flip group it must differ from the corrected relation
+    # the alternative middle-commutator reading holds on A r2 but not on
+    # A r3, D r4, B r3 or A1^3; on the sign-flip group it must differ
+    # from the corrected relation
     tm = a13.tama
     failures = [tup for tup in tm.relation_index_tuples("r22-shared-literal")
                 if not tm.relation_residual("r22-shared-literal",
