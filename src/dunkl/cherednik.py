@@ -12,13 +12,13 @@ with a, b = +-1, and the quotient is a geometric sum of monomials in x_i
 and x_j (`HAlgebra._divided_difference`).  It depends on no parameter, so
 it is computed over Coeff, and each of its coefficients is a unit u =
 +-1 or +-2.  On a memo miss, `ycomm` builds each reflection term's
-Scalar -c_alpha alpha_i u and each t-term t k by scaling c_alpha or t by
-a Coeff, with no Scalar product; a c_alpha specialised to 0 gives no
-term.  The straightening of y^b x^a is memoised per algebra, and so is
-the product of each pair of PBW monomials (`term_mul`): the H and H (x) C
-products meet the same pair many times over, and each is multiplied
-once.  `term_mul` keeps one memo row per left monomial, keyed by the
-right one.
+Scalar -c_alpha alpha_i u and each t-term t k by scaling the numerators
+of c_alpha or t by the int, with no Scalar or field product; a c_alpha
+specialised to 0 gives no term.  The straightening of y^b x^a is
+memoised per algebra, and so is the product of each pair of PBW
+monomials (`term_mul`): the H and H (x) C products meet the same pair
+many times over, and each is multiplied once.  `term_mul` keeps one memo
+row per left monomial, keyed by the right one.
 
 Every memoised value and key is hash-consed (Filliatre and Conchon,
 "Type-safe modular hash-consing", 2006) through one per-algebra table,
@@ -40,7 +40,7 @@ the star on one monomial, shared with the bullet of `hc`.
 
 from __future__ import annotations
 
-from .scalars import Coeff, C_ONE, Scalar, ScalarField, mul_coeff, unpack
+from .scalars import Coeff, C_ONE, Scalar, ScalarField, mul_int, unpack
 from .sparse import SparseElement, add_into
 from .groups import RootDatum
 
@@ -157,8 +157,9 @@ class HAlgebra:
         return out
 
     def _scaled(self, sc, cf):
-        """The Scalar sc cf for a Coeff cf, with no Scalar product."""
-        return Scalar({e: mul_coeff(v, cf) for e, v in sc.terms.items()},
+        """The Scalar sc cf for an integer Coeff cf, with no Scalar or
+        field product (`scalars.mul_int`)."""
+        return Scalar({e: mul_int(v, cf) for e, v in sc.terms.items()},
                       self.field.nvars)
 
     def _divided_difference(self, cexp, alpha, s):

@@ -14,7 +14,9 @@ but the reflections' by int lookups in its parent's row, and the pin
 cover builds every lift from its parent's.  `conjugation_orbit` is the
 one walk of a conjugacy class, under conjugation by the reflections, and
 may carry a sign along its edges: it lists the classes here, the split
-classes of the pin cover and the sign chains of the epsilon-centre.  A
+classes of the pin cover and the sign chains of the epsilon-centre.
+`coordinate_swaps` lists the adjacent coordinate swaps that map the root
+system to itself, which the relation suite's orbits are built from.  A
 group of order above `GROUP_BOUND`, or an ambient dimension above
 `AMBIENT_CAP`, is refused before any root is built.
 """
@@ -264,6 +266,32 @@ class RootDatum:
 
     def reflection_index(self, root_idx):
         return self._index[self.reflections[root_idx]]
+
+    @cached_property
+    def coordinate_swaps(self):
+        """The adjacent coordinate swaps tau = (j+1 j+2), j 0-based, that
+        map the root system to itself, as (j, orbits) with orbits[k] the
+        orbit label of tau(alpha) for each root alpha of label k.
+
+        Each swap is checked against the roots: it must send every
+        positive root to a root whose label is a function of the root's
+        own.  Only the d - 1 adjacent swaps are tried, never d! elements.
+        """
+        label = {}
+        for alpha, k in zip(self.positive_roots, self.orbit_labels):
+            label[alpha] = label[tuple(-a for a in alpha)] = k
+        out = []
+        for j in range(self.dim - 1):
+            orbits = {}
+            for alpha, k in zip(self.positive_roots, self.orbit_labels):
+                img = alpha[:j] + (alpha[j + 1], alpha[j]) + alpha[j + 2:]
+                lbl = label.get(img)
+                if lbl is None or orbits.setdefault(k, lbl) != lbl:
+                    break
+            else:
+                out.append((j, tuple(orbits[k]
+                                     for k in range(self.num_orbits))))
+        return out
 
     # -- structure ----------------------------------------------------------
     def conjugation_orbit(self, g, step=None):

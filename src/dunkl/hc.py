@@ -28,6 +28,16 @@ term.  The linear operations (from `sparse.SparseElement`), `scale`,
 Every basis element (`zero`, `one`, `scalar`, `x`, `y`, `group`, `e`,
 `e_set`) is written by its key (a, b, g, mask) in `HCAlgebra._basis`.
 
+A coordinate swap tau = (j j+1) that maps the root system R to itself
+acts on the flat terms by one key map (`HCAlgebra.swap_map`), with no
+product.  It is the isomorphism H_{t,c}(V, W) (x) C(V) -> H_{t,c o
+tau^-1}(V, W) (x) C(V) of an isometry of V with tau(R) = R (x_j, y_j and
+e_j go to x_{tau j}, y_{tau j}, e_{tau j} and w to tau w tau; H and C(V)
+are functorial in (V, W, c), Etingof-Ma, arXiv:1001.0432), followed by
+the renaming of the c_k that tau permutes; when tau fixes each c_k this
+is an automorphism, and otherwise one that is semilinear over that
+renaming, which fixes s and t.
+
 The conjugate-linear anti-involution `bullet` acts as the Cherednik star
 (w -> w^{-1}, x_i <-> y_i, `HAlgebra.star_key`) on the first factor and as
 e_A -> (-1)^{|A|} reversed(e_A) (`clifford.reversion_sign`) on the second.
@@ -37,10 +47,11 @@ from __future__ import annotations
 
 from numbers import Rational
 
-from .scalars import Scalar, mul_coeff, unit_sign
+from .scalars import Scalar, mul_coeff, pack, unit_sign, unpack
 from .sparse import SparseElement, add_into
 from .clifford import mask_str, reversion_sign, sign_mask
 from .cherednik import HAlgebra
+from .groups import GroupElement
 from .pin import PinCover
 
 
@@ -114,6 +125,74 @@ class HCAlgebra:
     def rho_reflection(self, r_idx):
         """rho of the canonical lift of the reflection at positive root r_idx."""
         return self.rho((self.rd.reflection_index(r_idx), 1))
+
+    # -- coordinate swaps ----------------------------------------------------
+    def swap_map(self, j, orbits):
+        """The key map phi of the coordinate swap tau = (j+1 j+2), j
+        0-based, as a map of elements; `orbits` is the swap's permutation
+        of the root orbits (`RootDatum.coordinate_swaps`).
+
+        phi swaps slots j and j+1 of a and of b, maps g to tau g tau, swaps
+        mask bits j and j+1 (`_swap_bits`) and moves the exponent of c_k to
+        c_{orbits[k]}; it makes no product.  A g whose image lies outside W
+        maps to None, so that the image equals no element.  Returns None
+        when `orbits` sends a c_k to a c_l of another specialisation (one
+        symbolic and one a number, or two unequal numbers).
+        """
+        cs = self.h.c_orbit
+        if any(cs[k] != cs[l] and (cs[k].is_constant() or cs[l].is_constant())
+               for k, l in enumerate(orbits)):
+            return None
+        rd = self.rd
+        perm = list(range(self.dim))
+        perm[j], perm[j + 1] = j + 1, j
+        tau = GroupElement(perm, (1,) * self.dim, -1)
+        elems = rd.elements
+        groups = {}                 # tau g tau, for each g the terms carry
+
+        def conj(g):
+            if g not in groups:
+                try:
+                    groups[g] = rd.index_of(tau * elems[g] * tau)
+                except KeyError:    # tau does not normalise W
+                    groups[g] = None
+            return groups[g]
+
+        nvars = self.field.nvars
+        slots = (0, *(k + 1 for k in orbits))
+        exps = {}                   # the packed exponents the terms carry
+
+        def exp(e):
+            out = exps.get(e)
+            if out is None:
+                old = unpack(e, nvars)
+                new = [0] * nvars
+                for k, v in enumerate(old):
+                    new[slots[k]] = v
+                out = exps[e] = pack(new)
+            return out
+
+        def swapped(a):
+            return a[:j] + (a[j + 1], a[j]) + a[j + 2:]
+
+        def phi(x):
+            out = {}
+            for (a, b, g, m, e), c in x.terms.items():
+                m, sign = _swap_bits(m, j)
+                out[swapped(a), swapped(b), conj(g), m, exp(e)] = (
+                    c if sign > 0 else -c)
+            return x._new(out)
+        return phi
+
+
+def _swap_bits(m, j):
+    """(m', sign) with e_m' sign the image of e_m under e_{j+1} <-> e_{j+2}
+    (bits j and j+1): the two generators are adjacent in e_m, so they
+    anticommute past each other when both are set."""
+    lo, hi = (m >> j) & 1, (m >> (j + 1)) & 1
+    if lo == hi:
+        return m, -1 if lo else 1
+    return m ^ (3 << j), 1
 
 
 def _expand(res, c, m, e, one):

@@ -49,7 +49,8 @@ and `poly_gcd` work on dicts keyed by exponent tuples.
 An element of H (x) C(V) stores its Coeffs flat under their packed
 exponents (see `hc`); Scalar is the type at that boundary.  `unit_sign`
 and `mul_coeff` test a Coeff for 1 and -1 on its `_v`, so that such a
-factor makes no field product, and `Coeff.mul_i_power` multiplies by a
+factor makes no field product, `mul_int` scales by an integer Coeff
+through its numerators, and `Coeff.mul_i_power` multiplies by a
 power of i, as a spinor entry does, by swapping parts.
 """
 
@@ -298,6 +299,21 @@ def mul_coeff(c, d):
     if v == _MINUS_ONE_V:
         return -d
     return c * d
+
+
+def mul_int(c, u):
+    """c * u for a Coeff u that is an integer k: c's four numerators are
+    multiplied by k and the result canonicalised once, with no field
+    product; for k = 1 or -1 nothing is multiplied."""
+    k, b, cc, d, q = u._v
+    if b or cc or d or q != 1:
+        raise ValueError(f"{u} is not an integer")
+    if k == 1:
+        return c
+    if k == -1:
+        return -c
+    a, b, cc, d, q = c._v
+    return _canon(a * k, b * k, cc * k, d * k, q)
 
 
 def poly_mul(p, q):

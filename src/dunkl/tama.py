@@ -23,12 +23,23 @@ it also equals the weighted antisymmetrised products in `RECONSTRUCTIONS`,
 which the relation suite checks.  A product of O over index blocks b_k is
 skew within each block, so its sum over all n! orderings is prod |b_k|!/n!
 times a sum over the block tuples, which also index the relations.
+
+The relation suite evaluates one residual per orbit of each relation's
+index tuples (`relation_orbits`), under the adjacent coordinate swaps tau
+that map the root system to itself (`RootDatum.coordinate_swaps`) and
+whose key map phi (`HCAlgebra.swap_map`) passes a premise checked in the
+same run, with no product: phi(O_A) == O_{tau(A)} exactly for every A
+with |A| <= min(d, 5) (`orbit_swaps`).  phi is a ring isomorphism of
+H (x) C(V), semilinear over a renaming of the c_k that fixes s and t,
+and each residual R(idx) is one fixed expression in the O_A, the
+Ocheck_j = O_(j) and t, so R(tau idx) = +-phi(R(idx)): R vanishes at
+every tuple of an orbit exactly when it vanishes at one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations, islice
 from math import factorial, prod
 from operator import mul
@@ -324,6 +335,78 @@ class Tama:
         """All distinct-index assignments, deduplicated by skew-symmetry:
         the tuples that increase within each block of the relation."""
         return list(_block_tuples(range(1, self.d + 1), self.RELATIONS[name]))
+
+    # -- one residual per orbit ------------------------------------------------
+    @cached_property
+    def orbit_swaps(self):
+        """The j (0-based) of the coordinate swaps tau = (j+1 j+2) of
+        `RootDatum.coordinate_swaps` whose key map phi (`HCAlgebra.swap_map`)
+        passes the premise: phi(O_A) == O_{tau(A)} exactly, with the sign
+        of the unsorted tau(A), for every A with |A| <= min(d, 5).
+
+        Built on first use, by the first relation evaluated.  A swap that
+        `swap_map` refuses, or whose premise fails at some A, is left out.
+        """
+        alg = self.alg
+        pool = range(1, self.d + 1)
+        sets = [A for n in range(1, min(self.d, 5) + 1)
+                for A in combinations(pool, n)]
+        out = []
+        for j, orbits in alg.rd.coordinate_swaps:
+            phi = alg.swap_map(j, orbits)
+            if phi is not None and all(phi(self.O(A)) == self._swapped_O(A, j)
+                                       for A in sets):
+                out.append(j)
+        return out
+
+    def _swapped_O(self, A, j):
+        """O_{tau(A)} for tau = (j+1 j+2) and a sorted A: tau(A) is sorted
+        unless it swaps two entries of A, and then it is -O_A, which is
+        formed here and not memoised."""
+        if j + 1 in A and j + 2 in A:
+            return -self.O(A)
+        tau = {j + 1: j + 2, j + 2: j + 1}
+        return self.O([tau.get(a, a) for a in A])
+
+    def relation_orbits(self, name):
+        """{tuple: the first tuple of its orbit}, over the relation's index
+        tuples in their order, under the group that `orbit_swaps` generate.
+
+        A swap acts on each index, and its image is re-sorted within each
+        block, where the relation is skew or symmetric.  Adjacent swaps
+        generate the symmetric group of each run of coordinates they
+        connect, so an orbit is fixed by the runs of the entries of each
+        block, and its first tuple takes the smallest free coordinates of
+        each run, block by block.  With no swap every tuple is its own
+        orbit.
+        """
+        joined = set(self.orbit_swaps)
+        runs, run_of = [], {}
+        for v in range(1, self.d + 1):
+            if v - 2 in joined:         # tau = (v-1 v) joins v to its run
+                runs[-1].append(v)
+            else:
+                runs.append([v])
+            run_of[v] = len(runs) - 1
+        blocks = self.RELATIONS[name]
+        out = {}
+        for tup in self.relation_index_tuples(name):
+            taken = [0] * len(runs)
+            first = []
+            pos = 0
+            for n in blocks:
+                block = []
+                for v in tup[pos:pos + n]:
+                    k = run_of[v]
+                    block.append(runs[k][taken[k]])
+                    taken[k] += 1
+                first += sorted(block)
+                pos += n
+            out[tup] = tuple(first)
+        if any(out.get(first) != first for first in set(out.values())):
+            raise AssertionError(f"{name}: an orbit's first tuple is not "
+                                 f"one of the relation's tuples")
+        return out
 
     # -- Scasimir identities -------------------------------------------------
     def sgamma_residual(self):

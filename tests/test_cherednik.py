@@ -426,6 +426,19 @@ def test_ycomm_builds_no_fraction_after_its_first_call(group, spec,
     assert got == [_ycomm_by_scalar_products(h, i, c) for i, c in cases]
 
 
+def test_ycomm_makes_no_field_product_on_a_miss(coeff_products):
+    # t = s^2/2 = 2 and c = 1/3, 1/5 are constants: each t k and
+    # -c alpha_i u factor scales the numerators of t or c by an int
+    rd = RootDatum("B", 2, 2)
+    h = HAlgebra(rd, specialize=_SPEC_B2)
+    cases = [(i, c) for i in range(rd.dim)
+             for c in (c for k in range(5) for c in monomial_basis(rd.dim, k))]
+    with coeff_products() as made:
+        got = [h.ycomm(i, c) for i, c in cases]
+    assert made == []
+    assert got == [_ycomm_by_scalar_products(h, i, c) for i, c in cases]
+
+
 # -- an oracle from the Dunkl operators, sharing no code with the layer -------
 #
 # The polynomial representation of H_{t,c} on C[V] is faithful for t != 0:
@@ -559,8 +572,9 @@ def _term_mul_mismatches(h, keys, degree=2):
     return bad
 
 
-_ORACLE_GROUPS = {"A1": ("A1", 1, 1), "A r2": ("A", 2, 3), "B2": ("B", 2, 2),
-                  "B3": ("B", 3, 3), "D4": ("D", 4, 4), "A1^3": ("A1", 3, 3)}
+_ORACLE_GROUPS = {"A1": ("A1", 1, 1), "A r2": ("A", 2, 3), "A r3": ("A", 3, 4),
+                  "B2": ("B", 2, 2), "B3": ("B", 3, 3), "D4": ("D", 4, 4),
+                  "A1^3": ("A1", 3, 3)}
 
 
 @pytest.mark.parametrize("name", list(_ORACLE_GROUPS))

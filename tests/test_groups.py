@@ -31,6 +31,26 @@ def test_orbit_structure():
     assert RootDatum("A1", 3, 3, single_c=True).num_orbits == 1
 
 
+@pytest.mark.parametrize("cfg,kwargs,swaps", [
+    (("A1", 4, 4), {}, [(0, (1, 0, 2, 3)), (1, (0, 2, 1, 3)),
+                        (2, (0, 1, 3, 2))]),
+    (("A1", 4, 4), {"single_c": True}, [(0, (0,)), (1, (0,)), (2, (0,))]),
+    (("A", 1, 5), {}, [(0, (0,)), (2, (0,)), (3, (0,))]),
+    (("A", 2, 5), {}, [(0, (0,)), (1, (0,)), (3, (0,))]),
+    (("B", 2, 3), {}, [(0, (0, 1))]),
+    (("B", 3, 3), {}, [(0, (0, 1)), (1, (0, 1))]),
+    (("D", 4, 4), {}, [(0, (0,)), (1, (0,)), (2, (0,))])],
+    ids=["A1^4", "A1^4-single-c", "A r1 d5", "A r2 d5", "B2 d3", "B3", "D4"])
+def test_coordinate_swaps_preserve_the_roots(cfg, kwargs, swaps):
+    rd = RootDatum(*cfg, **kwargs)
+    assert rd.coordinate_swaps == swaps
+    roots = set(rd.positive_roots) | {tuple(-a for a in r)
+                                      for r in rd.positive_roots}
+    for j in range(rd.dim - 1):
+        image = {r[:j] + (r[j + 1], r[j]) + r[j + 2:] for r in roots}
+        assert (image == roots) == (j in dict(swaps)), j
+
+
 def test_conjugacy_classes():
     s4 = RootDatum("A", 3, 4)
     assert len(s4.conjugacy_classes()) == 5           # partitions of 4

@@ -426,3 +426,113 @@ def test_basis_elements_check_their_indices():
             alg.e_set(bad)
     assert alg.e_set((1, 2)) == alg.e(1) * alg.e(2)
     assert alg.e_set(()) == alg.one()
+
+
+# -- seeded ring identities on the larger groups -------------------------------
+
+@pytest.mark.parametrize("group", [("A", 3, 4), ("D", 4, 4), ("B", 3, 3)],
+                         ids=["A r3", "D4", "B3"])
+@pytest.mark.parametrize("seed", range(2))
+def test_seeded_associativity_and_bullet(group, seed):
+    alg = stack(*group).alg
+    rng = random.Random(seed)
+    a, b, c = (_seeded_element(alg, rng, 3)[1] for _ in range(3))
+    assert (a * b) * c == a * (b * c)
+    assert (a * b).bullet() == b.bullet() * a.bullet()
+    assert a.bullet().bullet() == a
+
+
+# -- the key map of a coordinate swap --------------------------------------------
+#
+# A swap tau = (j j+1) with tau(R) = R is an isomorphism of H (x) C(V) onto
+# the algebra whose c is permuted by tau, and `swap_map` renames the c_k
+# back: so phi(x y) = phi(x) phi(y), down to each `term_mul` product.
+
+_SWAP_GROUPS = {"A1^4": ("A1", 4, 4), "A r1 d5": ("A", 1, 5),
+                "A r3": ("A", 3, 4), "B3": ("B", 3, 3), "D4": ("D", 4, 4)}
+
+
+def _swaps(alg):
+    return [(j, alg.swap_map(j, orbits))
+            for j, orbits in alg.rd.coordinate_swaps]
+
+
+def _key_element(alg, key, mask=0):
+    return HCElement(alg, {key + (mask,): alg.field.one})
+
+
+@pytest.mark.parametrize("name", list(_SWAP_GROUPS))
+def test_swap_map_commutes_with_term_mul(name):
+    alg = stack(*_SWAP_GROUPS[name]).alg
+    h = alg.h
+    rng = random.Random(11)
+    keys = set()
+    while len(keys) < 6:
+        a, b = [0] * h.dim, [0] * h.dim
+        for _ in range(rng.randint(0, 3)):
+            (a if rng.random() < 0.5 else b)[rng.randrange(h.dim)] += 1
+        keys.add((tuple(a), tuple(b), rng.randrange(len(h.rd.elements))))
+    swaps = _swaps(alg)
+    assert swaps
+    for j, phi in swaps:
+        image = {}
+        for k in keys:
+            (key, c), = phi(_key_element(alg, k)).terms.items()
+            assert c == Coeff(1) and key[3:] == (0, 0)
+            image[k] = key[:3]
+        for k1 in keys:
+            for k2 in keys:
+                lhs = phi(HCElement(alg, {k + (0,): v for k, v
+                                          in h.term_mul(k1, k2)}))
+                rhs = HCElement(alg, {k + (0,): v for k, v
+                                      in h.term_mul(image[k1], image[k2])})
+                assert lhs == rhs, (j, k1, k2)
+
+
+@pytest.mark.parametrize("name", list(_SWAP_GROUPS))
+def test_swap_map_is_multiplicative(name):
+    alg = stack(*_SWAP_GROUPS[name]).alg
+    rng = random.Random(13)
+    for j, phi in _swaps(alg):
+        for _ in range(3):
+            x = _seeded_element(alg, rng, 4)[1]
+            y = _seeded_element(alg, rng, 4)[1]
+            assert phi(x * y) == phi(x) * phi(y), j
+
+
+def _mutant_maps(alg, monkeypatch, mutant):
+    """The swap maps of `alg` with one part of the key map broken."""
+    if mutant == "no c-slot permutation":
+        return [(j, alg.swap_map(j, tuple(range(len(orbits)))))
+                for j, orbits in alg.rd.coordinate_swaps]
+    swap_bits = hc._swap_bits
+    monkeypatch.setattr(hc, "_swap_bits",
+                        lambda m, j: (swap_bits(m, j)[0], 1))
+    return _swaps(alg)
+
+
+@pytest.mark.parametrize("mutant", ["no c-slot permutation", "no mask sign"])
+def test_swap_map_mutants_are_not_multiplicative(mutant, monkeypatch):
+    alg = stack("A1", 4, 4).alg                 # four distinct c
+    rng = random.Random(13)
+    pairs = [(_seeded_element(alg, rng, 4)[1], _seeded_element(alg, rng, 4)[1])
+             for _ in range(4)]
+    for j, phi in _mutant_maps(alg, monkeypatch, mutant):
+        assert any(phi(x * y) != phi(x) * phi(y) for x, y in pairs), j
+
+
+def test_swap_map_refuses_a_change_of_specialisation():
+    rd = RootDatum("A1", 4, 4)
+    swaps = rd.coordinate_swaps
+    spec = {"s": Fraction(2), "c1": Fraction(1, 3)}
+    alg = HCAlgebra(rd, specialize={**spec, "c2": Fraction(1, 5),
+                                    "c3": Fraction(1, 7), "c4": Fraction(1, 11)})
+    assert [alg.swap_map(j, orbits) for j, orbits in swaps] == [None] * 3
+    # c1 a number and c2..c4 symbols: only the swaps of c1 and c2 refuse
+    alg = HCAlgebra(rd, specialize=spec)
+    assert [alg.swap_map(j, orbits) is None for j, orbits in swaps] == [
+        True, False, False]
+    # equal numbers may trade places
+    alg = HCAlgebra(rd, specialize={**spec, **{f"c{k}": Fraction(1, 3)
+                                               for k in (2, 3, 4)}})
+    assert None not in [alg.swap_map(j, orbits) for j, orbits in swaps]

@@ -8,7 +8,7 @@ from dunkl.cli import Runner
 from dunkl.sparse import add_into, sub_into
 from dunkl.scalars import (Coeff, Scalar, ScalarField, C_ZERO, C_ONE, C_I,
                            C_R, NonMonomialDenominatorError, _i_power,
-                           mul_coeff, pack, unit_sign, unpack)
+                           mul_coeff, mul_int, pack, unit_sign, unpack)
 
 rats = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 7))
 coeffs = st.builds(Coeff, rats, rats, rats, rats)
@@ -131,6 +131,30 @@ def test_monomial_factors_make_no_field_products(coeff_products):
     for value, factor in zip(results, (Fraction(2), Fraction(1, 3),
                                        Fraction(-7, 10))):
         assert value.substitute(pt).constant_value() == ex * Coeff(factor)
+
+
+@given(coeffs, st.integers(-9, 9))
+@settings(max_examples=60, deadline=None)
+def test_mul_int_is_the_field_product_without_one(x, k):
+    u = Coeff(k)
+    expect = x * u
+    with_units = mul_int(x, u)
+    assert with_units == expect and with_units._v == expect._v
+    assert mul_int(x, Coeff(1)) is x
+
+
+def test_mul_int_makes_no_field_product(coeff_products):
+    x = Coeff(Fraction(1, 3), Fraction(-2, 5), 0, Fraction(7, 6))
+    with coeff_products() as made:
+        out = [mul_int(x, Coeff(k)) for k in (-2, -1, 0, 2, 6)]
+    assert made == []
+    assert out == [x * Coeff(k) for k in (-2, -1, 0, 2, 6)]
+
+
+@pytest.mark.parametrize("u", [Coeff(Fraction(1, 2)), C_I, C_R])
+def test_mul_int_refuses_a_factor_that_is_not_an_integer(u):
+    with pytest.raises(ValueError):
+        mul_int(C_ONE, u)
 
 
 @given(coeffs, coeffs, coeffs)

@@ -5,8 +5,9 @@ from math import factorial
 import pytest
 
 from conftest import stack
-from dunkl import tama
-from dunkl.cli import _admissible_entries
+from dunkl import hc, tama
+from dunkl.cli import (Context, Runner, RunConfig, _admissible_entries,
+                       first_failure, suite_relations)
 from dunkl.hc import HCElement
 from dunkl.scalars import C_R, Coeff, Scalar
 from dunkl.tama import Tama, perm_sign
@@ -380,3 +381,211 @@ def test_ocheck_matches_group_times_clifford_vector(group):
     ctx = stack(*group)
     for j in range(1, ctx.rd.dim + 1):
         assert ctx.tama.ocheck(j) == _ocheck_reference(ctx.alg, j)
+
+
+# -- one residual per orbit of the coordinate swaps ------------------------------
+
+def _full_loop_records(tm, d):
+    """The relation records of the all-tuple loop, which evaluates every
+    tuple's residual in order: the reference for the orbit loop."""
+    run = Runner()
+    for name, blocks in Tama.RELATIONS.items():
+        if sum(blocks) > d:
+            continue
+        tuples = tm.relation_index_tuples(name)
+        if name == "r22-shared-literal":
+            bad = [tup for tup in tuples
+                   if not tm.relation_residual(name, tup).is_zero()]
+            result = ("pass", None, {"variant_holds": not bad,
+                                     "failing_tuples": bad[:5],
+                                     "tuples": len(tuples)})
+        else:
+            result = first_failure(
+                ((f"indices {tup}", tm.relation_residual(name, tup))
+                 for tup in tuples), {"tuples": len(tuples)})
+        run.check("relations", name, None, lambda result=result: result)
+    return _by_check(run.records)
+
+
+def _by_check(records):
+    """{check: (status, witness, detail)} of the tuple relations' records."""
+    return {rec["check"]: (rec["status"], rec.get("witness"),
+                           rec.get("detail"))
+            for rec in records if rec["check"] in Tama.RELATIONS
+            and rec["status"] != "skipped"}
+
+
+def _orbit_records(ctx, monkeypatch):
+    """The relation records of `suite_relations`, and the number of
+    residuals it evaluated."""
+    calls = []
+    residual = Tama.relation_residual
+
+    def counted(self, name, idx):
+        calls.append((name, idx))
+        return residual(self, name, idx)
+    monkeypatch.setattr(Tama, "relation_residual", counted)
+    run = Runner()
+    suite_relations(ctx, run)
+    monkeypatch.setattr(Tama, "relation_residual", residual)
+    return _by_check(run.records), len(calls)
+
+
+def _tuple_count(tm):
+    return sum(len(tm.relation_index_tuples(name))
+               for name, blocks in Tama.RELATIONS.items()
+               if sum(blocks) <= tm.d)
+
+
+def _orbits_by_search(tm, name):
+    """{tuple: the first tuple of its orbit} by a breadth-first search
+    over `orbit_swaps`, each image re-sorted within the blocks."""
+    blocks = Tama.RELATIONS[name]
+    tuples = tm.relation_index_tuples(name)
+    first = {}
+    for tup in tuples:
+        if tup in first:
+            continue
+        first[tup] = tup
+        frontier = [tup]
+        while frontier:
+            new = []
+            for u in frontier:
+                for j in tm.orbit_swaps:
+                    img = _swapped(u, j, blocks)
+                    if img not in first:
+                        first[img] = tup
+                        new.append(img)
+            frontier = new
+    assert len(first) == len(tuples)
+    return {tup: first[tup] for tup in tuples}
+
+
+def _swapped(tup, j, blocks):
+    """The tuple with the indices j+1 and j+2 swapped, re-sorted within
+    each block."""
+    img = [j + 2 if v == j + 1 else j + 1 if v == j + 2 else v for v in tup]
+    out, pos = [], 0
+    for n in blocks:
+        out += sorted(img[pos:pos + n])
+        pos += n
+    return tuple(out)
+
+
+@pytest.mark.parametrize("group,kwargs,orbits", [
+    (("A1", 4, 4), {}, 9), (("A", 3, 4), {}, 9), (("A", 4, 5), {}, 11),
+    (("A1", 8, 8), {"single_c": True}, 12), (("A", 1, 8), {}, 69)],
+    ids=["A1^4", "A r3", "A r4", "A1^8-single-c", "A r1 d8"])
+def test_orbit_counts_and_first_tuples(group, kwargs, orbits):
+    tm = stack(*group, **kwargs).tama
+    count = 0
+    for name, blocks in Tama.RELATIONS.items():
+        if sum(blocks) > tm.d:
+            continue
+        got = tm.relation_orbits(name)
+        assert list(got) == tm.relation_index_tuples(name)
+        assert got == _orbits_by_search(tm, name), name
+        count += len(set(got.values()))
+    assert count == orbits
+
+
+@pytest.mark.parametrize("group", [("A", 2, 3), ("A", 3, 4), ("B", 3, 3),
+                                   ("D", 4, 4), ("A1", 3, 3)],
+                         ids=["A r2", "A r3", "B3", "D4", "A1^3"])
+def test_relation_records_equal_the_full_loop(group, monkeypatch):
+    ctx = stack(*group)
+    got, residuals = _orbit_records(ctx, monkeypatch)
+    assert got == _full_loop_records(ctx.tama, ctx.rd.dim)
+    assert ctx.tama.orbit_swaps == [j for j, _ in ctx.rd.coordinate_swaps]
+    assert residuals == sum(len(set(ctx.tama.relation_orbits(name).values()))
+                            for name in got)
+
+
+@pytest.mark.parametrize("group", [("A", 3, 4), ("A1", 3, 3)],
+                         ids=["A r3", "A1^3"])
+def test_a_failing_relation_reports_the_full_loop_witness(group, monkeypatch):
+    # r22-shared evaluated as its literal variant, which fails on A r3 and
+    # A1^3: the orbit loop must name the tuple and residual the full loop
+    # names
+    ctx = stack(*group)
+    residual = Tama.relation_residual
+
+    def literal(self, name, idx):
+        return residual(self, "r22-shared-literal"
+                        if name == "r22-shared" else name, idx)
+    monkeypatch.setattr(Tama, "relation_residual", literal)
+    expect = _full_loop_records(ctx.tama, ctx.rd.dim)
+    assert expect["r22-shared"][0] == "fail"
+    assert _orbit_records(ctx, monkeypatch)[0] == expect
+
+
+def test_specialised_couplings_that_differ_use_no_swap(monkeypatch):
+    ctx = Context(RunConfig("A1", 4, 4, ["relations"], specialize={
+        "s": Fraction(2), "c1": Fraction(1, 3), "c2": Fraction(1, 5),
+        "c3": Fraction(1, 7), "c4": Fraction(1, 11)}))
+    got, residuals = _orbit_records(ctx, monkeypatch)
+    assert ctx.tama.orbit_swaps == []
+    assert residuals == _tuple_count(ctx.tama)
+    assert got == _full_loop_records(ctx.tama, 4)
+
+
+def _drop_c_permutation(ctx, monkeypatch):
+    ctx.rd.coordinate_swaps = [(j, tuple(range(len(orbits))))
+                               for j, orbits in ctx.rd.coordinate_swaps]
+
+
+def _drop_mask_sign(ctx, monkeypatch):
+    swap_bits = hc._swap_bits
+    monkeypatch.setattr(hc, "_swap_bits",
+                        lambda m, j: (swap_bits(m, j)[0], 1))
+
+
+def _swap_off_the_roots(ctx, monkeypatch):
+    # (2 3) sends the root e1 - e2 to e1 - e3, which is no root
+    ctx.rd.coordinate_swaps = [(1, (0,))]
+
+
+@pytest.mark.parametrize("group,mutate", [
+    (("A1", 4, 4), _drop_c_permutation), (("A1", 4, 4), _drop_mask_sign),
+    (("A", 1, 5), _swap_off_the_roots)],
+    ids=["no-c-slot-permutation", "no-mask-sign", "swap-off-the-roots"])
+def test_a_broken_key_map_fails_the_premise(group, mutate, monkeypatch):
+    ctx = Context(RunConfig(*group, ["relations"]))
+    mutate(ctx, monkeypatch)
+    got, residuals = _orbit_records(ctx, monkeypatch)
+    assert ctx.tama.orbit_swaps == []
+    assert residuals == _tuple_count(ctx.tama)
+    assert got == _full_loop_records(ctx.tama, ctx.rd.dim)
+
+
+def test_the_premise_drops_only_the_swap_off_the_roots():
+    ctx = Context(RunConfig("A", 1, 5, ["relations"]))
+    swaps = ctx.rd.coordinate_swaps
+    assert [j for j, _ in swaps] == [0, 2, 3]
+    ctx.rd.coordinate_swaps = swaps + [(1, (0,))]
+    assert ctx.tama.orbit_swaps == [0, 2, 3]
+
+
+def test_the_premise_is_built_by_the_first_relation_evaluated():
+    for family, d in (("A1", 2), ("A1", 3)):
+        ctx = Context(RunConfig(family, d, d, ["relations"]))
+        ctx.tama
+        assert "orbit_swaps" not in vars(ctx.tama)
+        suite_relations(ctx, Runner())
+        # in two coordinates every relation is skipped
+        assert ("orbit_swaps" in vars(ctx.tama)) == (d > 2)
+
+
+@pytest.mark.parametrize("group", [("A1", 4, 4), ("A", 3, 4), ("B", 3, 3)],
+                         ids=["A1^4", "A r3", "B3"])
+def test_relation_residual_is_swap_equivariant(group):
+    # R(tau idx) = +-phi(R(idx)), on each relation's first two tuples
+    ctx = stack(*group)
+    tm, alg = ctx.tama, ctx.alg
+    for j, orbits in ctx.rd.coordinate_swaps:
+        phi = alg.swap_map(j, orbits)
+        for name, blocks in Tama.RELATIONS.items():
+            for tup in tm.relation_index_tuples(name)[:2]:
+                image = phi(tm.relation_residual(name, tup))
+                other = tm.relation_residual(name, _swapped(tup, j, blocks))
+                assert image in (other, -other), (j, name, tup)
