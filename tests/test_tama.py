@@ -501,13 +501,20 @@ def test_relation_records_equal_the_full_loop(group, monkeypatch):
                             for name in got)
 
 
-@pytest.mark.parametrize("group", [("A", 3, 4), ("A1", 3, 3)],
-                         ids=["A r3", "A1^3"])
-def test_a_failing_relation_reports_the_full_loop_witness(group, monkeypatch):
-    # r22-shared evaluated as its literal variant, which fails on A r3 and
-    # A1^3: the orbit loop must name the tuple and residual the full loop
-    # names
-    ctx = stack(*group)
+_DISTINCT_C = {"s": Fraction(2), "c1": Fraction(1, 3), "c2": Fraction(1, 5),
+               "c3": Fraction(1, 7)}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: stack("A", 3, 4), lambda: stack("A1", 3, 3),
+    lambda: Context(RunConfig("A1", 3, 3, ["relations"],
+                              specialize=_DISTINCT_C))],
+    ids=["A r3", "A1^3", "A1^3-distinct-c"])
+def test_a_failing_relation_reports_the_full_loop_witness(make, monkeypatch):
+    # r22-shared evaluated as its literal variant, which fails on each of
+    # these: the orbit loop must name the tuple and residual the full loop
+    # names, in one orbit or, with fewer swaps, among several
+    ctx = make()
     residual = Tama.relation_residual
 
     def literal(self, name, idx):
