@@ -218,11 +218,10 @@ class CoverAlgebra:
         return out
 
 
-def linearly_independent(vectors, n):
-    """Rank over Q(i, sqrt2) of {g: Coeff} vectors with g < n, by
+def linearly_independent(vectors):
+    """Rank over Q(i, sqrt2) of {g: Coeff} vectors, by
     `polyspinor.rank_coeff` on the nonzero vectors as sparse rows; the
-    elimination touches only their support, so `n` bounds the keys but
-    is not read."""
+    elimination touches only their support."""
     rows = [v for v in vectors if v]
     rank = rank_coeff(rows)
     return rank == len(rows), rank

@@ -35,7 +35,9 @@ the field's `one`, so a coefficient equal to 1 is that very object, and
 the H and H (x) C products skip their scalar product for it by identity.
 Sums accumulate through `sparse.add_into`, and `HElement` takes its
 linear operations from `sparse.SparseElement`; `HAlgebra.star_key` is
-the star on one monomial, shared with the bullet of `hc`.
+the star on one monomial, shared with the bullet of `hc`.  The one H
+constructor is `HAlgebra.monomial`; the suites build every other basis
+element in H (x) C, through `hc.HCAlgebra`.
 """
 
 from __future__ import annotations
@@ -100,29 +102,6 @@ class HAlgebra:
                                             for c in self.c_orbit)
 
     # -- element constructors -----------------------------------------------
-    def zero(self):
-        return HElement(self, {})
-
-    def one(self):
-        return HElement(self, {(self.zero_exp, self.zero_exp, self.id_idx): self.field.one})
-
-    def x(self, j):
-        """x_j, 1-based."""
-        e = self._unit_exp(j)
-        return HElement(self, {(e, self.zero_exp, self.id_idx): self.field.one})
-
-    def y(self, j):
-        e = self._unit_exp(j)
-        return HElement(self, {(self.zero_exp, e, self.id_idx): self.field.one})
-
-    def group(self, g_idx):
-        return HElement(self, {(self.zero_exp, self.zero_exp, g_idx): self.field.one})
-
-    def scalar(self, sc):
-        if not isinstance(sc, Scalar):
-            sc = self.field.rational(sc)
-        return HElement(self, {(self.zero_exp, self.zero_exp, self.id_idx): sc})
-
     def monomial(self, xexp, yexp, g_idx):
         key = (tuple(xexp), tuple(yexp), g_idx)
         return HElement(self, {key: self.field.one})

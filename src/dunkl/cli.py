@@ -113,7 +113,7 @@ class RunConfig:
         self.family = fam
         self.rank = rank
         self.ambient = ambient
-        self.suites = tuple(suites)
+        self.suites = tuple(dict.fromkeys(suites))      # each suite once
         self.single_c = bool(single_c)
         self.specialize = specialize
         self.max_degree = max_degree
@@ -282,13 +282,12 @@ def suite_osp(ctx: Context, run: Runner):
     run.check("osp", "scasimir-square", "scasimir squares to casimir + 1/4",
               lambda: ctx.osp.scasimir * ctx.osp.scasimir
               - ctx.osp.Omega_quarter)
-    if ctx.rd.dim <= 6:
-        run.check("osp", "scasimir-gamma",
-                  "scasimir times pseudo-scalar equals scaled top generator",
-                  lambda: ctx.tama.sgamma_residual())
-        run.check("osp", "scasimir-square-expansion",
-                  "scasimir square as generator sum",
-                  lambda: ctx.tama.ssquare_expansion_residual())
+    run.check("osp", "scasimir-gamma",
+              "scasimir times pseudo-scalar equals scaled top generator",
+              lambda: ctx.tama.sgamma_residual())
+    run.check("osp", "scasimir-square-expansion",
+              "scasimir square as generator sum",
+              lambda: ctx.tama.ssquare_expansion_residual())
     run.check("osp", "projection-scasimir",
               "P(scasimir) = -2(casimir + 1/4)",
               lambda: ctx.osp.project(ctx.osp.scasimir)
@@ -438,12 +437,11 @@ def suite_vogan(ctx: Context, run: Runner):
 def suite_admissible(ctx: Context, run: Runner):
     def oracle():
         cover = ctx.cover
-        n = len(ctx.rd.elements)
         brute, _consistency = cover.brute_force_epsilon_centre()
         cat_vecs = [v for _rep, v in cover.epsilon_centre_basis()]
-        _, rank_b = linearly_independent(brute, n)
-        _, rank_c = linearly_independent(cat_vecs, n)
-        _, rank_u = linearly_independent(brute + cat_vecs, n)
+        _, rank_b = linearly_independent(brute)
+        _, rank_c = linearly_independent(cat_vecs)
+        _, rank_u = linearly_independent(brute + cat_vecs)
         return (("pass" if rank_b == rank_c == rank_u else "fail"), None,
                 {"brute_dim": rank_b, "catalog_dim": rank_c,
                  "union_rank": rank_u})
@@ -599,12 +597,17 @@ def suite_cohomology(ctx: Context, run: Runner):
     run.check("cohomology", "hermitian-adjoint-gram_hermitian",
               "bullet-adjointness of the generators under the pairing",
               adjointness)
-    point = "c = 0, t = 1"
-    if alg.h.rational:                  # the Gram matrix is already constant
-        point = ", ".join(f"{p} = {v}" for p, v
-                          in sorted(ctx.config.specialize.items()))
+    # the point at which `signs` reads the Gram matrix: each specialised
+    # value, then c = 0 for the free c_k and t = 1 for a free s
+    spec = ctx.config.specialize or {}
+    free_c = [f"c{k}" for k in range(1, F.nvars) if f"c{k}" not in spec]
+    point = [f"{p} = {v}" for p, v in spec.items()]
+    point += (["c = 0"] if len(free_c) == F.nvars - 1
+              else [f"{c} = 0" for c in free_c])
+    if "s" not in spec:
+        point.append("t = 1")
     run.check("cohomology", "hermitian-minors",
-              f"leading principal minor signs at {point}",
+              f"leading principal minor signs at {', '.join(sorted(point))}",
               lambda: ("pass", None,
                        {"signs": signs(), "positive_definite": positive()}))
 

@@ -4,7 +4,8 @@ Basis subsets are stored as bitmasks; e_A e_B is the sign
 (-1)^{|P(A) & B|} times e_{A xor B}, with the mask P(A) of `sign_mask`
 computed once per left term of a product.  `cunit_mul` multiplies two
 {mask: value} sums, for the pin cocycle on ints as well as for
-`CliffordElement`, whose linear operations come from `sparse`.
+`CliffordElement`, whose linear operations come from `sparse`; it has no
+constructor of its own: `pseudo_scalar` writes its one term by mask.
 `reversion_sign` is the sign of the anti-involution on a basis element,
 shared by `CliffordElement.star`, `HCElement.bullet` and the cover
 algebra's bullet.
@@ -81,40 +82,15 @@ class CliffordElement(SparseElement):
 
     __slots__ = ()
 
-    @staticmethod
-    def zero(dim, field):
-        return CliffordElement(dim, {})
-
-    @staticmethod
-    def one(dim, field):
-        return CliffordElement(dim, {0: field.one})
-
-    @staticmethod
-    def generator(dim, j, field):
-        """e_j, 1-based index."""
-        if not 1 <= j <= dim:
-            raise IndexError(f"generator index {j} out of range")
-        return CliffordElement(dim, {1 << (j - 1): field.one})
-
     def __mul__(self, o):
         self._chk(o)
         return self._new(cunit_mul(self.terms, o.terms))
-
-    def parity(self):
-        """Z2-degree if homogeneous, else None."""
-        ps = {m.bit_count() % 2 for m in self.terms}
-        if len(ps) == 1:
-            return ps.pop()
-        return None if ps else 0
 
     def star(self):
         """Anti-involution e_A -> (-1)^{|A|} reversed(e_A), conjugate-linear."""
         return self._new({
             m: v.conjugate() if reversion_sign(m) > 0 else -v.conjugate()
             for m, v in self.terms.items()})
-
-    def __hash__(self):
-        return hash((self.alg, tuple(sorted(self.terms.items()))))
 
     @staticmethod
     def _term(m, v):

@@ -25,8 +25,8 @@ product; any other `term_mul` coefficient, a Scalar, is read term by
 term.  The linear operations (from `sparse.SparseElement`), `scale`,
 `bullet` and the parity parts act on the Coeffs directly.
 
-Every basis element (`zero`, `one`, `scalar`, `x`, `y`, `group`, `e`,
-`e_set`) is written by its key (a, b, g, mask) in `HCAlgebra._basis`.
+Every basis element (`zero`, `scalar`, `x`, `y`, `group`, `e`, `e_set`)
+is written by its key (a, b, g, mask) in `HCAlgebra._basis`.
 
 A coordinate swap tau = (j j+1) that maps the root system R to itself
 acts on the flat terms by one key map (`HCAlgebra.swap_map`), with no
@@ -75,9 +75,6 @@ class HCAlgebra:
 
     def zero(self):
         return self._basis(self.field.zero)
-
-    def one(self):
-        return self._basis(self.field.one)
 
     def scalar(self, sc):
         if not isinstance(sc, Scalar):
@@ -243,13 +240,6 @@ class HCElement(SparseElement):
                                     for k, v in self.scalars().items()})
 
     # -- grading -------------------------------------------------------------
-    def parity(self):
-        """Clifford Z2-degree if homogeneous, else None (0 for zero)."""
-        ps = {k[3].bit_count() & 1 for k in self.terms}
-        if not ps:
-            return 0
-        return ps.pop() if len(ps) == 1 else None
-
     def even_part(self):
         return self._new({k: v for k, v in self.terms.items()
                           if not k[3].bit_count() & 1})

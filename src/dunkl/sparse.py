@@ -12,7 +12,8 @@ which act on the values whatever their type; `HElement`, `HCElement` and
 `CliffordElement` add their product, their involution and how a term
 prints; `HCElement` adds `scale`, `map_scalars`, grouped printing and one
 pair loop (its brackets; its product is tau = 0), its basis elements
-written by key.
+written by key.  Only H (x) C has a full set of basis constructors:
+H keeps `HAlgebra.monomial`, and C(V) none.
 """
 
 from __future__ import annotations

@@ -410,7 +410,8 @@ class Tama:
 
     # -- Scasimir identities -------------------------------------------------
     def sgamma_residual(self):
-        """S Gamma - (i^{d(d-1)/2}/t) O_{1..d}; needs |A| = d <= 5 support."""
+        """S Gamma - (i^{d(d-1)/2}/t) O_{1..d}, with O_{1..d} in closed form
+        for every d."""
         alg = self.alg
         phase = alg.field.i_power(self.d * (self.d - 1) // 2)
         rhs = self.O(tuple(range(1, self.d + 1))).scale(phase * alg.h.t.inv())

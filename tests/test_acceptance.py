@@ -144,10 +144,9 @@ def test_criterion_07_epsilon_centre_oracle(capsys):
         cov = CoverAlgebra(RootDatum(*cfg))
         brute, _ = cov.brute_force_epsilon_centre()
         catalog = [v for _r, v in cov.epsilon_centre_basis()]
-        n = len(cov.rd.elements)
-        _, rb = linearly_independent(brute, n)
-        _, rc = linearly_independent(catalog, n)
-        _, ru = linearly_independent(brute + catalog, n)
+        _, rb = linearly_independent(brute)
+        _, rc = linearly_independent(catalog)
+        _, ru = linearly_independent(brute + catalog)
         ok = ok and (rb == rc == ru)
     report(capsys, 7, "epsilon-centre-oracle", ok)
 

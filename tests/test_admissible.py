@@ -27,10 +27,9 @@ def test_epsilon_centre_oracle_agreement(config):
     cov = _cover(*config)
     brute, _consistency = cov.brute_force_epsilon_centre()
     catalog = [v for _rep, v in cov.epsilon_centre_basis()]
-    n = len(cov.rd.elements)
-    ok_b, rank_b = linearly_independent(brute, n)
-    ok_c, rank_c = linearly_independent(catalog, n)
-    _, rank_u = linearly_independent(brute + catalog, n)
+    ok_b, rank_b = linearly_independent(brute)
+    ok_c, rank_c = linearly_independent(catalog)
+    _, rank_u = linearly_independent(brute + catalog)
     assert ok_b and ok_c
     assert rank_b == rank_c == rank_u == EXPECTED_EPS_CENTRE_DIMS[config]
 

@@ -12,14 +12,31 @@ from dunkl.hc import HCAlgebra
 from dunkl.polyspinor import monomial_basis
 
 
+# basis elements of H, written by their keys (a, b, g)
+def _x(h, j):
+    return h.monomial(h._unit_exp(j), h.zero_exp, h.id_idx)
+
+
+def _y(h, j):
+    return h.monomial(h.zero_exp, h._unit_exp(j), h.id_idx)
+
+
+def _g(h, g_idx):
+    return h.monomial(h.zero_exp, h.zero_exp, g_idx)
+
+
+def _sc(h, sc):
+    return HElement(h, {(h.zero_exp, h.zero_exp, h.id_idx): sc})
+
+
 def test_rank_one_commutator():
     # single sign flip on one coordinate: [y, x] = t - 2 c s
     rd = RootDatum("A1", 1, 1)
     h = HAlgebra(rd)
-    res = h.y(1) * h.x(1) - h.x(1) * h.y(1)
+    res = _y(h, 1) * _x(h, 1) - _x(h, 1) * _y(h, 1)
     s_idx = rd.reflection_index(0)
-    expect = (h.scalar(h.t)
-              - h.group(s_idx).scale(h.c_root[0] * h.field.rational(2)))
+    expect = (_sc(h, h.t)
+              - _g(h, s_idx).scale(h.c_root[0] * h.field.rational(2)))
     assert res == expect
 
 
@@ -29,7 +46,7 @@ def test_dunkl_commutator_degree_two():
     rd = RootDatum("A1", 1, 1)
     h = HAlgebra(rd)
     res = dunkl_commutator(h, 1, (2,))
-    expect = h.x(1).scale(h.t * h.field.rational(2))
+    expect = _x(h, 1).scale(h.t * h.field.rational(2))
     assert res == expect
 
 
@@ -39,13 +56,13 @@ def test_dunkl_commutator_type_a():
     rd = RootDatum("A", 1, 2)
     h = HAlgebra(rd)
     res = dunkl_commutator(h, 1, (1, 1))
-    assert res == h.x(2).scale(h.t)
+    assert res == _x(h, 2).scale(h.t)
     # [y_1, x_1^2]: divided difference (x_1^2 - x_2^2)/(x_1 - x_2) = x_1 + x_2
     res2 = dunkl_commutator(h, 1, (2, 0))
     c = h.c_root[0]
-    expect = (h.x(1).scale(h.t * h.field.rational(2))
-              - (h.x(1) + h.x(2)).scale(c)
-              * h.group(rd.reflection_index(0)))
+    expect = (_x(h, 1).scale(h.t * h.field.rational(2))
+              - (_x(h, 1) + _x(h, 2)).scale(c)
+              * _g(h, rd.reflection_index(0)))
     assert res2 == expect
 
 
@@ -53,9 +70,9 @@ def test_pbw_associativity_spot():
     rd = RootDatum("A", 2, 3)
     h = HAlgebra(rd)
     rng = random.Random(7)
-    gens = [h.x(1), h.x(2), h.y(1), h.y(3),
-            h.group(rd.reflection_index(0)),
-            h.group(rd.reflection_index(2))]
+    gens = [_x(h, 1), _x(h, 2), _y(h, 1), _y(h, 3),
+            _g(h, rd.reflection_index(0)),
+            _g(h, rd.reflection_index(2))]
     for _ in range(15):
         a, b, c = (rng.choice(gens) for _ in range(3))
         assert (a * b) * c == a * (b * c)
@@ -65,23 +82,23 @@ def test_group_relations_inside_h():
     rd = RootDatum("B", 2, 2)
     h = HAlgebra(rd)
     for r_idx in range(len(rd.positive_roots)):
-        g = h.group(rd.reflection_index(r_idx))
-        assert g * g == h.one()
+        g = _g(h, rd.reflection_index(r_idx))
+        assert g * g == _g(h, h.id_idx)
 
 
 def test_group_conjugates_x_to_linear_combination():
     rd = RootDatum("A", 1, 2)
     h = HAlgebra(rd)
-    g = h.group(rd.reflection_index(0))    # swaps coordinates 1, 2
-    assert g * h.x(1) == h.x(2) * g
-    assert g * h.y(2) == h.y(1) * g
+    g = _g(h, rd.reflection_index(0))       # swaps coordinates 1, 2
+    assert g * _x(h, 1) == _x(h, 2) * g
+    assert g * _y(h, 2) == _y(h, 1) * g
 
 
 def test_star_is_anti_involution():
     rd = RootDatum("A1", 2, 2)
     h = HAlgebra(rd)
-    a = h.x(1) * h.y(2) + h.group(rd.reflection_index(0)).scale(h.field.i)
-    b = h.y(1) * h.x(1) + h.x(2)
+    a = _x(h, 1) * _y(h, 2) + _g(h, rd.reflection_index(0)).scale(h.field.i)
+    b = _y(h, 1) * _x(h, 1) + _x(h, 2)
     assert (a * b).star() == b.star() * a.star()
     assert a.star().star() == a
     # conjugate-linear: (i a)^* = -i a^*
@@ -91,8 +108,8 @@ def test_star_is_anti_involution():
 def test_star_swaps_x_and_y():
     rd = RootDatum("A1", 1, 1)
     h = HAlgebra(rd)
-    assert h.x(1).star() == h.y(1)
-    assert h.y(1).star() == h.x(1)
+    assert _x(h, 1).star() == _y(h, 1)
+    assert _y(h, 1).star() == _x(h, 1)
 
 
 def test_specialized_algebra_matches_substitution():
@@ -100,8 +117,8 @@ def test_specialized_algebra_matches_substitution():
     spec = {"s": Fraction(2), "c1": Fraction(1, 3), "c2": Fraction(1, 5)}
     hs = HAlgebra(rd, specialize=spec)
     h = HAlgebra(rd)
-    sym = h.y(1) * h.x(1)
-    num = hs.y(1) * hs.x(1)
+    sym = _y(h, 1) * _x(h, 1)
+    num = _y(hs, 1) * _x(hs, 1)
     point = (spec["s"], spec["c1"], spec["c2"])
     for key, v in sym.terms.items():
         assert num.terms[key] == v.substitute(point)
@@ -140,7 +157,7 @@ def test_filtration_check_fails_on_a_c_term_above_the_bound(monkeypatch):
     h = HAlgebra(RootDatum("A1", 2, 2))
     F = h.field
     s, c1 = F.s, F.cs[0]
-    xi, eta = h.x(1), h.y(2)                 # the degree bound is 1 + 1 - 2
+    xi, eta = _x(h, 1), _y(h, 2)             # the degree bound is 1 + 1 - 2
     assert filtration_check(h, xi, eta)
     for terms, ok in (({(0, 0): c1 * s, (1, 0): s}, True),
                       ({(1, 0): s + c1}, False),
@@ -159,7 +176,7 @@ def test_filtration_check_refuses_c_in_a_denominator(monkeypatch):
                   {(1, 0): c1, (0, 0): F.s + F.cs[1] / (F.s * c1)}):
         _plant_commutator(monkeypatch, h, terms)
         with pytest.raises(ZeroDivisionError):
-            filtration_check(h, h.x(1), h.y(2))
+            filtration_check(h, _x(h, 1), _y(h, 2))
 
 
 # -- the term_mul memo ----------------------------------------------------------
@@ -224,8 +241,9 @@ def test_term_mul_memo_is_per_algebra():
 
 def _h_pair(h):
     g = h.rd.reflection_index(0)
-    a = h.x(1) * h.y(2) + h.group(g).scale(h.field.i) + h.y(1).scale(h.c_root[0])
-    b = h.y(1) * h.x(1) * h.group(g) - h.x(2).scale(h.t)
+    a = (_x(h, 1) * _y(h, 2) + _g(h, g).scale(h.field.i)
+         + _y(h, 1).scale(h.c_root[0]))
+    b = _y(h, 1) * _x(h, 1) * _g(h, g) - _x(h, 2).scale(h.t)
     return a, b
 
 

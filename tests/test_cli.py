@@ -160,7 +160,7 @@ GOLDEN_REPORTS = (
     ("--family B --rank 3 --suite osp --suite centre --suite vogan", 1,
      "5590110a448c12ac80d4318df4cbaa451b6baed11c7f33a8607d86c7ea7aad11"),
     ("--family A1^2 --suite all --specialize s=1 --max-degree 3", 0,
-     "2712804bdc6b4912277fdd630fb1cf2f11192230f929b1f9a903c7d7f24943ca"),
+     "c3bc95efc99cf5862d67a81db03370983d91b42d1596e965a0ee46dd34b639e2"),
     ("--family D --rank 4 --suite admissible", 0,
      "c0a3b5469278710bd58c601d9e20536e75be2178c62dd41c98b2b347fded349e"),
 )
@@ -325,6 +325,61 @@ def test_helper_exception_fails_checks_not_the_run(monkeypatch, owner,
 def test_all_suite_expansion():
     cfg = RunConfig("A1^2", None, None, list(SUITES))
     assert set(cfg.suites) == set(SUITES)
+
+
+def _report(argv):
+    args = build_parser().parse_args(argv.split())
+    return run_config(config_from_args(args))[0]
+
+
+@pytest.mark.parametrize("argv, suites", [
+    ("--family A1^2 --suite osp --suite osp", ["osp"]),
+    ("--family A1^2 --suite all --suite osp --max-degree 1", list(SUITES))])
+def test_a_repeated_suite_runs_once(argv, suites):
+    rep = _report(argv)
+    assert rep["config"]["suites"] == suites
+    ids = [(rec["suite"], rec["check"]) for rec in rep["checks"]]
+    assert len(ids) == len(set(ids))
+    assert sum(rep["summary"].values()) == len(ids)
+
+
+def test_a_suite_named_again_after_all_changes_no_byte():
+    once = _report("--family A1^2 --suite all --max-degree 1")
+    again = _report("--family A1^2 --suite all --suite osp --max-degree 1")
+    assert canonical_report_bytes(again, include_timing=False) == \
+        canonical_report_bytes(once, include_timing=False)
+
+
+@pytest.mark.parametrize("spec, point", [
+    (None, "c = 0, t = 1"),
+    ("s=1", "c = 0, s = 1"),
+    ("c1=1/3", "c1 = 1/3, c2 = 0, t = 1"),
+    ("c2=1/3,s=2", "c1 = 0, c2 = 1/3, s = 2"),
+    ("s=2,c1=1/3,c2=1/5", "c1 = 1/3, c2 = 1/5, s = 2")])
+def test_the_hermitian_minors_anchor_names_the_point_used(spec, point):
+    # a specialised value stays; a free c_k is set to 0 and a free s to
+    # sqrt2, which gives t = 1
+    argv = "--family A1^2 --suite cohomology --max-degree 1"
+    rep = _report(argv + (f" --specialize {spec}" if spec else ""))
+    anchor, = [rec["anchor"] for rec in rep["checks"]
+               if rec["check"] == "hermitian-minors"]
+    assert anchor == f"leading principal minor signs at {point}"
+
+
+def test_the_scasimir_checks_run_past_dimension_6():
+    src = str(Path(dunkl.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dunkl.cli", "--family", "A1^7", "--suite",
+         "osp", "--single-c"], env=env, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    status = {rec["check"]: rec["status"]
+              for rec in json.loads(proc.stdout)["checks"]}
+    assert status["scasimir-gamma"] == "pass"
+    assert status["scasimir-square-expansion"] == "pass"
 
 
 def test_skipped_checks_do_not_fail(tmp_path):

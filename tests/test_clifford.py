@@ -10,17 +10,20 @@ F = ScalarField(0)
 
 
 def gen(d, j):
-    return CliffordElement.generator(d, j, F)
+    return CliffordElement(d, {1 << (j - 1): F.one})
+
+
+def one(d):
+    return CliffordElement(d, {0: F.one})
 
 
 def test_generator_relations():
     d = 5
-    one = CliffordElement.one(d, F)
     for i in range(1, d + 1):
-        assert gen(d, i) * gen(d, i) == one
+        assert gen(d, i) * gen(d, i) == one(d)
         for j in range(i + 1, d + 1):
             assert gen(d, i) * gen(d, j) + gen(d, j) * gen(d, i) == \
-                CliffordElement.zero(d, F)
+                CliffordElement(d, {})
 
 
 def test_basis_sign_oracle():
@@ -30,7 +33,7 @@ def test_basis_sign_oracle():
     for d in (4, 6):
         blades = []
         for mask in range(1 << d):
-            e = CliffordElement.one(d, F)
+            e = one(d)
             for j in range(1, d + 1):
                 if mask & (1 << (j - 1)):
                     e = e * gen(d, j)
@@ -67,7 +70,7 @@ def test_sign_mask_matches_the_shift_loop():
 def test_star_is_conjugate_linear_anti_involution():
     d = 3
     x = gen(d, 1) * gen(d, 2) + gen(d, 3).scale(F.i)
-    y = gen(d, 2) * gen(d, 3) + CliffordElement.one(d, F).scale(F.r)
+    y = gen(d, 2) * gen(d, 3) + one(d).scale(F.r)
     assert (x * y).star() == y.star() * x.star()
     assert x.star().star() == x
     assert x.scale(F.i).star() == x.star().scale(-F.i)
@@ -78,7 +81,7 @@ def test_star_is_conjugate_linear_anti_involution():
 def test_pseudo_scalar_squares_to_one():
     for d in range(1, 7):
         g = pseudo_scalar(d, F)
-        assert g * g == CliffordElement.one(d, F)
+        assert g * g == one(d)
 
 
 def test_pseudo_scalar_star_sign_depends_on_parity():
@@ -101,13 +104,6 @@ def test_pseudo_scalar_commutation():
         if d % 2 == 1:
             for j in range(1, d + 1):
                 assert g * gen(d, j) == gen(d, j) * g
-
-
-def test_parity():
-    d = 3
-    assert gen(d, 1).parity() == 1
-    assert (gen(d, 1) * gen(d, 2)).parity() == 0
-    assert (gen(d, 1) + gen(d, 1) * gen(d, 2)).parity() is None
 
 
 def test_mask_str():

@@ -18,6 +18,15 @@ def _alg():
     return HCAlgebra(RootDatum("A1", 2, 2))
 
 
+def _parity(elem):
+    """Clifford Z2-degree of the masks if homogeneous, else None (0 for
+    zero)."""
+    ps = {k[3].bit_count() & 1 for k in elem.terms}
+    if not ps:
+        return 0
+    return ps.pop() if len(ps) == 1 else None
+
+
 def test_clifford_and_cherednik_factors_commute():
     alg = _alg()
     assert alg.x(1) * alg.e(2) == alg.e(2) * alg.x(1)
@@ -26,7 +35,7 @@ def test_clifford_and_cherednik_factors_commute():
 
 def test_clifford_relations_inside_hc():
     alg = _alg()
-    assert alg.e(1) * alg.e(1) == alg.one()
+    assert alg.e(1) * alg.e(1) == alg.scalar(1)
     assert alg.e(1) * alg.e(2) + alg.e(2) * alg.e(1) == alg.zero()
 
 
@@ -35,7 +44,7 @@ def test_parity_and_graded_bracket():
     a = alg.e(1).scale(alg.field.s)          # odd
     b = alg.e(2) * alg.x(1)                  # odd
     c = alg.e(1) * alg.e(2)                  # even
-    assert a.parity() == 1 and b.parity() == 1 and c.parity() == 0
+    assert _parity(a) == 1 and _parity(b) == 1 and _parity(c) == 0
     # odd-odd bracket is the anticommutator
     assert a.gbracket(b) == a * b + b * a
     # mixed bracket is the commutator
@@ -48,10 +57,10 @@ def test_graded_bracket_antisymmetry_and_jacobi():
     rng = random.Random(5)
     gens = [alg.e(1), alg.e(2), alg.x(1) * alg.e(1), alg.y(2) * alg.e(2),
             alg.x(1) * alg.y(1), alg.group(alg.rd.reflection_index(0))]
-    homog = [g for g in gens if g.parity() is not None]
+    homog = [g for g in gens if _parity(g) is not None]
     for _ in range(10):
         a, b = rng.choice(homog), rng.choice(homog)
-        pa, pb = a.parity(), b.parity()
+        pa, pb = _parity(a), _parity(b)
         lhs = a.gbracket(b)
         rhs = b.gbracket(a)
         if pa and pb:
@@ -313,11 +322,11 @@ def test_brackets_match_the_reference_products(context, seed):
     # the unit and e_1 make both elements of mixed parity, and commute
     # with every PBW monomial, so that some pairs of terms have one
     # term_mul result in both orders; so does a term shared by a and b
-    extra = alg.one() + alg.e(1).scale(alg.field.i)
+    extra = alg.scalar(1) + alg.e(1).scale(alg.field.i)
     _, a = _seeded_element(alg, rng, 4)
     _, b = _seeded_element(alg, rng, 4)
     a, b = a + extra, b + extra + a.odd_part()
-    assert a.parity() is None and b.parity() is None
+    assert _parity(a) is None and _parity(b) is None
     for x, y in ((a, b), (b, a), (a, a)):
         for kind in ("commutator", "anticommutator", "gbracket"):
             assert getattr(x, kind)(y) == _ref_bracket(x, y, kind), kind
@@ -398,18 +407,21 @@ def test_basis_elements_match_the_cherednik_route(group):
     alg = stack(*group).alg
     h = alg.h
 
-    def from_h(helem):
+    def from_h(a, b, g, sc=None):
+        helem = HElement(h, {(a, b, g): h.field.one if sc is None else sc})
         return HCElement(alg, {(a, b, g, 0): v
                                for (a, b, g), v in helem.terms.items()})
+    z, one = h.zero_exp, h.id_idx
     for j in range(1, alg.dim + 1):
-        assert alg.x(j) == from_h(h.x(j))
-        assert alg.y(j) == from_h(h.y(j))
+        assert alg.x(j) == from_h(h._unit_exp(j), z, one)
+        assert alg.y(j) == from_h(z, h._unit_exp(j), one)
     for g in range(len(alg.rd.elements)):
-        assert alg.group(g) == from_h(h.group(g))
-    assert alg.one() == from_h(h.one())
-    assert alg.zero() == from_h(h.zero())
-    assert alg.scalar(h.t) == from_h(h.scalar(h.t))
-    assert alg.scalar(Fraction(3, 2)) == from_h(h.scalar(Fraction(3, 2)))
+        assert alg.group(g) == from_h(z, z, g)
+    assert alg.scalar(1) == from_h(z, z, one)
+    assert alg.zero() == from_h(z, z, one, h.field.zero)
+    assert alg.scalar(h.t) == from_h(z, z, one, h.t)
+    assert alg.scalar(Fraction(3, 2)) == from_h(
+        z, z, one, h.field.rational(Fraction(3, 2)))
 
 
 def test_basis_elements_check_their_indices():
@@ -425,7 +437,7 @@ def test_basis_elements_check_their_indices():
         with pytest.raises(ValueError):
             alg.e_set(bad)
     assert alg.e_set((1, 2)) == alg.e(1) * alg.e(2)
-    assert alg.e_set(()) == alg.one()
+    assert alg.e_set(()) == alg.scalar(1)
 
 
 # -- seeded ring identities on the larger groups -------------------------------

@@ -74,10 +74,10 @@ def test_relation_suite_s3(s3):
             assert tm.relation_residual(name, tup).is_zero(), (name, tup)
 
 
-def test_literal_variant_fails_off_type_a(a13):
-    # the alternative middle-commutator reading holds on A r2 but not on
-    # A r3, D r4, B r3 or A1^3; on the sign-flip group it must differ
-    # from the corrected relation
+def test_literal_variant_fails_on_a1_cubed(a13):
+    # among the groups tried, the alternative middle-commutator reading
+    # holds only on A r2 (A r3, A r4, D r4 and B r3 fail it); on the
+    # sign-flip group A1^3 it must differ from the corrected relation
     tm = a13.tama
     failures = [tup for tup in tm.relation_index_tuples("r22-shared-literal")
                 if not tm.relation_residual("r22-shared-literal",
