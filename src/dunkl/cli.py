@@ -36,8 +36,9 @@ from .tama import Tama
 from .admissible import CoverAlgebra, linearly_independent, \
     sn_partition_predictions
 from .polyspinor import (SpinorRep, HermitianForm, cohomology_dims,
-                         spinor_matrices, _mat_mul_coeff, kernel_basis_coeff)
-from .scalars import C_R, C_ONE, C_ZERO
+                         spinor_matrices, kernel_basis_coeff, _identity,
+                         _mat_mul_coeff, _mat_sum)
+from .scalars import C_R
 
 SCHEMA_VERSION = 1
 SUITES = ("osp", "relations", "centre", "vogan", "admissible",
@@ -151,6 +152,8 @@ def parse_specialize(text):
             out[name] = Fraction(val.strip())
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"bad rational value {val!r} for {name}")
+    if not out:
+        raise ConfigError(f"--specialize {text!r} names no parameter")
     if "s" in out and out["s"] <= 0:
         raise ConfigError("s must be positive")
     return out
@@ -524,17 +527,14 @@ def suite_cohomology(ctx: Context, run: Runner):
 
     def clifford_relations():
         mats = spinor_matrices(d)
-        sz = len(mats[0])
-        ident = [[C_ONE if i == j else C_ZERO for j in range(sz)]
-                 for i in range(sz)]
+        ident = _identity(len(mats[0]))
         for a in range(d):
             yield f"e_{a+1}^2 != 1", _mat_mul_coeff(mats[a], mats[a]) == ident
             for b in range(a + 1, d):
                 p = _mat_mul_coeff(mats[a], mats[b])
                 q = _mat_mul_coeff(mats[b], mats[a])
                 yield (f"e_{a+1} e_{b+1} not anticommuting",
-                       all((x + y).is_zero() for r1, r2 in zip(p, q)
-                           for x, y in zip(r1, r2)))
+                       not any(_mat_sum(p, q)))
     run.check("cohomology", "spinor-clifford-relations",
               "spinor matrices satisfy the clifford relations",
               lambda: first_failure(clifford_relations()))
@@ -550,7 +550,7 @@ def suite_cohomology(ctx: Context, run: Runner):
             Mb, _ = rep.matrix_of(b, deg0)
             Mab, _ = rep.matrix_of(a * b, deg0)
             yield ("matrix_of(a b) != matrix_of(a) matrix_of(b)",
-                   _mat_mul_coeff(Ma, Mb, rep.zero) == Mab)
+                   _mat_mul_coeff(Ma, Mb) == Mab)
     run.check("cohomology", "representation-property",
               "matrix assembly is multiplicative on degree-preserving elements",
               lambda: first_failure(products()))
@@ -560,7 +560,7 @@ def suite_cohomology(ctx: Context, run: Runner):
         MD, _ = rep.matrix_of(ctx.tama.dirac(), k)
         MO, _ = rep.matrix_of(ctx.osp.Omega_quarter, k)
         return first_failure([(f"degree {k} matrix identity fails",
-                               _mat_mul_coeff(MD, MD, rep.zero) == MO)])
+                               _mat_mul_coeff(MD, MD) == MO)])
     for k in range(max_deg + 1):
         run.check("cohomology", f"dirac-square-degree-{k}",
                   "matrix of D squared equals matrix of casimir + 1/4",
@@ -572,11 +572,12 @@ def suite_cohomology(ctx: Context, run: Runner):
         for r_idx in range(len(ctx.rd.positive_roots)):
             g = ctx.rd.reflection_index(r_idx)
             Mr, _ = rep.matrix_of(alg.rho((g, 1)), deg0)
-            lhs = _mat_mul_coeff(MD, Mr, rep.zero)
-            rhs = _mat_mul_coeff(Mr, MD, rep.zero)
+            lhs = _mat_mul_coeff(MD, Mr)
+            rhs = _mat_mul_coeff(Mr, MD)
             if alg.pin.epsilon(g) < 0:
-                rhs = [[-v for v in row] for row in rhs]
-            yield f"reflection {r_idx}", lhs == rhs
+                yield f"reflection {r_idx}", not any(_mat_sum(lhs, rhs))
+            else:
+                yield f"reflection {r_idx}", lhs == rhs
     run.check("cohomology", "cover-equivariance",
               "matrix of D commutes with reflection lifts up to epsilon",
               lambda: first_failure(reflections()))
@@ -647,7 +648,7 @@ def suite_cohomology(ctx: Context, run: Runner):
         for lam in lams:
             dw = ctx.tama.dirac() + rho_w.scale(F.rational(lam))
             for k in range(deg0 + 1):
-                mat, _ = ctx.rep.matrix_of(dw, k)
+                mat, _ = ctx.rep.matrix_of_coeff(dw, k)
                 if kernel_basis_coeff(mat):
                     found.append({"lambda": str(lam), "degree": k})
         return "pass", None, {"found": bool(found), "instances": found[:5]}

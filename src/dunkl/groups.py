@@ -166,6 +166,8 @@ class RootDatum:
             pos = long_roots + short_roots
             labels = [0] * len(long_roots) + [1] * len(short_roots)
         elif family == "D":
+            if rank < 2:
+                raise UnsupportedFamilyError("type D needs rank >= 2")
             if d < rank:
                 raise UnsupportedFamilyError("type D needs ambient_dim >= rank")
             pos = [self._e(i, d, 1, j, -1) for i, j in combinations(range(rank), 2)]

@@ -8,8 +8,8 @@ An element is stored flat, in one sparse level {(a, b, g, mask, e): Coeff}
 with e the packed exponent (`scalars.pack`) of a monomial in s, c_1..c_m;
 in a rational context every e is 0.  `HCElement(alg, {(a, b, g, mask):
 Scalar})` flattens its input and `scalars()` groups the terms back:
-Scalar is the type at this boundary, which `str`, `map_scalars` and the
-spinor matrices of a symbolic context read.
+Scalar is the type at this boundary, which `str` and `map_scalars` read;
+the spinor matrices (`polyspinor`) read the flat terms.
 
 The product and the brackets a b - tau b a are one loop over pairs of
 flat terms into `sparse.add_into` (`_pairs`): the product is tau = 0,

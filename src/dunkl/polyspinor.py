@@ -6,30 +6,34 @@ size 2^{floor(d/2)} built from the standard tensor-product construction
 (two anticommuting real involutions and their i-scaled product; odd d adds
 the i^k-scaled product of all even-dimension generators).
 
-Matrices are returned dense as lists of lists, row-major, acting on
-column vectors indexed by (monomial, spinor) pairs with monomials in
-graded-lex order.  `SpinorRep` fixes their entry ring once per context:
-Coeff when every parameter is rational, Scalar otherwise.  One sparse
-assembly, `matrix_of`, builds them from two per-rep memos.  It groups an
-element's terms by their polynomial part x^a y^b w and, per group and
-source monomial, reads `SpinorRep.word` once: the Dunkl word y^b x^e
-acting on 1, computed once per (b, e) and shared with the Gram matrices
-of `HermitianForm`; it is the one place a Dunkl word is applied, and it
-sums the commutator's terms over w before the rest of the word acts,
-since each w acts on 1 as 1.  Its entries, exponent tuples, keys and
-monomials are stored through the algebra's `_shared`, one object per
-distinct value (the words of a run take few values, as `HAlgebra`'s
-memos do).  Each (mask, entry) of the group adds its multiple of that
-word into the mask's own {(row, col): value} map through
-`sparse.add_into`.  The spinor matrix of each Clifford mask is monomial (one unit i^k per row); its nonzero entries are kept once per
-mask as the powers k, and are applied once per mask as the dense matrix
-is filled.  No spinor entry makes a field product: 1 and -1 keep or
-negate the value they meet, and +-i swaps its real and i parts with a
-sign (`mul_i_power`).  An element's terms are read flat, as Coeffs, in
-a rational context, and grouped into Scalars (`HCElement.scalars`)
-otherwise.  `matrix_of_coeff` is `matrix_of` guarded to rational
-contexts.  `_mat_mul_coeff` is the one matrix product, over Coeff or
-Scalar, and skips zero factors.
+Every matrix has one form, in rational and symbolic contexts alike, the
+flat form of `hc`: a list with one dict per row, {(col, e): Coeff}, e
+the packed exponent (`scalars.pack`) of a monomial in s, c_1..c_m, so
+e = 0 in a rational context.  Rows and columns are indexed by
+(monomial, spinor) pairs, monomials in graded-lex order.  No zero is
+stored, so matrices are equal exactly when their lists of rows are.
+`_mat_mul_coeff` is the one product: two entries meet at the sum of
+their exponents and their Coeffs multiply through `mul_coeff`.
+`_conj_t` swaps row and column and applies `conj_i`, which fixes s and
+the c_k.  `matrix_of_coeff` is the dense Coeff view of a rational
+context's matrix, which the elimination reads; Scalar appears only
+where `HermitianForm.leading_minor_signs` evaluates a symbolic Gram
+entry.
+
+One sparse assembly, `matrix_of`, builds the matrices from two per-rep
+memos.  It groups an element's flat terms by their polynomial part
+x^a y^b w and, per group and source monomial, reads `SpinorRep.word`
+once: the Dunkl word y^b x^e acting on 1, computed once per (b, e) and
+shared with the Gram matrices of `HermitianForm`; it is the one place a
+Dunkl word is applied, and it sums the commutator's terms over w before
+the rest of the word acts, since each w acts on 1 as 1.  Its keys and
+entries are stored through the algebra's `_shared`, one object per
+distinct value.  Each (mask, e, Coeff) of the group adds its multiple
+of that word into the mask's own {(row, col, e): Coeff} map through
+`sparse.add_into`.  The spinor matrix of each Clifford mask is monomial
+(one unit i^k per row); its entries are kept once per mask as the
+powers k, and applied once per mask as the rows are filled, with no
+field product: +-i swaps real and i parts with a sign (`mul_i_power`).
 
 One exact elimination, `_rref`, a sparse Gauss-Jordan reduction on
 {col: Coeff} rows, serves `rank_coeff`, `kernel_basis_coeff`,
@@ -42,48 +46,59 @@ they are.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
 from .scalars import Scalar, C_ONE, C_ZERO, C_I, _i_power, mul_coeff
 from .sparse import add_into
 from .hc import HCAlgebra, HCElement
 
-_X = ((C_ZERO, C_ONE), (C_ONE, C_ZERO))
-_Y = ((C_ZERO, -C_I), (C_I, C_ZERO))
-_Z = ((C_ONE, C_ZERO), (C_ZERO, -C_ONE))
-_I2 = ((C_ONE, C_ZERO), (C_ZERO, C_ONE))
+_X = ({(1, 0): C_ONE}, {(0, 0): C_ONE})
+_Y = ({(1, 0): -C_I}, {(0, 0): C_I})
+_Z = ({(0, 0): C_ONE}, {(1, 0): -C_ONE})
+_I2 = ({(0, 0): C_ONE}, {(1, 0): C_ONE})
 
 
 # the power k of each unit i**k
 _UNIT_POWER = {_i_power(k): k for k in range(4)}
 
 
+def _identity(n):
+    return [{(i, 0): C_ONE} for i in range(n)]
+
+
 def _kron(a, b):
-    na, nb = len(a), len(b)
-    return tuple(
-        tuple(a[i // nb][j // nb] * b[i % nb][j % nb]
-              for j in range(na * nb))
-        for i in range(na * nb)
-    )
+    """Kronecker product of two constant matrices."""
+    nb = len(b)
+    return [{(ca * nb + cb, 0): mul_coeff(u, v)
+             for (ca, _), u in ra.items() for (cb, _), v in rb.items()}
+            for ra in a for rb in b]
 
 
-def _mat_mul_coeff(a, b, zero=C_ZERO):
-    """Dense product of Coeff or Scalar matrices as list rows.
-
-    Zero factors are skipped; `zero` is the zero of the entries' ring
-    (`F.zero` for Scalar matrices).
-    """
+def _mat_mul_coeff(a, b):
+    """The product of two matrices: an entry v at (k, e1) of a row of `a`
+    and an entry u at (j, e2) of row k of `b` add mul_coeff(v, u) at
+    (j, e1 + e2)."""
     out = []
     for row in a:
-        acc = [zero] * len(b[0])
-        for k, v in enumerate(row):
-            if v.is_zero():
-                continue
-            for j, u in enumerate(b[k]):
-                if not u.is_zero():
-                    acc[j] = acc[j] + v * u
+        acc = {}
+        for (k, e1), v in row.items():
+            add_into(acc, (((j, e1 + e2), mul_coeff(v, u))
+                           for (j, e2), u in b[k].items()))
         out.append(acc)
+    return out
+
+
+def _mat_sum(a, b):
+    return [add_into(dict(ra), rb.items()) for ra, rb in zip(a, b)]
+
+
+def _conj_t(rows, ncols):
+    """The conjugate transpose of a matrix with `ncols` columns: the entry
+    at (col, e) of row r moves to (r, e) of row col, conjugated."""
+    out = [{} for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for (c, e), v in row.items():
+            out[c][r, e] = v.conj_i()
     return out
 
 
@@ -93,20 +108,16 @@ def spinor_matrices(d):
     mats = []
     for i in range(k):
         for pauli in (_X, _Y):
-            fac = [_Z] * i + [pauli] + [_I2] * (k - i - 1)
-            m = fac[0]
-            for f in fac[1:]:
+            m = _identity(1)
+            for f in [_Z] * i + [pauli] + [_I2] * (k - i - 1):
                 m = _kron(m, f)
             mats.append(m)
     if d % 2 == 1:
-        if k == 0:
-            mats.append(((C_ONE,),))
-        else:
-            prod = mats[0]
-            for m in mats[1:]:
-                prod = _mat_mul_coeff(prod, m)
-            phase = _i_power(k)
-            mats.append(tuple(tuple(phase * v for v in row) for row in prod))
+        prod = _identity(1 << k)
+        for m in mats:
+            prod = _mat_mul_coeff(prod, m)
+        mats.append([{key: v.mul_i_power(k) for key, v in row.items()}
+                     for row in prod])
     return mats
 
 
@@ -126,14 +137,8 @@ def monomial_basis(d, degree):
 
 
 class SpinorRep:
-    """Representation context for one HCAlgebra.
-
-    The entry ring of every matrix is decided here, once: Coeff when s
-    and every c_k are rational (`HAlgebra.rational`), Scalar otherwise.
-    `value` maps a Scalar of the algebra into that ring; `zero` and
-    `one` are its units, and `mul` its product, which makes no field
-    product for a factor 1 or -1.
-    """
+    """Representation context for one HCAlgebra: its bases, its spinor
+    matrices and the memos of `word` and `_spin_entries`."""
 
     def __init__(self, alg: HCAlgebra):
         self.alg = alg
@@ -143,12 +148,6 @@ class SpinorRep:
         self._bases = {}
         self._words = {}
         self._spin = {}
-        if alg.h.rational:
-            self.value, self.mul = Scalar.constant_value, mul_coeff
-            self.zero, self.one = C_ZERO, C_ONE
-        else:
-            self.value, self.mul = _same, operator.mul
-            self.zero, self.one = alg.field.zero, alg.field.one
 
     def basis(self, degree):
         b = self._bases.get(degree)
@@ -170,21 +169,17 @@ class SpinorRep:
         out = self._spin.get(mask)
         if out is not None:
             return out
-        m = None
+        m = _identity(self.spin_dim)
         for j in range(self.d):
             if mask & (1 << j):
-                m = self.spin[j] if m is None else _mat_mul_coeff(m, self.spin[j])
-        if m is None:
-            out = [(i, i, 0) for i in range(self.spin_dim)]
-        else:
-            out = [(si, sj, _UNIT_POWER[v])
-                   for si, row in enumerate(m)
-                   for sj, v in enumerate(row) if not v.is_zero()]
+                m = _mat_mul_coeff(m, self.spin[j])
+        out = [(si, sj, _UNIT_POWER[v])
+               for si, row in enumerate(m) for (sj, _e), v in row.items()]
         self._spin[mask] = out
         return out
 
     def word(self, yexp, xexp):
-        """y^yexp x^xexp acting on 1, as {monomial: entry} in the rep's ring.
+        """y^yexp x^xexp acting on 1, as {(monomial, e): Coeff}.
 
         Memoised per rep; callers must not mutate the result.  As in
         `HAlgebra.straighten`, y_i of the first nonzero slot i acts first,
@@ -198,19 +193,18 @@ class SpinorRep:
         share = self.alg.h._shared.setdefault
         yexp, xexp = share(yexp, yexp), share(xexp, xexp)
         if not any(yexp):
-            out = {xexp: self.one}
+            out = {(xexp, 0): C_ONE}
         else:
             i = next(k for k, v in enumerate(yexp) if v)
             rest = yexp[:i] + (yexp[i] - 1,) + yexp[i + 1:]
-            value = self.value
-            first = add_into({}, ((e, value(u)) for (e, _g), u
-                                  in self.alg.h.ycomm(i, xexp).items()))
+            first = {}
+            for (m, _g), u in self.alg.h.ycomm(i, xexp).items():
+                add_into(first, (((m, e), c) for e, c in u.terms.items()))
             out = {}
-            mul = self.mul
-            for e, u in first.items():
-                add_into(out, ((e2, mul(u, v))
-                               for e2, v in self.word(rest, e).items()))
-        out = {share(e, e): share(v, v) for e, v in out.items()}
+            for (m, e1), u in first.items():
+                add_into(out, (((m2, e1 + e2), mul_coeff(u, v))
+                               for (m2, e2), v in self.word(rest, m).items()))
+        out = {share(k, k): share(v, v) for k, v in out.items()}
         self._words[yexp, xexp] = out
         return out
 
@@ -218,15 +212,14 @@ class SpinorRep:
         """Matrix of `elem` from C[V]_degree (x) S to the shifted degree.
 
         All terms must shift the polynomial degree by the same amount;
-        raises ValueError otherwise.  Returns (matrix, out_degree) with
-        entries in the rep's ring.
+        raises ValueError otherwise.  Returns (rows, out_degree).
 
         The terms are grouped by their polynomial part x^a y^b w.  For
         each group and source monomial x^c, w substitutes, the Dunkl word
-        y^b acts (one `word` read) and x^a multiplies; each (mask, entry)
-        of the group then adds its multiple of the result into that
-        mask's sparse {(row, col): value} map.  Each mask's spinor
-        entries i^k are applied once, as the dense matrix is filled.
+        y^b acts (one `word` read) and x^a multiplies; each (mask, e,
+        Coeff) of the group then adds its multiple of the result into
+        that mask's sparse {(row, col, e): Coeff} map.  Each mask's
+        spinor entries i^k are applied once, as the rows are filled.
         """
         groups = self._groups(elem)
         shifts = {sum(a) - sum(b) for (a, b, _g) in groups}
@@ -240,66 +233,57 @@ class SpinorRep:
         dst = self.basis(out_degree)
         dst_index = {m: i for i, m in enumerate(dst)}
         elems = self.alg.h._elems
-        mul = self.mul
         accs = {}
         for (a, b, g), masks in groups.items():
             ge = elems[g]
             for ci, mono in enumerate(src):
                 img, sgn = ge.apply_exp(mono)
                 rows = []
-                for e, v in self.word(b, img).items():
-                    ri = dst_index.get(tuple(p + q for p, q in zip(e, a)))
+                for (m, e), v in self.word(b, img).items():
+                    ri = dst_index.get(tuple(p + q for p, q in zip(m, a)))
                     if ri is None:
                         raise AssertionError("degree bookkeeping failure")
-                    rows.append((ri, v))
-                for mask, coeff in masks:
+                    rows.append((ri, e, v))
+                for mask, e1, coeff in masks:
                     if sgn < 0:
                         coeff = -coeff
                     add_into(accs.setdefault(mask, {}),
-                             (((ri, ci), mul(coeff, v)) for ri, v in rows))
+                             (((ri, ci, e1 + e2), mul_coeff(coeff, v))
+                              for ri, e2, v in rows))
         sd = self.spin_dim
-        zero = self.zero
-        mat = [[zero] * (len(src) * sd) for _ in range(len(dst) * sd)]
+        fill = [[] for _ in range(len(dst) * sd)]
         for mask, acc in accs.items():
             spin = self._spin_entries(mask)
-            for (r, c), v in acc.items():
+            for (r, c, e), v in acc.items():
                 r *= sd
                 c *= sd
                 for si, sj, k in spin:
-                    row = mat[r + si]
-                    w = v.mul_i_power(k) if k else v
-                    cur = row[c + sj]
-                    row[c + sj] = w if cur is zero else cur + w
-        return mat, out_degree
+                    fill[r + si].append(((c + sj, e), v.mul_i_power(k)))
+        return [add_into({}, pairs) for pairs in fill], out_degree
 
     def _groups(self, elem):
-        """The terms of an HCElement as {(a, b, g): [(mask, entry)]} with
-        entries in the rep's ring: its flat Coeffs in a rational context,
-        where every exponent must be 0, and its grouped Scalars
-        otherwise."""
+        """The flat terms of an HCElement as {(a, b, g): [(mask, e,
+        Coeff)]}."""
         out = {}
-        if self.alg.h.rational:
-            if any(k[4] for k in elem.terms):
-                raise ValueError("not a constant scalar")
-            terms = ((k[:4], c) for k, c in elem.terms.items())
-        else:
-            terms = elem.scalars().items()
-        for (a, b, g, mask), v in terms:
-            out.setdefault((a, b, g), []).append((mask, v))
+        for (a, b, g, mask, e), c in elem.terms.items():
+            out.setdefault((a, b, g), []).append((mask, e, c))
         return out
 
     def matrix_of_coeff(self, elem, degree):
-        """`matrix_of`, whose entries are Coeff in a rational context.
+        """`matrix_of` as dense rows of Coeff, in a rational context.
 
         Raises ValueError("not a constant scalar") in any other context.
         """
         if not self.alg.h.rational:
             raise ValueError("not a constant scalar")
-        return self.matrix_of(elem, degree)
-
-
-def _same(v):
-    return v
+        rows, out_degree = self.matrix_of(elem, degree)
+        if any(e for row in rows for _c, e in row):
+            raise ValueError("not a constant scalar")
+        dense = [[C_ZERO] * self.dim(degree) for _ in rows]
+        for line, row in zip(dense, rows):
+            for (c, _e), v in row.items():
+                line[c] = v
+        return dense, out_degree
 
 
 # -- exact linear algebra over Coeff ----------------------------------------
@@ -419,7 +403,8 @@ class HermitianForm:
     for even d = 2k the chirality matrix Z^{(x)k}, whose sign at spinor
     index i is (-1)^popcount(i); it makes every e_j exactly
     skew-adjoint.  For odd d no such matrix exists and the e_j checks are
-    reported as failing.  Gram matrices have entries in the rep's ring.
+    reported as failing.  Gram matrices have the flat form of every
+    matrix here.
     """
 
     def __init__(self, rep: SpinorRep):
@@ -433,20 +418,21 @@ class HermitianForm:
         rep = self.rep
         basis = rep.basis(degree)
         sd = rep.spin_dim
-        out = [[rep.zero] * (len(basis) * sd) for _ in range(len(basis) * sd)]
-        for i, a in enumerate(basis):
-            for j, b in enumerate(basis):
-                v = self._pair(a, b)
-                if v.is_zero():
-                    continue
-                for si, sign in enumerate(self.spin_signs):
-                    out[i * sd + si][j * sd + si] = v if sign > 0 else -v
-        return out
+        rows = []
+        for a in basis:
+            pairs = [self._pair(a, b) for b in basis]
+            for si, sign in enumerate(self.spin_signs):
+                rows.append({(j * sd + si, e): v if sign > 0 else -v
+                             for j, pair in enumerate(pairs)
+                             for e, v in pair.items()})
+        return rows
 
     def _pair(self, aexp, bexp):
-        """Constant term of the Dunkl word y^a applied to x^b."""
-        rep = self.rep
-        return rep.word(aexp, bexp).get(rep.alg.h.zero_exp, rep.zero)
+        """Constant term of the Dunkl word y^a applied to x^b, as
+        {e: Coeff}."""
+        zero = self.rep.alg.h.zero_exp
+        return {e: v for (m, e), v in self.rep.word(aexp, bexp).items()
+                if m == zero}
 
     def adjointness_check(self, degree):
         """Per-generator report of G pi(eta) = pi(eta_bullet)^{conj T} G.
@@ -456,63 +442,64 @@ class HermitianForm:
         """
         rep = self.rep
         alg = rep.alg
+        n = rep.dim(degree)
         res = {}
-
-        def conj_t(mat):
-            if not mat:
-                return []
-            return [[mat[j][i].conjugate() for j in range(len(mat))]
-                    for i in range(len(mat[0]))]
-
-        def mm(a, b):
-            return _mat_mul_coeff(a, b, rep.zero)
-
         Gk = self.gram(degree)
         Gk1 = self.gram(degree + 1)
         # Hermitianity of the Gram matrix itself (makes the y_i condition
         # the conjugate transpose of the x_i condition)
-        res["gram_hermitian"] = conj_t(Gk) == Gk and conj_t(Gk1) == Gk1
+        res["gram_hermitian"] = (_conj_t(Gk, n) == Gk
+                                 and _conj_t(Gk1, rep.dim(degree + 1)) == Gk1)
         for i in range(1, rep.d + 1):
             Px, _ = rep.matrix_of(alg.x(i), degree)
             Py, _ = rep.matrix_of(alg.y(i), degree + 1)
             # <x_i u, v> = <u, y_i v>: conj(Px)^T G_{k+1} = G_k Py
-            lhs = mm(conj_t(Px), Gk1)
-            rhs = mm(Gk, Py)
-            res[f"x{i}"] = lhs == rhs
+            lhs = _mat_mul_coeff(_conj_t(Px, n), Gk1)
+            res[f"x{i}"] = lhs == _mat_mul_coeff(Gk, Py)
         for r_idx in range(len(alg.rd.positive_roots)):
             g = alg.group(alg.rd.reflection_index(r_idx))
             Pg, _ = rep.matrix_of(g, degree)
-            lhs = mm(conj_t(Pg), Gk)
-            rhs = mm(Gk, Pg)     # s_alpha bullet = s_alpha^{-1} = s_alpha
-            res[f"s_{r_idx}"] = lhs == rhs
+            lhs = _mat_mul_coeff(_conj_t(Pg, n), Gk)
+            # s_alpha bullet = s_alpha^{-1} = s_alpha
+            res[f"s_{r_idx}"] = lhs == _mat_mul_coeff(Gk, Pg)
         for j in range(1, rep.d + 1):
             Pe, _ = rep.matrix_of(alg.e(j), degree)
-            lhs = mm(conj_t(Pe), Gk)
-            rhs = mm(Gk, [[-v for v in row] for row in Pe])  # e_j bullet = -e_j
-            res[f"e{j}"] = lhs == rhs
+            lhs = _mat_mul_coeff(_conj_t(Pe, n), Gk)
+            # e_j bullet = -e_j
+            res[f"e{j}"] = not any(_mat_sum(lhs, _mat_mul_coeff(Gk, Pe)))
         return res
 
     def leading_minor_signs(self, degree, s_value, c_values):
         """Signs of leading principal minors of G at a specialisation point.
 
         `s_value` is a Coeff (e.g. sqrt2, giving t = 1) and `c_values` the
-        rational orbit parameters; they are substituted into a symbolic
-        Gram matrix.  In a rational context the Gram matrix is already
-        constant and the signs are those at the context's own parameters.
-        Gram entries depend on s only through t = s^2/2, so the result
-        must be rational; a non-rational entry raises.
+        rational orbit parameters; they are substituted into each term of
+        a symbolic Gram matrix, read as a Scalar.  In a rational context
+        the Gram matrix is already constant and the signs are those at
+        the context's own parameters.  Gram entries depend on s only
+        through t = s^2/2, so the result must be rational; a non-rational
+        entry raises.
         """
-        G = self.gram(degree)
-        if not self.rep.alg.h.rational:
+        alg = self.rep.alg
+        nvars = alg.field.nvars
+        rational = alg.h.rational
+        if not rational:
             point = (Fraction(0),) + tuple(Fraction(v) for v in c_values)
-            if len(point) != self.rep.alg.field.nvars:
+            if len(point) != nvars:
                 raise ValueError("wrong number of orbit parameters")
-            G = [[v.substitute_s(s_value).substitute(point).constant_value()
-                  for v in row] for row in G]
-        if not all(v.is_rational() for row in G for v in row):
+
+        def value(e, v):
+            sc = Scalar({e: v}, nvars)
+            if not rational:
+                sc = sc.substitute_s(s_value).substitute(point)
+            return sc.constant_value()
+        G = [add_into({}, ((c, value(e, v)) for (c, e), v in row.items()))
+             for row in self.gram(degree)]
+        if not all(v.is_rational() for row in G for v in row.values()):
             raise ValueError("non-rational Gram entry at this point")
         signs = []
         for k in range(1, len(G) + 1):
-            det = _rref([r[:k] for r in G[:k]])[1].a
+            det = _rref([{c: v for c, v in r.items() if c < k}
+                         for r in G[:k]])[1].a
             signs.append(0 if det == 0 else (1 if det > 0 else -1))
         return signs

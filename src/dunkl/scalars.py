@@ -26,9 +26,11 @@ most about the (x, y)-degree of the elements multiplied, and the checks
 divide only by s, t and t^2.  Those degrees are small and capped
 (`--max-degree`, the spinor dimension cap): measured, A r3
 osp+centre, D r4 osp, A1^6 relations, and A1^4 and B r3 with every
-suite at degree 3 reach no exponent above 6 in absolute value.  Only code that reads a single slot (`substitute`,
-`substitute_s`, `str`, the variables of `ScalarField`, and the c-degree
-helpers of `cherednik`) calls `unpack`.
+suite at degree 3 reach no exponent above 6 in absolute value.  Only
+code that reads a single slot calls `unpack`: `substitute`,
+`substitute_s` and `str` here, `cherednik.filtration_check` (the
+c-degree of a term) and `hc.HCAlgebra.swap_map` (the renaming of the
+c_k); the variables of `ScalarField` are built with `pack`.
 
 Scalars are immutable, and the dict is already canonical: equal values
 have equal `terms` and equal hashes, and nothing is ever reduced.  `+`,
@@ -46,8 +48,9 @@ NonMonomialDenominatorError.  `str` prints the lowest-terms numerator
 over the monic monomial denominator that `_reduce` splits off; `_reduce`
 and `poly_gcd` work on dicts keyed by exponent tuples.
 
-An element of H (x) C(V) stores its Coeffs flat under their packed
-exponents (see `hc`); Scalar is the type at that boundary.  `unit_sign`
+An element of H (x) C(V) and a polyspinor matrix store their Coeffs flat
+under their packed exponents (see `hc` and `polyspinor`); Scalar is the
+type at that boundary.  `unit_sign`
 and `mul_coeff` test a Coeff for 1 and -1 on its `_v`, so that such a
 factor makes no field product, `mul_int` scales by an integer Coeff
 through its numerators, and `Coeff.mul_i_power` multiplies by a
@@ -446,11 +449,6 @@ class Scalar:
                 f"denominator with {len(self.terms)} terms is not a monomial")
         (e, c), = self.terms.items()
         return Scalar({-e: c if c == C_ONE else c.inv()},
-                      self.nvars)
-
-    def mul_i_power(self, k):
-        """self * i**k, with no field product (`Coeff.mul_i_power`)."""
-        return Scalar({e: v.mul_i_power(k) for e, v in self.terms.items()},
                       self.nvars)
 
     def conjugate(self):

@@ -4,7 +4,8 @@ Everything the verifier computes is a finite sum over basis keys with
 nonzero values in a dict: a Laurent scalar {exponent: Coeff}, an element
 of H_{t,c} {(a, b, g): Scalar}, of H (x) C(V) {(a, b, g, mask, e): Coeff}
 (flat: one level, with e the packed exponent of the scalar's monomial)
-or of C(V) {mask: value}, and a cover-algebra vector {g: Coeff}.
+or of C(V) {mask: value}, a row of a polyspinor matrix {(col, e): Coeff}
+(flat in the same way), and a cover-algebra vector {g: Coeff}.
 `add_into` is the one loop that accumulates such a sum, and `sub_into`
 its difference, which negates only the keys new to the left operand.
 `SparseElement` holds the linear operations the element types share,

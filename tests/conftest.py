@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dunkl.cli import Context, RunConfig
-from dunkl.scalars import Coeff, C_ONE
+from dunkl.scalars import Coeff, C_ONE, Scalar
 
 
 _STACKS = {}
@@ -16,6 +16,17 @@ def stack(family, rank, ambient, **kwargs):
     if key not in _STACKS:
         _STACKS[key] = Context(RunConfig(family, rank, ambient, [], **kwargs))
     return _STACKS[key]
+
+
+def dense_scalars(rows, ncols, nvars):
+    """A polyspinor matrix, rows {(col, e): Coeff}, as dense lists of
+    Scalars in `nvars` variables: the form of the dense reference
+    products."""
+    dense = [[{} for _ in range(ncols)] for _ in rows]
+    for line, row in zip(dense, rows):
+        for (c, e), v in row.items():
+            line[c][e] = v
+    return [[Scalar(terms, nvars) for terms in line] for line in dense]
 
 
 @pytest.fixture(scope="session")

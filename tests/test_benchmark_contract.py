@@ -1,11 +1,16 @@
-"""The traced benchmark wraps `dunkl` functions by name: they must exist."""
+"""The traced benchmark wraps `dunkl` functions by name: they must exist;
+and its self-test and one traced round of a workload must pass."""
 
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -34,3 +39,23 @@ def test_every_traced_entry_point_resolves():
     # a counter or timer on a name that is not wrapped would read 0
     for table in (tracer.COUNTS, tracer.INCLUSIVE, tracer.MAXIMA):
         assert set(table) <= keys
+
+
+def _perfbench(*args):
+    return subprocess.run([sys.executable, *args], cwd=ROOT, text=True,
+                          capture_output=True, timeout=300)
+
+
+def test_perfbench_selftest_passes():
+    proc = _perfbench("perfbench/selftest.py")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_traced_specialised_b2_round_is_correct():
+    # the tracer reads the matrices of `polyspinor` and the oracle the
+    # dense Coeff view, so this round runs both on the current form
+    proc = _perfbench("perfbench/run.py", "--workload", "specialised-b2",
+                      "--seed", "1", "--seconds", "0", "--trace", "1")
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True, last

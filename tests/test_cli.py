@@ -40,6 +40,11 @@ def test_bad_specialize_exits_2(capsys):
                  "--specialize", "s=-1"]) == 2
     assert main(["--family", "A1^2", "--suite", "osp",
                  "--specialize", "q=2"]) == 2
+    # an entry list that names no parameter is refused, not run symbolic
+    capsys.readouterr()
+    assert main(["--family", "A", "--rank", "3", "--suite", "relations",
+                 "--specialize", ","]) == 2
+    assert "names no parameter" in capsys.readouterr().err
 
 
 def test_root_datum_errors_exit_2(capsys):
@@ -47,6 +52,11 @@ def test_root_datum_errors_exit_2(capsys):
     assert main(["--family", "A", "--rank", "3", "--ambient", "2",
                  "--suite", "osp"]) == 2
     assert "configuration error:" in capsys.readouterr().err
+    # D1 has no roots; D2 = A1 x A1 is built
+    assert main(["--family", "D", "--rank", "1",
+                 "--suite", "cohomology"]) == 2
+    assert "type D needs rank >= 2" in capsys.readouterr().err
+    assert len(groups.RootDatum("D", 2, 2).positive_roots) == 2
 
 
 @pytest.mark.parametrize("spec", ["s=2,c0=1", "s=2,c3=1/3", "c2=1", "c=1"])

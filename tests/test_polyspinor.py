@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -5,6 +6,8 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import dense_scalars
+from dunkl import polyspinor
 from dunkl.cherednik import HAlgebra
 from dunkl.groups import RootDatum
 from dunkl.hc import HCAlgebra
@@ -14,9 +17,24 @@ from dunkl.polyspinor import (spinor_matrices, monomial_basis, SpinorRep,
                               HermitianForm, cohomology_dims,
                               rank_coeff, kernel_basis_coeff,
                               image_basis_coeff, intersection_dim,
-                              _mat_mul_coeff, _rref)
-from dunkl.scalars import C_ONE, C_ZERO, C_R, Coeff, Scalar
+                              _mat_mul_coeff, _conj_t, _rref)
+from dunkl.scalars import C_ONE, C_ZERO, C_R, Coeff
 from dunkl.sparse import add_into
+
+
+def _dense_coeffs(rows, ncols):
+    """A constant matrix, rows {(col, 0): Coeff}, as dense Coeff lists."""
+    dense = [[C_ZERO] * ncols for _ in rows]
+    for line, row in zip(dense, rows):
+        for (c, e), v in row.items():
+            assert e == 0
+            line[c] = v
+    return dense
+
+
+def _dense_coeff_product(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), C_ZERO)
+             for j in range(len(b[0]))] for i in range(len(a))]
 
 
 def test_spinor_matrix_clifford_relations():
@@ -24,13 +42,20 @@ def test_spinor_matrix_clifford_relations():
         mats = spinor_matrices(d)
         n = len(mats[0])
         assert n == 1 << (d // 2)
-        ident = [[C_ONE if i == j else C_ZERO for j in range(n)]
-                 for i in range(n)]
+        ident = [{(i, 0): C_ONE} for i in range(n)]
+        dense_ident = [[C_ONE if i == j else C_ZERO for j in range(n)]
+                       for i in range(n)]
+        dense = [_dense_coeffs(m, n) for m in mats]
         for a in range(d):
             assert _mat_mul_coeff(mats[a], mats[a]) == ident
+            assert _dense_coeff_product(dense[a], dense[a]) == dense_ident
             for b in range(a + 1, d):
                 p = _mat_mul_coeff(mats[a], mats[b])
                 q = _mat_mul_coeff(mats[b], mats[a])
+                s = [add_into(dict(r1), r2.items()) for r1, r2 in zip(p, q)]
+                assert not any(s)
+                p = _dense_coeff_product(dense[a], dense[b])
+                q = _dense_coeff_product(dense[b], dense[a])
                 s = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(p, q)]
                 assert all(v.is_zero() for row in s for v in row)
 
@@ -41,6 +66,18 @@ def test_monomial_basis_dimensions():
     for d in (2, 3, 4):
         for k in range(5):
             assert len(monomial_basis(d, k)) == math.comb(k + d - 1, d - 1)
+
+
+def _dense_view(rep, mat, degree):
+    """The dense Scalar view of a matrix of `rep` on source degree
+    `degree`."""
+    return dense_scalars(mat, rep.dim(degree), rep.alg.field.nvars)
+
+
+def _matmul(F, a, b):
+    """The dense reference product of Scalar matrices."""
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), F.zero)
+             for j in range(len(b[0]))] for i in range(len(a))]
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +94,7 @@ def test_euler_operator_is_diagonal_at_c_zero(rep_a13):
     elem = alg.x(1) * alg.y(1)
     mat, out = rep_a13.matrix_of(elem, 2)
     assert out == 2
+    mat = _dense_view(rep_a13, mat, 2)
     basis = rep_a13.basis(2)
     sd = rep_a13.spin_dim
     t = alg.h.t
@@ -79,10 +117,6 @@ def test_matrix_of_rejects_inhomogeneous(rep_a13):
 def test_representation_property(rep_a13):
     alg = rep_a13.alg
     F = alg.field
-
-    def matmul(a, b):
-        return [[sum((a[i][k] * b[k][j] for k in range(len(b))), F.zero)
-                 for j in range(len(b[0]))] for i in range(len(a))]
     g0 = alg.rd.reflection_index(0)
     pairs = [(alg.y(2), alg.x(1)),
              (alg.group(g0), alg.e(3)),
@@ -93,7 +127,9 @@ def test_representation_property(rep_a13):
         Ma, _ = rep_a13.matrix_of(a, 2 + shift_b)
         Mb, _ = rep_a13.matrix_of(b, 2)
         Mab, _ = rep_a13.matrix_of(a * b, 2)
-        assert matmul(Ma, Mb) == Mab
+        assert _mat_mul_coeff(Ma, Mb) == Mab
+        assert _matmul(F, _dense_view(rep_a13, Ma, 2 + shift_b),
+                       _dense_view(rep_a13, Mb, 2)) == _dense_view(rep_a13, Mab, 2)
 
 
 def test_dirac_square_matrix_identity_low_degree(rep_a13):
@@ -102,14 +138,12 @@ def test_dirac_square_matrix_identity_low_degree(rep_a13):
     tm = Tama(alg, OspRealisation(alg))
     D = tm.dirac()
     Om = tm.osp.Omega_osp + alg.scalar(F.rational(Fraction(1, 4)))
-
-    def matmul(a, b):
-        return [[sum((a[i][k] * b[k][j] for k in range(len(b))), F.zero)
-                 for j in range(len(b[0]))] for i in range(len(a))]
     for k in (0, 1, 2):
         MD, _ = rep_a13.matrix_of(D, k)
         MO, _ = rep_a13.matrix_of(Om, k)
-        assert matmul(MD, MD) == MO
+        assert _mat_mul_coeff(MD, MD) == MO
+        MD, MO = _dense_view(rep_a13, MD, k), _dense_view(rep_a13, MO, k)
+        assert _matmul(F, MD, MD) == MO
 
 
 SPECIALISED = {
@@ -132,8 +166,8 @@ def _probe_elements(alg):
 
 @pytest.mark.parametrize("name", sorted(SPECIALISED))
 def test_matrix_of_coeff_matches_matrix_of(name):
-    # a rational context's Coeff matrices and Gram matrices are the
-    # symbolic context's Scalar ones evaluated at the specialised point
+    # a rational context's matrices and Gram matrices are the symbolic
+    # context's evaluated at the specialised point
     rd_args, spec = SPECIALISED[name]
     sym = SpinorRep(HCAlgebra(RootDatum(*rd_args)))
     rat = SpinorRep(HCAlgebra(RootDatum(*rd_args), specialize=spec))
@@ -149,10 +183,13 @@ def test_matrix_of_coeff_matches_matrix_of(name):
             mat, out = sym.matrix_of(s_elem, k)
             cmat, cout = rat.matrix_of_coeff(r_elem, k)
             assert cout == out
-            assert cmat == at_point(mat)
+            assert cmat == at_point(_dense_view(sym, mat, k))
+            assert cmat == _dense_coeffs(rat.matrix_of(r_elem, k)[0],
+                                         rat.dim(k))
     sym_form, rat_form = HermitianForm(sym), HermitianForm(rat)
     for k in range(3):
-        assert rat_form.gram(k) == at_point(sym_form.gram(k))
+        assert _dense_coeffs(rat_form.gram(k), rat.dim(k)) \
+            == at_point(_dense_view(sym, sym_form.gram(k), k))
 
 
 _WORD_CASES = {
@@ -166,12 +203,18 @@ def _exponents(d, top):
     return [e for k in range(top + 1) for e in monomial_basis(d, k)]
 
 
-def _word_oracle(rep, yexp, xexp):
-    """y^yexp x^xexp acting on 1, read off its PBW form x^a y^b w: a term
-    with b nonzero kills 1, and w fixes it."""
-    return add_into({}, ((a, rep.value(v)) for (a, b, _g), v
+def _word_scalars(rep, yexp, xexp):
+    """y^yexp x^xexp acting on 1 as {monomial: Scalar}, read off its PBW
+    form x^a y^b w: a term with b nonzero kills 1, and w fixes it."""
+    return add_into({}, ((a, v) for (a, b, _g), v
                          in rep.alg.h.straighten(yexp, xexp).items()
                          if not any(b)))
+
+
+def _word_oracle(rep, yexp, xexp):
+    """`_word_scalars` flat, as {(monomial, e): Coeff}."""
+    return {(a, e): c for a, v in _word_scalars(rep, yexp, xexp).items()
+            for e, c in v.terms.items()}
 
 
 @pytest.mark.parametrize("name", sorted(_WORD_CASES))
@@ -184,7 +227,8 @@ def test_word_matches_straightening(name):
         for e in _exponents(rep.d, 3):
             expect = _word_oracle(rep, b, e)
             assert rep.word(b, e) == expect
-            assert form._pair(b, e) == expect.get(zero, rep.zero)
+            assert form._pair(b, e) == {ex: c for (m, ex), c in expect.items()
+                                        if m == zero}
 
 
 @pytest.mark.parametrize("name", sorted(SPECIALISED))
@@ -209,14 +253,13 @@ def test_repeated_matrix_of_reads_the_memos(name, monkeypatch):
 
 
 def _ref_matrix_of(rep, elem, degree):
-    """`SpinorRep.matrix_of` one term at a time: each term of each source
-    monomial applies its polynomial part through the straightening
-    (`_word_oracle`), multiplies by its entry and by each spinor entry,
-    and adds into one {(row, col): value} map."""
-    if rep.alg.h.rational:
-        terms = {k[:4]: c for k, c in elem.terms.items()}
-    else:
-        terms = elem.scalars()
+    """`SpinorRep.matrix_of` one term at a time, as a dense Scalar
+    matrix: each term of each source monomial applies its polynomial part
+    through the straightening (`_word_scalars`), multiplies by its Scalar
+    and by each spinor entry, and adds into one {(row, col): Scalar}
+    map."""
+    F = rep.alg.field
+    terms = elem.scalars()
     shift, = {sum(a) - sum(b) for (a, b, _g, _m) in terms}
     out_degree = max(degree + shift, 0)
     src, dst = rep.basis(degree), rep.basis(out_degree)
@@ -227,13 +270,13 @@ def _ref_matrix_of(rep, elem, degree):
         spin = rep._spin_entries(mask)
         for ci, mono in enumerate(src):
             img, sgn = rep.alg.h._elems[g].apply_exp(mono)
-            for e, v in _word_oracle(rep, b, img).items():
+            for e, v in _word_scalars(rep, b, img).items():
                 ri = dst_index[tuple(p + q for p, q in zip(e, a))]
-                cv = rep.mul(coeff, -v if sgn < 0 else v)
+                cv = coeff * (-v if sgn < 0 else v)
                 add_into(acc, (((ri * sd + si, ci * sd + sj),
-                                cv.mul_i_power(k))
+                                cv * F.i_power(k))
                                for si, sj, k in spin))
-    mat = [[rep.zero] * (len(src) * sd) for _ in range(len(dst) * sd)]
+    mat = [[F.zero] * (len(src) * sd) for _ in range(len(dst) * sd)]
     for (r, c), v in acc.items():
         mat[r][c] = v
     return mat, out_degree
@@ -283,26 +326,95 @@ def test_grouped_assembly_matches_the_per_term_loop(name):
              alg.rho_reflection(0), seeded]
     for elem in elems:
         for k in range(3):
-            assert rep.matrix_of(elem, k) == _ref_matrix_of(rep, elem, k)
-    # the cancelling reflections leave zeros, in the ring of the context
+            mat, out = rep.matrix_of(elem, k)
+            assert (_dense_view(rep, mat, k), out) == _ref_matrix_of(rep, elem, k)
+    # the cancelling reflections leave zeros, which are not stored
     mat, _ = rep.matrix_of(alg.group(alg.rd.reflection_index(0))
                            - alg.group(alg.rd.reflection_index(1)), 0)
-    assert all(v == rep.zero for row in mat for v in row)
+    assert len(mat) == rep.dim(0) and not any(mat)
 
 
-def test_matrix_ring_follows_the_context():
+def _assembly_matrices(name):
+    """The rep of an `_ASSEMBLY_CASES` context and the degree-2 matrices
+    of D, Omega + 1/4, a reflection lift and the seeded element."""
+    rd_args, spec = _ASSEMBLY_CASES[name]
+    alg = HCAlgebra(RootDatum(*rd_args), specialize=spec)
+    rep = SpinorRep(alg)
+    osp = OspRealisation(alg)
+    elems = [Tama(alg, osp).dirac(), osp.Omega_quarter,
+             alg.rho_reflection(0),
+             _seeded_rep_element(alg, random.Random(24))]
+    return rep, [rep.matrix_of(elem, 2)[0] for elem in elems]
+
+
+def _agrees_with_dense(product, rep, mats):
+    """Whether `product` of every ordered pair of `mats` (square, on
+    degree 2) equals the dense Scalar product entry by entry."""
+    F = rep.alg.field
+    dense = [_dense_view(rep, m, 2) for m in mats]
+    return all(_dense_view(rep, product(a, b), 2) == _matmul(F, da, db)
+               for a, da in zip(mats, dense) for b, db in zip(mats, dense))
+
+
+@pytest.mark.parametrize("name", sorted(_ASSEMBLY_CASES))
+def test_flat_product_and_transpose_match_the_dense_ones(name):
+    rep, mats = _assembly_matrices(name)
+    assert _agrees_with_dense(_mat_mul_coeff, rep, mats)
+    n = rep.dim(2)
+    for m in mats:
+        dense = _dense_view(rep, m, 2)
+        assert _dense_view(rep, _conj_t(m, n), 2) == [
+            [dense[j][i].conjugate() for j in range(n)] for i in range(n)]
+
+
+def _mutant(fn, old, new):
+    """The module function `fn` recompiled from its source with `old`
+    replaced by `new`."""
+    src = inspect.getsource(fn)
+    assert old in src
+    namespace = dict(vars(polyspinor))
+    exec(src.replace(old, new), namespace)
+    return namespace[fn.__name__]
+
+
+@pytest.mark.parametrize("name", ["A1^3-symbolic", "A2-symbolic"])
+def test_a_dropped_exponent_shift_fails_the_dense_comparison(name):
+    rep, mats = _assembly_matrices(name)
+    for old, new in (("(j, e1 + e2)", "(j, e2)"), ("(j, e1 + e2)", "(j, e1)")):
+        mutant = _mutant(_mat_mul_coeff, old, new)
+        assert not _agrees_with_dense(mutant, rep, mats)
+
+
+@pytest.mark.parametrize("spec", [None, {"s": Fraction(2), "c1": Fraction(
+    1, 3), "c2": Fraction(1, 5)}])
+def test_a_dropped_conjugation_fails_the_adjointness_check(spec,
+                                                           monkeypatch):
+    form = HermitianForm(SpinorRep(HCAlgebra(RootDatum("A1", 2, 2),
+                                             specialize=spec)))
+    assert all(form.adjointness_check(1).values())
+    monkeypatch.setattr(polyspinor, "_conj_t",
+                        _mutant(_conj_t, "v.conj_i()", "v"))
+    assert not all(form.adjointness_check(1).values())
+
+
+def test_matrix_form_is_one_in_every_context():
+    # rows {(col, e): Coeff} everywhere; e = 0 when every parameter is
+    # rational, and only then is there a dense Coeff view
     rd = RootDatum("A1", 2, 2)
     rational = SpinorRep(HCAlgebra(rd, specialize={
         "s": Fraction(2), "c1": Fraction(1, 3), "c2": Fraction(1, 5)}))
     assert rational.alg.h.rational
     mat, _ = rational.matrix_of(rational.alg.x(1) * rational.alg.y(1), 1)
-    assert all(type(v) is Coeff for row in mat for v in row)
+    assert type(mat) is list and any(mat)
+    assert all(type(v) is Coeff and e == 0
+               for row in mat for (_c, e), v in row.items())
     # s alone rational leaves the context symbolic in the c_k
     for spec in (None, {"s": Fraction(1)}):
         rep = SpinorRep(HCAlgebra(rd, specialize=spec))
         assert not rep.alg.h.rational
-        mat, _ = rep.matrix_of(rep.alg.e(1), 0)
-        assert all(type(v) is Scalar for row in mat for v in row)
+        mat, _ = rep.matrix_of(rep.alg.x(1) * rep.alg.y(1), 1)
+        assert all(type(v) is Coeff for row in mat for v in row.values())
+        assert any(e for row in mat for (_c, e) in row)
         with pytest.raises(ValueError, match="not a constant scalar"):
             rep.matrix_of_coeff(rep.alg.e(1), 0)
 
@@ -502,6 +614,6 @@ def test_spinor_entries_make_no_field_products(coeff_products):
         with coeff_products() as made:
             mat, out = rep.matrix_of(alg.e(j), 1)
         assert made == [] and out == 1
-        assert mat == [[spin[r % sd][c % sd] if r // sd == c // sd
-                        else C_ZERO for c in range(n * sd)]
+        assert mat == [{((r // sd) * sd + c, e): v
+                        for (c, e), v in spin[r % sd].items()}
                        for r in range(n * sd)]

@@ -614,8 +614,6 @@ def test_one_term_product_by_plus_or_minus_one_makes_no_field_products(
 @settings(max_examples=100, deadline=None)
 def test_mul_i_power_is_the_product_by_a_power_of_i(c, k):
     assert c.mul_i_power(k) == c * _i_power(k)
-    x = Scalar({0: c, pack([1, 0, 0]): C_R}, 3) if c else F2.s
-    assert x.mul_i_power(k) == x * Scalar.from_coeff(_i_power(k), 3)
 
 
 def test_mul_i_power_makes_no_field_products(coeff_products):
