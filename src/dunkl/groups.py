@@ -30,7 +30,7 @@ from math import factorial
 GROUP_BOUND = 100_000
 # every root, and every exponent tuple of the algebras built on a datum,
 # holds d ints, and the osp and centre suites grow with d: on A rank 1
-# they take 16 s and 113 MB at d = 16
+# they take 17-23 s and 78 MB at d = 16 (2 cores, Python 3.11.7)
 AMBIENT_CAP = 16
 
 

@@ -15,24 +15,27 @@ P = Id - ad(F-) ad(F+); this is checked in the suites rather than assumed.
 
 Every O_A is built from the one closed-form expansion
 
-    O_A = ((|A|-1) t/2 + sum_a Ocheck_a e_a - sum_{a<b} M_ab e_ab) e_A,
+    O_A = ((|A|-1) t/2 + sum_{a in A} P_a - sum_{a<b in A} Q_ab) e_A,
 
-which for |A| = 1, 2, 3 is Ocheck_j, O_ij and O_ijk above.  Its M-term
-sign is the one that agrees with -(t/2) P(e_A); for |A| = 4, 5 at t = 1
-it also equals the weighted antisymmetrised products in `RECONSTRUCTIONS`,
-which the relation suite checks.  A product of O over index blocks b_k is
-skew within each block, so its sum over all n! orderings is prod |b_k|!/n!
-times a sum over the block tuples, which also index the relations.
+with the parts P_a = Ocheck_a e_a and Q_ab = M_ab e_a e_b = Q_ba, each
+built once (`part`).  For |A| = 1, 2, 3 it is Ocheck_j, O_ij and O_ijk
+above.  Its M-term sign is the one that agrees with -(t/2) P(e_A); for
+|A| = 4, 5 at t = 1 it also equals the weighted antisymmetrised products
+in `RECONSTRUCTIONS`, which the relation suite checks.  A product of O
+over index blocks b_k is skew within each block, so its sum over all n!
+orderings is prod |b_k|!/n! times a sum over the block tuples, which
+also index the relations.
 
 The relation suite evaluates one residual per orbit of each relation's
 index tuples (`relation_orbits`), under the adjacent coordinate swaps tau
 that map the root system to itself (`RootDatum.coordinate_swaps`) and
 whose key map phi (`HCAlgebra.swap_map`) passes a premise checked in the
-same run, with no product: phi(O_A) == O_{tau(A)} exactly for every A
-with |A| <= min(d, 5) (`orbit_swaps`).  phi is a ring isomorphism of
-H (x) C(V), semilinear over a renaming of the c_k that fixes s and t,
-and each residual R(idx) is one fixed expression in the O_A, the
-Ocheck_j = O_(j) and t, so R(tau idx) = +-phi(R(idx)): R vanishes at
+same run, with no product, on the d + C(d,2) parts: phi(P_a) == P_{tau a}
+and phi(Q_ab) == Q_{tau a tau b} (`orbit_swaps`).  phi is a ring
+isomorphism of H (x) C(V), semilinear over a renaming of the c_k that
+fixes s and t, and maps e_A to +-e_{tau(A)}, so phi(O_A) == +-O_{tau(A)}
+for every A.  Each residual R(idx) is one fixed expression in the O_A,
+the Ocheck_j = O_(j) and t, so R(tau idx) = +-phi(R(idx)): R vanishes at
 every tuple of an orbit exactly when it vanishes at one.
 """
 
@@ -52,13 +55,8 @@ from .sparse import add_into, sub_into
 
 def perm_sign(seq):
     """Sign of the permutation sorting `seq` (entries distinct)."""
-    s = 1
-    a = list(seq)
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            if a[i] > a[j]:
-                s = -s
-    return s
+    inversions = sum(a > b for a, b in combinations(seq, 2))
+    return -1 if inversions % 2 else 1
 
 
 def _block_tuples(pool, blocks):
@@ -84,6 +82,7 @@ class Tama:
         F = alg.field
         self._half = F.rational(Fraction(1, 2))
         self._ocheck = {}
+        self._parts = {}
         self._O = {}
         self._dirac = None
 
@@ -133,19 +132,25 @@ class Tama:
             self._O[key] = out
         return out
 
+    def part(self, B):
+        """P_a = Ocheck_a e_a for B = (a,), or Q_ab = M_ab e_a e_b for
+        B = (a, b) with a < b: the parts of O_A, each built once."""
+        if B not in self._parts:
+            head = self.ocheck(*B) if len(B) == 1 else self.M(*B)
+            self._parts[B] = head * self.alg.e_set(B)
+        return self._parts[B]
+
     def O_closed_form(self, idxs):
         """The closed-form O_A expansion of the module docstring."""
         idxs = tuple(sorted(idxs))
         alg = self.alg
-        F = alg.field
-        n = len(idxs)
-        eA = alg.e_set(idxs)
-        acc = alg.scalar(alg.h.t * F.rational(Fraction(n - 1, 2)))
+        acc = alg.scalar(alg.h.t * alg.field.rational(
+            Fraction(len(idxs) - 1, 2)))
         for a in idxs:
-            acc = acc + self.ocheck(a) * alg.e(a)
-        for a, b in combinations(idxs, 2):
-            acc = acc - self.M(a, b) * alg.e(a) * alg.e(b)
-        return acc * eA
+            acc = acc + self.part((a,))
+        for B in combinations(idxs, 2):
+            acc = acc - self.part(B)
+        return acc * alg.e_set(idxs)
 
     def project_O(self, idxs):
         """-(t/2) P(e_A), the projection-based definition of O_A."""
@@ -341,32 +346,27 @@ class Tama:
     def orbit_swaps(self):
         """The j (0-based) of the coordinate swaps tau = (j+1 j+2) of
         `RootDatum.coordinate_swaps` whose key map phi (`HCAlgebra.swap_map`)
-        passes the premise: phi(O_A) == O_{tau(A)} exactly, with the sign
-        of the unsorted tau(A), for every A with |A| <= min(d, 5).
+        passes the premise on the parts P_a and Q_ab = Q_ba of O_A:
+        phi(P_a) == P_{tau a} and phi(Q_ab) == Q_{tau a tau b}.  phi fixes
+        t, is multiplicative and maps e_A to +-e_{tau(A)}, so this gives
+        phi(O_A) == +-O_{tau(A)} for every A.
 
         Built on first use, by the first relation evaluated.  A swap that
-        `swap_map` refuses, or whose premise fails at some A, is left out.
+        `swap_map` refuses, or whose premise fails at some part, is left out.
         """
         alg = self.alg
-        pool = range(1, self.d + 1)
-        sets = [A for n in range(1, min(self.d, 5) + 1)
-                for A in combinations(pool, n)]
+        parts = [B for n in (1, 2)
+                 for B in combinations(range(1, self.d + 1), n)]
         out = []
         for j, orbits in alg.rd.coordinate_swaps:
             phi = alg.swap_map(j, orbits)
-            if phi is not None and all(phi(self.O(A)) == self._swapped_O(A, j)
-                                       for A in sets):
+            tau = {j + 1: j + 2, j + 2: j + 1}
+            if phi is not None and all(
+                    phi(self.part(B))
+                    == self.part(tuple(sorted(tau.get(b, b) for b in B)))
+                    for B in parts):
                 out.append(j)
         return out
-
-    def _swapped_O(self, A, j):
-        """O_{tau(A)} for tau = (j+1 j+2) and a sorted A: tau(A) is sorted
-        unless it swaps two entries of A, and then it is -O_A, which is
-        formed here and not memoised."""
-        if j + 1 in A and j + 2 in A:
-            return -self.O(A)
-        tau = {j + 1: j + 2, j + 2: j + 1}
-        return self.O([tau.get(a, a) for a in A])
 
     def relation_orbits(self, name):
         """{tuple: the first tuple of its orbit}, over the relation's index

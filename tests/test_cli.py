@@ -173,6 +173,8 @@ GOLDEN_REPORTS = (
      "c3bc95efc99cf5862d67a81db03370983d91b42d1596e965a0ee46dd34b639e2"),
     ("--family D --rank 4 --suite admissible", 0,
      "c0a3b5469278710bd58c601d9e20536e75be2178c62dd41c98b2b347fded349e"),
+    ("--family A --rank 1 --ambient 8 --suite relations", 0,
+     "a40f935435c2bdd41a00501ec97a50d2daa15076a1d5b3089543a540f41312ad"),
 )
 
 

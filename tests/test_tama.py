@@ -565,6 +565,92 @@ def test_a_broken_key_map_fails_the_premise(group, mutate, monkeypatch):
     assert got == _full_loop_records(ctx.tama, ctx.rd.dim)
 
 
+def _wrong_orbit_ocheck(ctx, j):
+    """Memoise a B3 Ocheck_j built with each root's c taken from the other
+    root orbit."""
+    h = ctx.alg.h
+    right = h.c_root
+    h.c_root = [h.c_orbit[1 - k] for k in ctx.rd.orbit_labels]
+    ctx.tama.ocheck(j)
+    h.c_root = right
+
+
+@pytest.mark.parametrize("j,kept", [(1, [1]), (2, []), (3, [0])])
+def test_a_wrong_orbit_ocheck_fails_the_premise(j, kept, monkeypatch):
+    # the premise drops exactly the swaps that move j
+    ctx = Context(RunConfig("B", 3, 3, ["relations"]))
+    _wrong_orbit_ocheck(ctx, j)
+    got = _orbit_records(ctx, monkeypatch)[0]
+    assert ctx.tama.orbit_swaps == kept
+    assert got == _full_loop_records(ctx.tama, 3)
+
+
+def _premise_on_every_O(tm):
+    """The swaps whose key map gives phi(O_A) == O_{tau(A)}, with the sign
+    of the unsorted tau(A), for every A with |A| <= min(d, 5): the
+    reference for the premise on the parts."""
+    alg = tm.alg
+    sets = [A for n in range(1, min(tm.d, 5) + 1)
+            for A in combinations(range(1, tm.d + 1), n)]
+    out = []
+    for j, orbits in alg.rd.coordinate_swaps:
+        phi = alg.swap_map(j, orbits)
+        tau = {j + 1: j + 2, j + 2: j + 1}
+        if phi is not None and all(
+                phi(tm.O(A)) == tm.O([tau.get(a, a) for a in A])
+                for A in sets):
+            out.append(j)
+    return out
+
+
+_EQUAL_C = {"s": Fraction(2),
+            **{f"c{k}": Fraction(1, 3) for k in (1, 2, 3, 4)}}
+
+
+@pytest.mark.parametrize("make,accepts", [
+    (lambda: stack("A", 3, 4), True), (lambda: stack("B", 3, 3), True),
+    (lambda: stack("D", 4, 4), True), (lambda: stack("A1", 4, 4), True),
+    (lambda: stack("A", 1, 7), True), (lambda: stack("B", 4, 4), True),
+    (lambda: stack("B", 3, 3, single_c=True), True),
+    (lambda: Context(RunConfig("A1", 4, 4, [], specialize={
+        **_DISTINCT_C, "c4": Fraction(1, 11)})), False),
+    (lambda: Context(RunConfig("A1", 4, 4, [], specialize=_EQUAL_C)), True)],
+    ids=["A r3", "B3", "D4", "A1^4", "A r1 d7", "B4", "B3-single-c",
+         "A1^4-distinct-c", "A1^4-equal-c"])
+def test_both_premises_accept_the_same_swaps(make, accepts):
+    ctx = make()
+    swaps = [j for j, _ in ctx.rd.coordinate_swaps]
+    assert ctx.tama.orbit_swaps == (swaps if accepts else [])
+    assert ctx.tama.orbit_swaps == _premise_on_every_O(ctx.tama)
+
+
+@pytest.mark.parametrize("group", [("A", 3, 4), ("B", 3, 3), ("D", 4, 4)],
+                         ids=["A r3", "B3", "D4"])
+def test_closed_form_equals_the_literal_part_sum(group):
+    ctx = stack(*group)
+    tm, alg = ctx.tama, ctx.alg
+    for n in range(1, min(tm.d, 5) + 1):
+        for A in combinations(range(1, tm.d + 1), n):
+            acc = alg.scalar(alg.h.t * alg.field.rational(Fraction(n - 1, 2)))
+            for a in A:
+                acc = acc + tm.ocheck(a) * alg.e(a)
+            for a, b in combinations(A, 2):
+                acc = acc - tm.M(a, b) * alg.e(a) * alg.e(b)
+            assert tm.O_closed_form(A) == acc * alg.e_set(A), A
+
+
+def test_each_part_is_built_once(monkeypatch):
+    calls = []
+    M = Tama.M
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return M(self, i, j)
+    monkeypatch.setattr(Tama, "M", counted)
+    suite_relations(Context(RunConfig("A", 1, 8, ["relations"])), Runner())
+    assert len(calls) <= 28       # C(8, 2)
+
+
 def test_the_premise_drops_only_the_swap_off_the_roots():
     ctx = Context(RunConfig("A", 1, 5, ["relations"]))
     swaps = ctx.rd.coordinate_swaps
