@@ -22,7 +22,6 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 from itertools import combinations
 from math import comb, isqrt
 
@@ -137,6 +136,7 @@ class RunConfig:
 
 def parse_specialize(text):
     """Parse "s=2,c1=1/3,..." into {name: Fraction}."""
+    from fractions import Fraction
     out = {}
     for part in text.split(","):
         part = part.strip()
@@ -643,6 +643,7 @@ def suite_cohomology(ctx: Context, run: Runner):
                                   "reason": "no admissible elements"}
         rho_w = ctx.rho_omega(entries[0])
         found = []
+        from fractions import Fraction
         lams = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
                 Fraction(1, 2), Fraction(-1, 2), Fraction(3), Fraction(-3)]
         for lam in lams:

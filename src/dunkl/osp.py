@@ -18,8 +18,6 @@ maps onto the graded centraliser of the realisation.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .hc import HCAlgebra, HCElement
 
 
@@ -46,7 +44,7 @@ class OspRealisation:
             self.E_plus = self.E_plus + (xp * xp)
             self.E_minus = self.E_minus - (yp * yp)
             xy = xy + (xp * yp)
-        half_t_inv = t_inv * F.rational(Fraction(1, 2))
+        half_t_inv = t_inv * F.rational(1, 2)
         self.F_plus = self.F_plus.scale(s_inv)
         self.F_minus = self.F_minus.scale(s_inv)
         self.E_plus = self.E_plus.scale(half_t_inv)
@@ -58,10 +56,10 @@ class OspRealisation:
             self.Omega_c = self.Omega_c + g.scale(h.c_root[r_idx])
 
         self.H = (xy.scale(t_inv)
-                  + alg.scalar(F.rational(Fraction(d, 2)))
+                  + alg.scalar(F.rational(d, 2))
                   - self.Omega_c.scale(t_inv))
 
-        half = alg.scalar(F.rational(Fraction(1, 2)))
+        half = alg.scalar(F.rational(1, 2))
         self.scasimir = (self.F_minus * self.F_plus
                          - self.F_plus * self.F_minus) - half
         ffdiff = (self.F_plus * self.F_minus - self.F_minus * self.F_plus)
@@ -69,8 +67,7 @@ class OspRealisation:
                           + (self.E_plus * self.E_minus
                              + self.E_minus * self.E_plus).scale(2))
         self.Omega_osp = self.Omega_sl2 - ffdiff
-        self.Omega_quarter = self.Omega_osp + alg.scalar(
-            F.rational(Fraction(1, 4)))
+        self.Omega_quarter = self.Omega_osp + alg.scalar(F.rational(1, 4))
 
     def bracket_table_check(self):
         """Verify the six defining relations; returns {name: bool}."""

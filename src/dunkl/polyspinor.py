@@ -46,8 +46,6 @@ they are.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .scalars import Scalar, C_ONE, C_ZERO, C_I, _i_power, mul_coeff
 from .sparse import add_into
 from .hc import HCAlgebra, HCElement
@@ -484,6 +482,7 @@ class HermitianForm:
         nvars = alg.field.nvars
         rational = alg.h.rational
         if not rational:
+            from fractions import Fraction
             point = (Fraction(0),) + tuple(Fraction(v) for v in c_values)
             if len(point) != nvars:
                 raise ValueError("wrong number of orbit parameters")

@@ -55,16 +55,22 @@ and `mul_coeff` test a Coeff for 1 and -1 on its `_v`, so that such a
 factor makes no field product, `mul_int` scales by an integer Coeff
 through its numerators, and `Coeff.mul_i_power` multiplies by a
 power of i, as a spinor entry does, by swapping parts.
+
+Coeff is the one rational type at run time: a constant such as 1/2 or
+d/2 is `ScalarField.rational(n, den)`, which canonicalises its ints with
+`_canon`, and no module imports `fractions` when it is loaded.
+`Fraction` is read only where a rational is parsed, printed or
+evaluated: here in `Coeff` of a non-int, `Coeff.a`..`d` (so `str`) and
+`Scalar.substitute`; in `cli`, the `--specialize` parser and the scale
+factors of `kernel-rescaling-scan`; and in `polyspinor`, the symbolic
+point of `HermitianForm.leading_minor_signs`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .sparse import add_into, sub_into
-
-_F1 = Fraction(1)
 
 
 def _of(v):
@@ -100,26 +106,21 @@ class Coeff:
                 and type(d) is int:
             self._v = (a, b, c, d, 1)
             return
+        from fractions import Fraction
         fs = [Fraction(x) for x in (a, b, c, d)]
         q = lcm(*(f.denominator for f in fs))
         self._v = _canon(*(f.numerator * (q // f.denominator) for f in fs),
                          q)._v
 
-    @property
-    def a(self):
-        return Fraction(self._v[0], self._v[4])
+    def _fraction(self, k):
+        """Part k of (a, b, c, d), as a Fraction."""
+        from fractions import Fraction
+        return Fraction(self._v[k], self._v[4])
 
-    @property
-    def b(self):
-        return Fraction(self._v[1], self._v[4])
-
-    @property
-    def c(self):
-        return Fraction(self._v[2], self._v[4])
-
-    @property
-    def d(self):
-        return Fraction(self._v[3], self._v[4])
+    a = property(lambda self: self._fraction(0))
+    b = property(lambda self: self._fraction(1))
+    c = property(lambda self: self._fraction(2))
+    d = property(lambda self: self._fraction(3))
 
     def __eq__(self, other):
         if not isinstance(other, Coeff):
@@ -397,8 +398,14 @@ class Scalar:
         return Scalar({} if cf.is_zero() else {0: cf}, nvars)
 
     @staticmethod
-    def rational(q, nvars):
-        return Scalar.from_coeff(Coeff(Fraction(q)), nvars)
+    def rational(q, nvars, den=1):
+        """The constant q / den, for an int or Fraction q and an int den."""
+        num, den = q.numerator, q.denominator * den
+        if den < 0:
+            num, den = -num, -den
+        elif not den:
+            raise ZeroDivisionError(f"rational {q}/0")
+        return Scalar.from_coeff(_canon(num, 0, 0, 0, den), nvars)
 
     # -- predicates ---------------------------------------------------------
     def is_zero(self):
@@ -463,10 +470,11 @@ class Scalar:
         """
         if len(values) != self.nvars:
             raise ValueError("substitution arity mismatch")
+        from fractions import Fraction
         vals = [Fraction(v) for v in values]
         acc = C_ZERO
         for e, v in self.terms.items():
-            f = _F1
+            f = Fraction(1)
             for x, k in zip(vals, unpack(e, self.nvars)):
                 if k < 0 and not x:
                     raise ZeroDivisionError(
@@ -564,8 +572,8 @@ class ScalarField:
         self.t = self.s * self.s / Scalar.rational(2, self.nvars)
         self.cs = [Scalar({e: C_ONE}, self.nvars) for e in unit[1:]]
 
-    def rational(self, q):
-        return Scalar.rational(q, self.nvars)
+    def rational(self, q, den=1):
+        return Scalar.rational(q, self.nvars, den)
 
     def i_power(self, n):
         return Scalar.from_coeff(_i_power(n), self.nvars)

@@ -41,7 +41,6 @@ every tuple of an orbit exactly when it vanishes at one.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations, islice
 from math import factorial, prod
@@ -80,7 +79,7 @@ class Tama:
         self.osp = osp
         self.d = alg.dim
         F = alg.field
-        self._half = F.rational(Fraction(1, 2))
+        self._half = F.rational(1, 2)
         self._ocheck = {}
         self._parts = {}
         self._O = {}
@@ -144,8 +143,7 @@ class Tama:
         """The closed-form O_A expansion of the module docstring."""
         idxs = tuple(sorted(idxs))
         alg = self.alg
-        acc = alg.scalar(alg.h.t * alg.field.rational(
-            Fraction(len(idxs) - 1, 2)))
+        acc = alg.scalar(alg.h.t * alg.field.rational(len(idxs) - 1, 2))
         for a in idxs:
             acc = acc + self.part((a,))
         for B in combinations(idxs, 2):
@@ -157,7 +155,7 @@ class Tama:
         alg = self.alg
         eA = alg.e_set(sorted(idxs))
         return self.osp.project(eA).scale(
-            alg.h.t * alg.field.rational(Fraction(-1, 2)))
+            alg.h.t * alg.field.rational(-1, 2))
 
     # O_A for |A| = 4, 5 as weighted antisymmetrised products of O over
     # blocks of its indices (a one-index block gives Ocheck_j), at t = 1
@@ -189,7 +187,7 @@ class Tama:
             term = reduce(mul, [self.O(islice(rest, b)) for b in blocks])
             (add_into if perm_sign(pos) > 0 else sub_into)(
                 acc, term.terms.items())
-        return self.alg.zero()._new(acc).scale(Fraction(
+        return self.alg.zero()._new(acc).scale(self.alg.field.rational(
             prod(map(factorial, blocks)), factorial(len(idxs))))
 
     # -- distinguished elements ---------------------------------------------
@@ -303,7 +301,7 @@ class Tama:
             rhs = (oc(i) * oc(i) + oc(j) * oc(j) + oc(k) * oc(k)
                    + O((i, j)) * O((i, j)) + O((i, k)) * O((i, k))
                    + O((j, k)) * O((j, k))).scale(2)
-            rhs = rhs - alg.scalar(t * t * F.rational(Fraction(1, 2)))
+            rhs = rhs - alg.scalar(t * t * F.rational(1, 2))
             return acom(O((i, j, k)), O((i, j, k))) - rhs
         if name == "r33-shared2":
             i, j, k, l = idx
@@ -424,7 +422,7 @@ class Tama:
         F = alg.field
         d = self.d
         t2inv = (alg.h.t * alg.h.t).inv()
-        rhs = alg.scalar(F.rational(Fraction((d - 1) * (d - 2), 8)))
+        rhs = alg.scalar(F.rational((d - 1) * (d - 2), 8))
         acc = alg.zero()
         for j in range(1, d + 1):
             acc = acc + self.ocheck(j) * self.ocheck(j)

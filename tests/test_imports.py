@@ -15,14 +15,26 @@ A private attribute set as `self._name = ...` (dunders exempt) counts as
 used when some module of `src/dunkl` reads `._name`; storing into it, as
 in `self._memo[key] = value`, is no read.  So a change that removes the
 last reader of a cache must remove the cache too.
+
+No module imports `fractions` or `decimal` when it is loaded: `Coeff`
+holds every exact rational, and `Fraction` is imported only inside the
+functions that parse, print or evaluate one.  A fresh `verify` process
+that parses no rational must end without either module loaded.
 """
 
 import ast
+import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "dunkl"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "dunkl"
+LAZY_MODULES = {"fractions", "decimal"}
 
 
 def unused_imports(source):
@@ -45,6 +57,24 @@ def unused_imports(source):
             read |= set(ast.literal_eval(node.value))
     return sorted((line, name) for name, line in bound.items()
                   if name not in read)
+
+
+def load_time_imports(source):
+    """Top-level names of the modules `source` imports when it is loaded:
+    every import outside a function body."""
+    out = set()
+    stack = [ast.parse(source)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.split(".")[0])
+        stack.extend(ast.iter_child_nodes(node))
+    return out
 
 
 def _references(tree, skip=None):
@@ -129,6 +159,65 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_imports_fractions_or_decimal_when_loaded(path):
+    assert load_time_imports(path.read_text()) & LAZY_MODULES == set()
+
+
+def _workload_argv(name):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS[name]
+
+
+# what perfbench/child.py has loaded before it imports dunkl
+_VERIFY = """
+import json, random, sys
+from pathlib import Path
+from dunkl.cli import main
+code = main(json.loads(sys.argv[1]))
+print(json.dumps({"exit": code, "loaded": sorted(
+    name for name in ("fractions", "decimal") if name in sys.modules)}))
+"""
+
+
+def _fresh_verify(argv, out):
+    """Exit code of `verify argv` in a fresh interpreter, and which of
+    `fractions` and `decimal` it had loaded by the end."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _VERIFY,
+         json.dumps(argv + ["--out", str(out)])],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    return got["exit"], set(got["loaded"])
+
+
+@pytest.mark.parametrize("workload", ["cover-s5", "symbolic-a1x4"])
+def test_a_run_that_parses_no_rational_loads_no_fractions(workload,
+                                                          tmp_path):
+    code, loaded = _fresh_verify(_workload_argv(workload),
+                                 tmp_path / "r.json")
+    assert code == 0
+    assert loaded == set()
+
+
+def test_specialize_still_parses_rationals(tmp_path):
+    out = tmp_path / "r.json"
+    code, _ = _fresh_verify(["--family", "B", "--rank", "2", "--suite",
+                             "osp", "--specialize", "s=2,c1=1/3,c2=1/5"],
+                            out)
+    assert code == 0
+    spec = json.loads(out.read_text())["config"]["specialize"]
+    assert spec == {"s": "2", "c1": "1/3", "c2": "1/5"}
+
+
 def test_no_orphan_private_functions():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert orphan_private_functions(sources) == []
@@ -145,6 +234,17 @@ def test_lint_sees_unused_and_exported_names():
            "__all__ = ['lcm']\n"
            "def f():\n    return os.sep\n")
     assert unused_imports(src) == [(3, "gcd")]
+
+
+def test_lint_sees_imports_made_at_load_time():
+    src = ("from __future__ import annotations\n"
+           "import os.path\nfrom . import sibling\n"
+           "if True:\n    from fractions import Fraction\n"
+           "class K:\n    import decimal\n"
+           "    def f(self):\n        import json\n"
+           "def g():\n    from math import gcd\n")
+    assert load_time_imports(src) == {"__future__", "os", "fractions",
+                                      "decimal"}
 
 
 def test_lint_sees_orphan_private_functions():

@@ -216,6 +216,20 @@ def test_scalar_t_convention(F):
     assert F.r * F.r == F.rational(2)
 
 
+def test_rational_takes_an_int_or_fraction_over_a_signed_int(F):
+    for n in range(-6, 7):
+        for d in (*range(-6, 0), *range(1, 7)):
+            assert F.rational(n, d) == F.rational(Fraction(n, d)), (n, d)
+        with pytest.raises(ZeroDivisionError):
+            F.rational(n, 0)
+    with pytest.raises(ZeroDivisionError):
+        F.rational(Fraction(1, 2), 0)
+    assert F.rational(Fraction(1, 2)).constant_value() == Coeff(2).inv()
+    assert F.rational(3).constant_value() == Coeff(3)
+    assert F.rational(Fraction(-2, 3), -4) == F.rational(1, 6)
+    assert F.rational(0, -5).terms == {}
+
+
 def test_scalar_substitution(F):
     expr = F.t + F.cs[0] * F.cs[1]
     val = expr.substitute((Fraction(2), Fraction(1, 3), Fraction(3)))

@@ -16,7 +16,7 @@ from itertools import combinations
 import pytest
 
 from conftest import stack
-from dunkl.cli import Context, RunConfig
+from dunkl.cli import Context, RunConfig, Runner, suite_relations
 from dunkl.hc import HCElement
 from dunkl.scalars import C_R, Coeff, Scalar
 
@@ -111,3 +111,25 @@ def test_oracle_sees_substitute_s_taking_t_as_s_squared(monkeypatch):
 
     monkeypatch.setattr(Scalar, "substitute_s", t_is_s_squared)
     assert _disagreements("B2", 0)
+
+
+def _relation_statuses(ctx):
+    """{check: status} of the `relations` suite on `ctx`, skips left out."""
+    run = Runner()
+    suite_relations(ctx, run)
+    return {rec["check"]: rec["status"] for rec in run.records
+            if rec["status"] != "skipped"}
+
+
+@pytest.mark.parametrize("cs,keeps_swaps", [
+    ((Q(1, 3),) * 4, True), ((Q(1, 3), Q(1, 5), Q(2, 7), Q(3, 4)), False)],
+    ids=["equal-c", "distinct-c"])
+def test_specialised_relations_keep_the_symbolic_statuses(cs, keeps_swaps):
+    ctx = _specialised(("A1", 4, 4), (Q(2),) + cs)
+    got = _relation_statuses(ctx)
+    swaps = [j for j, _ in ctx.rd.coordinate_swaps]
+    assert ctx.tama.orbit_swaps == (swaps if keeps_swaps else [])
+    want = _relation_statuses(stack("A1", 4, 4))
+    # only reconstruction-4index is left out when specialised
+    assert set(want) - set(got) == {"reconstruction-4index"}
+    assert got == {check: want[check] for check in got}
